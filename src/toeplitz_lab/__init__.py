@@ -15,8 +15,6 @@ from .words import (
     FillingSchedule,
     PeriodicPattern,
     SeedWord,
-    ToeplitzLevel,
-    build_level,
     compose_fill,
     derived_tail,
     evaluate,

@@ -85,9 +85,9 @@ def _ex43_aper_counts() -> CheckResult:
 @check("ex4.3-level2-pattern")
 def _ex43_level2() -> CheckResult:
     s = make_gallery("ex4.3")
-    lvl = words.build_level(s, 2)
-    ok = lvl.pattern.symbols == SEC22_COMPOSITION and lvl.pattern.holes == (5, 9)
-    return CheckResult("ex4.3-level2-pattern", ok, {"pattern": lvl.pattern.symbols})
+    pat = s.pattern(2)
+    ok = pat.symbols == SEC22_COMPOSITION and pat.holes == (5, 9)
+    return CheckResult("ex4.3-level2-pattern", ok, {"pattern": pat.symbols})
 
 
 @check("ex4.3-boundary-singleton")

@@ -23,7 +23,7 @@ from .errors import (
     UnresolvedWindow,
 )
 from .periodicity import Status, check_oxtoby, classify_residues
-from .words import HOLE, Alphabet, FillingSchedule, PeriodicPattern, ToeplitzLevel, evaluate, resolve_window
+from .words import HOLE, Alphabet, FillingSchedule, PeriodicPattern, evaluate, resolve_window
 
 MAX_COMPLETION_HOLES = 16
 
@@ -75,6 +75,10 @@ class MarkerCode:
         for u in marked:
             if len(u) != width:
                 raise ToeplitzError("marked window of width %d, expected %d" % (len(u), width))
+            if not set(u) <= set(alphabet.letters):
+                raise ToeplitzError("marked window %r uses letters outside the alphabet" % (u,))
+        if mark not in alphabet or other not in alphabet:
+            raise ToeplitzError("marker letters %r, %r must be in the alphabet" % (mark, other))
         self.alphabet = alphabet
         self.radius = radius
         self.marked = frozenset(marked)
@@ -120,9 +124,8 @@ def code_output(code, window: str) -> str:
     return seen.pop()
 
 
-def apply_code(code, source) -> PeriodicPattern:
+def apply_code(code, pat: PeriodicPattern) -> PeriodicPattern:
     """Image of a level pattern under the code, holes where completions disagree."""
-    pat = source.pattern if isinstance(source, ToeplitzLevel) else source
     J = code.radius
     if pat.period <= 2 * J + 1:
         raise RadiusTooLarge("pattern period %d not larger than window width %d" % (pat.period, 2 * J + 1))
@@ -143,11 +146,6 @@ class FactorResidues:
     modulus: int
     nonperiodic: tuple[int, ...]
     undetermined: tuple[int, ...]
-
-    @property
-    def aperiodic(self) -> tuple[int, ...]:
-        """Residues certified nonperiodic (two differing resolved outputs)."""
-        return self.nonperiodic
 
 
 def factor_aperiodic_residues(code, schedule: FillingSchedule, l: int, depth: int) -> FactorResidues:
@@ -175,10 +173,12 @@ def _sparse_factor_residues(code, schedule: FillingSchedule, l: int, depth: int)
     """Candidate-based classification for periods too large to materialise.
 
     Only residues within the code radius of a source hole can be
-    nonperiodic; for each such candidate the factor values over its class
-    are the code images of the window with the unresolved slots filled
-    in all combinations, which is exact when all fillings agree per slot
-    pattern and a two-image witness is exact always.
+    nonperiodic.  For each such candidate the window's level-``l`` hole
+    slots are marked as holes and :func:`code_output` decides whether
+    every completion gives one image, which makes the class periodic.
+    Otherwise a two-image witness among realised windows, exact always,
+    certifies it nonperiodic.  A window with unresolved positions outside
+    the slots stays undetermined.
     """
     p = schedule.period(l)
     J = code.radius
@@ -188,29 +188,18 @@ def _sparse_factor_residues(code, schedule: FillingSchedule, l: int, depth: int)
     nonper, undet = [], []
     for r in candidates:
         slots = [d for d in range(-J, J + 1) if (r + d) % p in hole_set]
-        if len(slots) > MAX_COMPLETION_HOLES // 2:
+        chars = list(resolve_window(schedule, r - J, r + J + 1, depth))
+        for d in slots:
+            chars[d + J] = HOLE
+        window = "".join(chars)
+        if window.count(HOLE) > len(slots):
             undet.append(r)
+        elif code_output(code, window) != HOLE:
             continue
-        base = list(resolve_window(schedule, r - J, r + J + 1, depth))
-        images = set()
-        for fill in product(code.alphabet.letters, repeat=len(slots)):
-            chars = base[:]
-            for d, c in zip(slots, fill):
-                chars[d + J] = c
-            if HOLE in chars:
-                images.add(HOLE)
-            else:
-                images.add(code("".join(chars)))
-        if HOLE in images:
-            undet.append(r)
-        elif len(images) == 1:
-            continue
+        elif _realised_two_images(code, schedule, r, J, p, depth):
+            nonper.append(r)
         else:
-            # hypothetical fillings disagree; confirm with realised values
-            if _realised_two_images(code, schedule, r, J, p, depth):
-                nonper.append(r)
-            else:
-                undet.append(r)
+            undet.append(r)
     return FactorResidues(p, tuple(nonper), tuple(undet))
 
 

@@ -14,6 +14,7 @@ from math import inf
 
 from .errors import BadParams
 from .factors import SlidingBlockCode
+from .periodicity import prime_exponents
 from .words import Alphabet, BINARY, FillingSchedule, SeedWord
 
 # order-6 binary de Bruijn word with one letter of its trailing run opened up
@@ -126,22 +127,10 @@ def _williams_schedule(letters: str, ratios: tuple[int, ...], alphabet: Alphabet
             "oxtoby": True,
             "constant_on_aper": True,
             "fiber_bound": len(alphabet),
-            "prime_profile": _ratio_profile(ratios),
+            "prime_profile": {q: inf for r in ratios for q in prime_exponents(r)},
         },
         name="williams(letters=%s, ratios=%s)" % (letters, ",".join(map(str, ratios))),
     )
-
-
-def _ratio_profile(ratios) -> dict[int, float]:
-    prof: dict[int, float] = {}
-    for ratio in ratios:
-        n = ratio
-        for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
-            if n % q == 0:
-                prof[q] = inf
-                while n % q == 0:
-                    n //= q
-    return prof
 
 
 def gallery(name: str, **params) -> FillingSchedule:
@@ -194,10 +183,13 @@ def gallery(name: str, **params) -> FillingSchedule:
         alphabet = Alphabet(str(params.get("alphabet", "ab")))
         letters = str(params.get("letters", alphabet.letters))
         raw = params.get("ratios", params.get("ratio", 4))
-        if isinstance(raw, (int, str)):
-            ratios = tuple(int(x) for x in str(raw).split(","))
-        else:
-            ratios = tuple(int(x) for x in raw)
+        try:
+            if isinstance(raw, (int, str)):
+                ratios = tuple(int(x) for x in str(raw).split(","))
+            else:
+                ratios = tuple(int(x) for x in raw)
+        except (TypeError, ValueError):
+            raise BadParams("ratios must be integers, got %r" % (raw,)) from None
         return _williams_schedule(letters, ratios, alphabet)
     raise BadParams("unknown gallery entry %r" % name)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import inf
 
 from .errors import ToeplitzError, UnresolvedElement
-from .periodicity import Status, classify_residues
+from .periodicity import Status, classify_residues, prime_exponents
 from .words import FillingSchedule, HOLE
 
 
@@ -130,9 +130,6 @@ def matching_shift(schedule: FillingSchedule, l: int, element, resolution: int) 
 
 # -- prime exponent profiles ---------------------------------------------
 
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-
-
 def _primes_upto(bound: int) -> tuple[int, ...]:
     sieve = [True] * (bound + 1)
     out = []
@@ -185,14 +182,6 @@ class PrimeProfile:
         return self.declared is not None
 
 
-def _exponent(n: int, q: int) -> int:
-    e = 0
-    while n % q == 0:
-        n //= q
-        e += 1
-    return e
-
-
 def prime_profile(scale, prime_bound: int, declared: dict[int, float] | None = None) -> PrimeProfile:
     """Exponent record of the last scale entry for every prime <= bound."""
     scale = tuple(scale)
@@ -200,10 +189,11 @@ def prime_profile(scale, prime_bound: int, declared: dict[int, float] | None = N
         raise ValueError("scale must be nonempty")
     last = scale[-1]
     prev = scale[-2] if len(scale) > 1 else 1
+    last_exps, prev_exps = prime_exponents(last), prime_exponents(prev)
     exps = []
     for q in _primes_upto(prime_bound):
-        v = _exponent(last, q)
-        exps.append((q, ExponentRecord(v, v > _exponent(prev, q))))
+        v = last_exps.get(q, 0)
+        exps.append((q, ExponentRecord(v, v > prev_exps.get(q, 0))))
     decl = None
     if declared is not None:
         decl = tuple(sorted((int(q), float(e)) for q, e in declared.items()))

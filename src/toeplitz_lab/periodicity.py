@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import DivisibilityViolation, NoHoles
-from .words import HOLE, FillingSchedule, PeriodicPattern, ToeplitzLevel
+from .words import HOLE, FillingSchedule, PeriodicPattern
 
 
 class Status(Enum):
@@ -31,21 +31,14 @@ class ResidueClassStatus:
     letter: str | None = None
 
 
-def _pattern_of(source) -> PeriodicPattern:
-    if isinstance(source, ToeplitzLevel):
-        return source.pattern
-    if isinstance(source, PeriodicPattern):
-        return source
-    raise TypeError("expected a level or pattern, got %r" % (source,))
-
-
-def classify_residues(source, p: int) -> list[ResidueClassStatus]:
+def classify_residues(pat: PeriodicPattern, p: int) -> list[ResidueClassStatus]:
     """Three-valued classification of the residues mod ``p`` against a pattern.
 
     One lcm(p, period) window is scanned, which is exact relative to the
     pattern: whatever the pattern leaves unresolved stays undetermined.
     """
-    pat = _pattern_of(source)
+    if not isinstance(pat, PeriodicPattern):
+        raise TypeError("expected a pattern, got %r" % (pat,))
     if p < 1:
         raise ValueError("period must be positive")
     period = pat.period
@@ -185,17 +178,25 @@ def _per_sets_differ(pat: PeriodicPattern, p: int, p_l: int) -> bool | None:
     return None if undetermined else False
 
 
+def prime_exponents(n: int) -> dict[int, int]:
+    """prime -> exponent in the factorisation of ``n`` >= 1, primes ascending."""
+    if n < 1:
+        raise ValueError("can only factorise positive integers, got %r" % (n,))
+    out: dict[int, int] = {}
+    q = 2
+    while q * q <= n:
+        while n % q == 0:
+            out[q] = out.get(q, 0) + 1
+            n //= q
+        q += 1
+    if n > 1:
+        out[n] = 1
+    return out
+
+
 def _prime_power_scale(scale) -> int | None:
     """The single prime q when every scale entry is a power of q, else None."""
-    primes = set()
-    for s in scale:
-        n = s
-        for q in (2, 3, 5, 7, 11, 13):
-            while n % q == 0:
-                primes.add(q)
-                n //= q
-        if n != 1:
-            return None
+    primes = {q for s in scale for q in prime_exponents(s)}
     return primes.pop() if len(primes) == 1 else None
 
 

@@ -147,20 +147,6 @@ def compose_fill(outer: PeriodicPattern, inner: SeedWord, anchor_offset: int = 0
     return PeriodicPattern("".join(out), outer.alphabet)
 
 
-@dataclass(frozen=True)
-class ToeplitzLevel:
-    """Level ``l`` approximation: the composition of the first ``l`` seeds."""
-
-    level: int
-    pattern: PeriodicPattern
-    holes_per_period: int
-    anchor_offset: int
-
-    @property
-    def period(self) -> int:
-        return self.pattern.period
-
-
 class _LevelInfo:
     """Period and hole positions of a level, without the letter pattern."""
 
@@ -241,6 +227,8 @@ class FillingSchedule:
         """Period and sorted hole positions of level ``l``."""
         if l in self._infos:
             return self._infos[l]
+        if l < 1:
+            raise ToeplitzError("level must be >= 1")
         if l == 1:
             w, off = self.seed(1), self.offset(1)
             q = len(w)
@@ -296,17 +284,6 @@ class FillingSchedule:
 
     def __repr__(self):
         return "FillingSchedule(%s)" % (self.name or "anonymous")
-
-
-def build_level(schedule: FillingSchedule, l: int) -> ToeplitzLevel:
-    """Compose the first ``l`` seeds into an explicit level pattern."""
-    if l < 1:
-        raise ToeplitzError("level must be >= 1")
-    pat = schedule.pattern(l)
-    info = schedule.level_info(l)
-    if pat.holes != info.holes or pat.period != info.period:
-        raise ToeplitzError("pattern scan disagrees with level arithmetic at level %d" % l)
-    return ToeplitzLevel(l, pat, len(info.holes), info.anchor)
 
 
 def evaluate(schedule: FillingSchedule, j: int, max_level: int) -> str | None:

@@ -51,7 +51,7 @@ def test_criterion_2_singleton_boundary_example():
     assert tl.pruned_branch_census(tree)[3] == 1
     assert sorted(tree.survivors()[3]) == [85]
     assert 85 == 1 + 4 + 16 + 64
-    assert tl.build_level(s, 2).pattern.symbols == "aaaba?aba?bbabbb"
+    assert s.pattern(2).symbols == "aaaba?aba?bbabbb"
     _announce(2, "unbounded holes with a single surviving cylinder")
 
 
@@ -234,8 +234,8 @@ def test_invariants_period_law(s):
         cur = s.level_info(l)
         assert cur.period == prev.period * q // g
         assert len(cur.holes) == len(prev.holes) * s.seed(l).hole_count // g
-        lvl = tl.build_level(s, l)  # re-checks arithmetic against the pattern scan
-        assert lvl.pattern.holes == cur.holes
+        pat = s.pattern(l)  # the pattern scan must agree with the level arithmetic
+        assert pat.holes == cur.holes and pat.period == cur.period
 
 
 @SUITE

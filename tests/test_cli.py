@@ -65,6 +65,18 @@ def test_usage_error_exits_2():
     assert exc.value.code == 2
 
 
+def test_level_zero_is_an_error(capsys):
+    rc = main(["build", "ex4.3", "--level", "0"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_bad_gallery_param_is_an_error(capsys):
+    rc = main(["gallery", "williams", "--param", "ratios=x"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_missing_schedule_is_an_error(capsys):
     rc = main(["eval", "ex9.9", "4"])
     assert rc == 1

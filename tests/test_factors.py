@@ -22,7 +22,7 @@ from toeplitz_lab import (
     parse_seed,
     unique_residue_search,
 )
-from toeplitz_lab.errors import NotIsolated, RadiusTooLarge
+from toeplitz_lab.errors import NotIsolated, RadiusTooLarge, ToeplitzError
 
 EX43_BRANCH = tuple((4 ** l - 1) // 3 for l in range(1, 9))
 
@@ -172,6 +172,17 @@ def test_code_text_roundtrip():
     back2 = code_from_text(code_to_text(marker), BINARY)
     assert isinstance(back2, MarkerCode)
     assert back2.marked == marker.marked and back2.radius == 1
+
+
+def test_marker_code_rejects_letters_outside_alphabet():
+    with pytest.raises(ToeplitzError):
+        MarkerCode(BINARY, 0, frozenset(["c", "a"]), "a", "b")
+    with pytest.raises(ToeplitzError):
+        MarkerCode(BINARY, 0, frozenset(["a"]), "c", "b")
+    with pytest.raises(ToeplitzError):
+        MarkerCode(BINARY, 0, frozenset(["a"]), "a", "c")
+    with pytest.raises(ToeplitzError):
+        code_from_text("radius 0\nc a\na a\n* b\n", BINARY)
 
 
 def test_factor_isolation_implies_source_isolation_on_separated_holes():

@@ -107,6 +107,8 @@ def test_unknown_gallery_and_code():
         gallery("ex9.9")
     with pytest.raises(BadParams):
         gallery_code("ex4.3")
+    with pytest.raises(BadParams):
+        gallery("williams", ratios="x")
 
 
 def test_proximal_shift_formulas():

@@ -114,6 +114,16 @@ def test_gallery_declared_profiles_compare():
     assert odometer_relation(p43, p57).kind == Relation.ISOMORPHIC_CERTIFIED
 
 
+def test_large_prime_ratio_is_declared():
+    w = gallery("williams", ratios="53")
+    assert w.declarations["prime_profile"] == {53: inf}
+    s43 = gallery("ex4.3")
+    pw = prime_profile([w.period(l) for l in range(1, 4)], 60, declared=w.declarations["prime_profile"])
+    p43 = prime_profile([s43.period(l) for l in range(1, 4)], 60, declared=s43.declarations["prime_profile"])
+    r = odometer_relation(pw, p43)
+    assert r.kind == Relation.NOT_FACTOR and r.witness_prime == 53
+
+
 def test_cps_window_membership():
     s57 = gallery("ex5.7")
     assert cps_window_member(s57, embed(s57, 0, 3), "a") == Membership.IN_WINDOW

@@ -146,17 +146,24 @@ def test_sparse_factor_route_agrees_with_pattern_route():
     from toeplitz_lab.factors import _sparse_factor_residues
 
     rng = random.Random(5)
-    for name in ("ex4.4", "ex4.4-mini"):
+    marker = tl.MarkerCode(tl.BINARY, 1, frozenset(["aab", "bab", "abb"]), "a", "b")
+    for name in ("ex4.4", "ex4.4-mini", "ex5.7", "ex3.5", "ex4.3"):
         s = tl.gallery(name)
-        for _ in range(3):
-            radius = rng.choice((1, 2))
-            code = tl.SlidingBlockCode.from_fn(tl.BINARY, radius, lambda w: rng.choice("ab"))
+        codes = [tl.SlidingBlockCode.from_fn(tl.BINARY, rng.choice((1, 2)), lambda w: rng.choice("ab"))
+                 for _ in range(3)]
+        for code in codes + [marker]:
             for l in (1, 2):
                 full = tl.factor_aperiodic_residues(code, s, l, 3)
                 sparse = _sparse_factor_residues(code, s, l, 3)
                 assert full.nonperiodic == sparse.nonperiodic
                 undecided = set(sparse.undetermined) | set(sparse.nonperiodic)
                 assert set(full.undetermined) <= undecided
+    # every radius-8 window of ex5.7 meets 9 level-1 hole slots
+    s = tl.gallery("ex5.7")
+    code = tl.SlidingBlockCode.from_fn(tl.BINARY, 8, lambda w: "a" if w[8] == w[7] else "b")
+    full = tl.factor_aperiodic_residues(code, s, 1, 3)
+    assert _sparse_factor_residues(code, s, 1, 3) == full
+    assert full.nonperiodic == (1, 2, 3) and full.undetermined == ()
 
 
 def test_exact_complexity_matches_long_window_scan():

@@ -27,6 +27,8 @@ def statuses(source, p):
 def test_classify_constant_pattern():
     st = statuses(PeriodicPattern("a"), 1)
     assert st[0].status is Status.PERIODIC and st[0].letter == "a"
+    with pytest.raises(TypeError):
+        classify_residues(gallery("ex4.3"), 2)
 
 
 def test_classify_ex43_level2():
@@ -152,6 +154,19 @@ def test_mixed_prime_scale_structure():
     s = gallery("ex3.5")
     cert = verify_period_structure(s, [8, 48, 480], 4, coverage_window=(-8, 8))
     assert cert.divisible and all(e.certified for e in cert.essentiality)
+
+
+def test_prime_exponents_and_prime_power_scales():
+    from toeplitz_lab.periodicity import _prime_power_scale, prime_exponents
+
+    assert prime_exponents(1) == {}
+    assert prime_exponents(2 ** 5 * 3 * 53 ** 2) == {2: 5, 3: 1, 53: 2}
+    with pytest.raises(ValueError):
+        prime_exponents(0)
+    # powers of a prime above 13 still get the prime-power candidate list
+    assert _prime_power_scale((17, 17 ** 2, 17 ** 3)) == 17
+    assert _prime_power_scale((17, 34)) is None
+    assert _prime_power_scale((8, 48)) is None
 
 
 def test_williams_levels_form_a_period_structure():

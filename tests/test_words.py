@@ -6,7 +6,6 @@ from toeplitz_lab import (
     FillingSchedule,
     PeriodicPattern,
     SeedWord,
-    build_level,
     compose_fill,
     derived_tail,
     evaluate,
@@ -54,18 +53,18 @@ def test_compose_fill_requires_holes():
         compose_fill(PeriodicPattern("ab"), parse_seed("a"))
 
 
-def test_build_level_examples():
-    lvl = build_level(gallery("ex5.7"), 2)
-    assert lvl.pattern.window(0, 16) == "aaaba??ba??babbb"
-    lvl43 = build_level(gallery("ex4.3"), 2)
-    assert lvl43.pattern.symbols == "aaaba?aba?bbabbb" and lvl43.pattern.holes == (5, 9)
-    lvl1 = build_level(gallery("ex4.3"), 1)
-    assert lvl1.pattern.symbols == "a??b"
+def test_level_pattern_examples():
+    assert gallery("ex5.7").pattern(2).window(0, 16) == "aaaba??ba??babbb"
+    s43 = gallery("ex4.3")
+    pat43, info43 = s43.pattern(2), s43.level_info(2)
+    assert pat43.symbols == "aaaba?aba?bbabbb" and pat43.holes == (5, 9)
+    assert (pat43.period, pat43.holes) == (info43.period, info43.holes)
+    assert s43.pattern(1).symbols == "a??b"
 
 
-def test_build_level_anchor_offsets():
+def test_level_info_anchor_offsets():
     s = gallery("ex5.7")
-    assert build_level(s, 2).anchor_offset == 1  # first hole of (a??b) filled
+    assert s.level_info(2).anchor == 1  # first hole of (a??b) filled
 
 
 def test_evaluate_examples():
