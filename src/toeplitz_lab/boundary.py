@@ -80,11 +80,9 @@ def hole_tree(schedule: FillingSchedule, depth: int, resolution_depth: int | Non
         p_prev = schedule.period(l - 1) if l > 1 else None
         nodes = {}
         for r in schedule.holes(l):
-            observed = set()
-            for t in range(pat.period // p):
-                c = pat.symbols[(r + t * p) % pat.period]
-                if c != HOLE:
-                    observed.add(c)
+            # p divides the pattern period, so the class of r is one slice
+            observed = set(pat.symbols[r::p])
+            observed.discard(HOLE)
             parent = r % p_prev if l > 1 else None
             if l > 1 and parent not in levels[-1]:
                 raise ToeplitzError("hole nesting violated at level %d residue %d" % (l, r))

@@ -101,14 +101,13 @@ def factor_set_exact_single_hole(
     fill_cache: dict[int, tuple[frozenset[str], bool]] = {}
     for j in range(p):
         piece = carrier[j: j + length]
-        slots = [i for i, c in enumerate(piece) if c == HOLE]
-        m = len(slots)
+        first = p - 1 - j  # the carrier's holes sit at p - 1 mod p
+        m = len(range(first, length, p))
         if m not in fill_cache:
             fill_cache[m] = tail_words(m)
         for u in fill_cache[m][0]:
             chars = list(piece)
-            for i, c in zip(slots, u):
-                chars[i] = c
+            chars[first::p] = u
             words.add("".join(chars))
     exact = all(flag for _, flag in fill_cache.values())
     return FactorSet(length, frozenset(words), exact, "decomposition@L%d" % l)

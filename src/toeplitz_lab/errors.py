@@ -59,3 +59,7 @@ class RadiusTooLarge(ToeplitzError):
 
 class BadParams(ToeplitzError):
     pass
+
+
+class BadAlphabet(ToeplitzError):
+    pass

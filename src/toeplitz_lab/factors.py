@@ -23,7 +23,7 @@ from .errors import (
     UnresolvedWindow,
 )
 from .periodicity import Status, check_oxtoby, classify_residues
-from .words import HOLE, Alphabet, FillingSchedule, PeriodicPattern, evaluate, resolve_window
+from .words import HOLE, Alphabet, FillingSchedule, PeriodicPattern, evaluate, hole_positions, resolve_window
 
 MAX_COMPLETION_HOLES = 16
 
@@ -95,22 +95,25 @@ def code_output(code, window: str) -> str:
 
     For a table code all completions are enumerated; for a marker code
     the agreeing-completions test reduces to counting the marked windows
-    compatible with the resolved part.
+    compatible with the resolved part, the runs between the holes.
     """
     if HOLE not in window:
         return code(window)
-    holes = [i for i, c in enumerate(window) if c == HOLE]
     if isinstance(code, MarkerCode):
-        compatible = 0
-        for u in code.marked:
-            if all(a == b for a, b in zip(u, window) if b != HOLE):
-                compatible += 1
-        total = len(code.alphabet) ** len(holes)
+        runs = []
+        pos = 0
+        for run in window.split(HOLE):
+            if run:
+                runs.append((run, pos))
+            pos += len(run) + 1
+        compatible = sum(1 for u in code.marked if all(u.startswith(run, i) for run, i in runs))
+        total = len(code.alphabet) ** window.count(HOLE)
         if compatible == total:
             return code.mark
         if compatible == 0:
             return code.other
         return HOLE
+    holes = hole_positions(window)
     if len(holes) > MAX_COMPLETION_HOLES:
         return HOLE
     chars = list(window)
@@ -127,16 +130,48 @@ def code_output(code, window: str) -> str:
 def apply_code(code, pat: PeriodicPattern) -> PeriodicPattern:
     """Image of a level pattern under the code, holes where completions disagree."""
     J = code.radius
-    if pat.period <= 2 * J + 1:
-        raise RadiusTooLarge("pattern period %d not larger than window width %d" % (pat.period, 2 * J + 1))
+    width = 2 * J + 1
+    if pat.period <= width:
+        raise RadiusTooLarge("pattern period %d not larger than window width %d" % (pat.period, width))
     doubled = pat.symbols * 2 if J == 0 else (pat.symbols * (2 + (2 * J) // pat.period + 1))
     p = pat.period
-    out = []
-    for j in range(p):
-        start = j - J
-        window = doubled[start % p: start % p + 2 * J + 1]
-        out.append(code_output(code, window))
-    return PeriodicPattern("".join(out), pat.alphabet)
+    if isinstance(code, MarkerCode):
+        image = _marker_image(code, doubled, p)
+    else:
+        image = "".join([code_output(code, doubled[s: s + width]) for s in range(p)])
+    # the window centred on j starts at (j - J) mod p
+    k = p - J % p
+    return PeriodicPattern(image[k:] + image[:k], pat.alphabet)
+
+
+def _marker_image(code: MarkerCode, doubled: str, p: int) -> str:
+    """Marker-code outputs of the windows of ``doubled`` starting at 0, ..., p - 1.
+
+    A hole-free window maps to ``mark`` exactly where a marked word
+    occurs, so those are found with ``str.find``; only windows reaching
+    a hole need :func:`code_output`.  Every other window maps to ``other``.
+    """
+    width = 2 * code.radius + 1
+    end = p + width - 1  # the window starting at p - 1 ends here
+    special = {}  # window start -> output, where it may differ from ``other``
+    for u in code.marked:
+        s = doubled.find(u, 0, end)
+        while s >= 0:
+            special[s] = code.mark
+            s = doubled.find(u, s + 1, end)
+    done = 0  # windows starting below this are settled
+    h = doubled.find(HOLE, 0, end)
+    while h >= 0:
+        for s in range(max(done, h - width + 1), min(h + 1, p)):
+            special[s] = code_output(code, doubled[s: s + width])
+        done = max(done, h + 1)
+        h = doubled.find(HOLE, h + 1, end)
+    pieces, prev = [], 0
+    for s in sorted(special):
+        pieces += (code.other * (s - prev), special[s])
+        prev = s + 1
+    pieces.append(code.other * (p - prev))
+    return "".join(pieces)
 
 
 @dataclass(frozen=True)

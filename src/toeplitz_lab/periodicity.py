@@ -14,7 +14,7 @@ from enum import Enum
 from fractions import Fraction
 from math import gcd
 
-from .errors import DivisibilityViolation, NoHoles
+from .errors import DivisibilityViolation, NoHoles, ToeplitzError
 from .words import HOLE, FillingSchedule, PeriodicPattern
 
 
@@ -34,38 +34,31 @@ class ResidueClassStatus:
 def classify_residues(pat: PeriodicPattern, p: int) -> list[ResidueClassStatus]:
     """Three-valued classification of the residues mod ``p`` against a pattern.
 
-    One lcm(p, period) window is scanned, which is exact relative to the
-    pattern: whatever the pattern leaves unresolved stays undetermined.
+    By the Chinese remainder theorem the positions congruent to ``r``
+    mod ``p`` meet exactly the pattern cells congruent to ``r`` mod
+    g = gcd(p, period), so each residue is read off the slice
+    ``symbols[r % g::g]``; no lcm(p, period) span is built.  This is
+    exact relative to the pattern: whatever the pattern leaves
+    unresolved stays undetermined.
     """
     if not isinstance(pat, PeriodicPattern):
         raise TypeError("expected a pattern, got %r" % (pat,))
     if p < 1:
         raise ValueError("period must be positive")
-    period = pat.period
-    span = p * period // gcd(p, period)
-    seen: list[str | None] = [None] * p  # letter seen so far, per residue
-    out: list[ResidueClassStatus | None] = [None] * p
-    holey = [False] * p
-    for j in range(span):
-        c = pat.symbols[j % period]
-        r = j % p
-        if out[r] is not None:
-            continue
-        if c == HOLE:
-            holey[r] = True
-        elif seen[r] is None:
-            seen[r] = c
-        elif seen[r] != c:
-            out[r] = ResidueClassStatus(r, Status.NONPERIODIC)
-    result = []
-    for r in range(p):
-        if out[r] is not None:
-            result.append(out[r])
-        elif holey[r]:
-            result.append(ResidueClassStatus(r, Status.UNDETERMINED))
+    g = gcd(p, pat.period)
+    out = []
+    for r in range(g):
+        letters = set(pat.symbols[r::g])
+        holey = HOLE in letters
+        letters.discard(HOLE)
+        if len(letters) > 1:
+            out.append(ResidueClassStatus(r, Status.NONPERIODIC))
+        elif holey:
+            out.append(ResidueClassStatus(r, Status.UNDETERMINED))
         else:
-            result.append(ResidueClassStatus(r, Status.PERIODIC, seen[r]))
-    return result
+            out.append(ResidueClassStatus(r, Status.PERIODIC, letters.pop()))
+    out += [ResidueClassStatus(r, out[r % g].status, out[r % g].letter) for r in range(g, p)]
+    return out
 
 
 def periodic_assignment(source, p: int) -> dict[int, str]:
@@ -89,6 +82,11 @@ def aperiodic_residues(schedule: FillingSchedule, l: int, depth: int) -> tuple[i
     p = schedule.period(l)
     statuses = classify_residues(schedule.pattern(depth), p)
     aper = tuple(s.residue for s in statuses if s.status is not Status.PERIODIC)
+    if aper != schedule.holes(l):
+        raise ToeplitzError(
+            "level %d: residues %r not certified periodic at depth %d differ from the hole set %r"
+            % (l, aper, depth, schedule.holes(l))
+        )
     return aper
 
 
@@ -146,14 +144,18 @@ def _per_witness(pat: PeriodicPattern, p_small: int, assignment: dict[int, str],
     Looks for a position certified periodic at the large scale whose
     class mod ``p_small`` carries two distinct resolved letters.
     """
-    period = pat.period
+    symbols, period = pat.symbols, pat.period
+    steps = min(probe_cap, period // gcd(p_small, period))
     for r, letter in assignment.items():
-        # scan the mod-p_small orbit of r for a resolved letter != letter
-        steps = min(probe_cap, period // gcd(p_small, period))
-        for t in range(1, steps):
-            c = pat.symbols[(r + t * p_small) % period]
-            if c != HOLE and c != letter:
+        # scan r + t * p_small for 0 < t < steps (mod period) for a resolved
+        # letter != letter, one slice per pass through the period
+        pos, end = r + p_small, r + steps * p_small
+        while pos < end:
+            base = pos - pos % period
+            orbit = symbols[pos - base: min(end, base + period) - base: p_small]
+            if set(orbit) - {HOLE, letter}:
                 return True
+            pos += len(orbit) * p_small
     return False
 
 

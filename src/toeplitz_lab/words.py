@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 
 from .errors import (
     AllHoles,
+    BadAlphabet,
     EndsWithHole,
     NoHoles,
     PatternTooLarge,
@@ -36,11 +37,11 @@ class Alphabet:
 
     def __post_init__(self):
         if len(set(self.letters)) != len(self.letters):
-            raise ValueError("alphabet letters must be distinct")
+            raise BadAlphabet("alphabet letters must be distinct: %r" % (self.letters,))
         if HOLE in self.letters:
-            raise ValueError("the hole marker cannot be an alphabet letter")
+            raise BadAlphabet("the hole marker cannot be an alphabet letter: %r" % (self.letters,))
         if not self.letters:
-            raise ValueError("alphabet must be nonempty")
+            raise BadAlphabet("alphabet must be nonempty")
 
     def __contains__(self, ch: str) -> bool:
         return ch in self.letters
@@ -53,6 +54,16 @@ class Alphabet:
 
 
 BINARY = Alphabet("ab")
+
+
+def hole_positions(symbols: str) -> tuple[int, ...]:
+    """Ascending indices of the hole markers in ``symbols``."""
+    out = []
+    i = symbols.find(HOLE)
+    while i >= 0:
+        out.append(i)
+        i = symbols.find(HOLE, i + 1)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -76,7 +87,7 @@ class SeedWord:
 
     @property
     def holes(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.symbols) if c == HOLE)
+        return hole_positions(self.symbols)
 
     @property
     def hole_count(self) -> int:
@@ -109,7 +120,7 @@ class PeriodicPattern:
 
     @property
     def holes(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.symbols) if c == HOLE)
+        return hole_positions(self.symbols)
 
     @property
     def hole_count(self) -> int:
@@ -119,7 +130,13 @@ class PeriodicPattern:
         return self.symbols[j % self.period]
 
     def window(self, start: int, stop: int) -> str:
-        return "".join(self.symbols[j % self.period] for j in range(start, stop))
+        if stop <= start:
+            return ""
+        s, p = self.symbols, self.period
+        i = start % p
+        head = s[i: i + stop - start]
+        full, rest = divmod(stop - start - len(head), p)
+        return head + s * full + s[:rest]
 
     def letter_at(self, j: int) -> str | None:
         c = self.symbols[j % self.period]
@@ -201,6 +218,7 @@ class FillingSchedule:
         self.name = name
         self._seeds: dict[int, SeedWord] = {}
         self._infos: dict[int, _LevelInfo] = {}
+        self._walk: dict[int, tuple[str, int, int, tuple[int, ...]]] = {}
         self._patterns: dict[int, PeriodicPattern] = {}
 
     # -- seeds -----------------------------------------------------------
@@ -221,6 +239,16 @@ class FillingSchedule:
     def available_levels(self, cap: int = 64) -> int:
         return cap if self.max_levels is None else min(cap, self.max_levels)
 
+    def _walk_step(self, l: int) -> tuple[str, int, int, tuple[int, ...]]:
+        """Seed ``l``'s symbols, offset and length, and its holes shifted by the offset, sorted."""
+        step = self._walk.get(l)
+        if step is None:
+            w, off = self.seed(l), self.offset(l)
+            q = len(w)
+            step = (w.symbols, off, q, tuple(sorted((h + off) % q for h in w.holes)))
+            self._walk[l] = step
+        return step
+
     # -- level arithmetic (any scale) -------------------------------------
 
     def level_info(self, l: int) -> _LevelInfo:
@@ -230,9 +258,7 @@ class FillingSchedule:
         if l < 1:
             raise ToeplitzError("level must be >= 1")
         if l == 1:
-            w, off = self.seed(1), self.offset(1)
-            q = len(w)
-            holes = tuple(sorted((h + off) % q for h in w.holes))
+            _, _, q, holes = self._walk_step(1)
             info = _LevelInfo(q, holes, 0)
         else:
             prev = self.level_info(l - 1)
@@ -271,10 +297,9 @@ class FillingSchedule:
             raise PatternTooLarge(
                 "level %d has period %d, beyond the explicit-pattern cap" % (l, info.period)
             )
-        w, off = self.seed(1), self.offset(1)
-        q = len(w)
-        base = "".join(w.symbols[(j - off) % q] for j in range(q))
-        pat = PeriodicPattern(base, self.alphabet)
+        w = self.seed(1)
+        shift = -self.offset(1) % len(w)
+        pat = PeriodicPattern(w.symbols[shift:] + w.symbols[:shift], self.alphabet)
         for k in range(2, l + 1):
             if not pat.holes:
                 break
@@ -294,16 +319,14 @@ def evaluate(schedule: FillingSchedule, j: int, max_level: int) -> str | None:
     Never materialises a pattern, so it works at any period scale.
     """
     levels = schedule.available_levels(max_level)
+    steps = schedule._walk
     pos = j
     for l in range(1, levels + 1):
-        w, off = schedule.seed(l), schedule.offset(l)
-        q = len(w)
-        c = w.symbols[(pos - off) % q]
+        symbols, off, q, rot = steps.get(l) or schedule._walk_step(l)
+        c = symbols[(pos - off) % q]
         if c != HOLE:
             return c
-        rot = tuple(sorted((h + off) % q for h in w.holes))
-        k = bisect_left(rot, pos % q)
-        pos = (pos // q) * len(rot) + k
+        pos = (pos // q) * len(rot) + bisect_left(rot, pos % q)
     return None
 
 

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -75,6 +77,29 @@ def test_bad_gallery_param_is_an_error(capsys):
     rc = main(["gallery", "williams", "--param", "ratios=x"])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_bad_alphabet_is_an_error(tmp_path, capsys):
+    rc = main(["gallery", "williams", "--param", "alphabet=aa"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    for alphabet in ("aa", "a?"):
+        path = tmp_path / "sched.txt"
+        path.write_text("%s\nab\n" % alphabet)
+        rc = main(["build", str(path), "--level", "1"])
+        assert rc == 1, alphabet
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_verify_results_match_pinned_digest(capsys):
+    # a speedup must leave the verify results byte-identical; the digest is
+    # the one the benchmark pins, over canonical JSON of the results object
+    refs = json.loads((Path(__file__).parents[1] / "perfbench" / "references.json").read_text())
+    rc, out = run(capsys, ["verify", "--format", "json"])
+    assert rc == 0
+    results = json.loads(out[out.index("{"):])["results"]  # after the PASS lines
+    canonical = json.dumps(results, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == refs["verify_results_sha256"]
 
 
 def test_missing_schedule_is_an_error(capsys):

@@ -6,6 +6,7 @@ positions in order and drops seed letters into holes one by one.
 """
 
 import random
+from itertools import product
 from math import gcd
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -172,3 +173,135 @@ def test_exact_complexity_matches_long_window_scan():
         exact = tl.factor_set_exact_single_hole(m, 1, L)
         scan = tl.factor_set_window(m, L, (0, 3 * m.period(2)), max_level=5)
         assert scan.words == exact.words
+
+
+# -- oracles for the slice-based kernels ---------------------------------------
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.text(alphabet="abc?", min_size=1, max_size=24), st.integers(1, 40))
+def test_classification_of_any_pattern_matches_lcm_scan(symbols, p):
+    # arbitrary patterns, so p need not divide the period
+    pat = tl.PeriodicPattern(symbols, tl.Alphabet("abc"))
+    got = tl.classify_residues(pat, p)
+    assert [s.residue for s in got] == list(range(p))
+    want = brute_classify(pat, p)
+    for s in got:
+        assert want[s.residue] == ("periodic:" + s.letter if s.status is tl.Status.PERIODIC else s.status.value)
+
+
+def per_window_marker_image(code, pattern):
+    """A marker code's image, window by window: count the compatible marked words."""
+    J, period = code.radius, pattern.period
+    out = []
+    for j in range(period):
+        window = "".join(pattern.symbols[k % period] for k in range(j - J, j + J + 1))
+        compatible = sum(1 for u in code.marked if all(b in ("?", a) for a, b in zip(u, window)))
+        total = 2 ** window.count("?")
+        out.append(code.mark if compatible == total else code.other if compatible == 0 else "?")
+    return "".join(out)
+
+
+@st.composite
+def marker_cases(draw):
+    radius = draw(st.integers(0, 3))
+    width = 2 * radius + 1
+    period = draw(st.integers(width + 1, width + 10))
+    symbols = draw(st.text(alphabet="ab?", min_size=period, max_size=period))
+    cyclic = symbols * 3
+    marked = set(draw(st.lists(st.text(alphabet="ab", min_size=width, max_size=width), max_size=3)))
+    for s in draw(st.lists(st.integers(0, period - 1), max_size=4)):
+        window = cyclic[s: s + width]
+        holes = window.count("?")
+        if holes <= 3 and draw(st.booleans()):
+            # every completion marked: the window maps to the mark
+            for fill in product("ab", repeat=holes):
+                letters = iter(fill)
+                marked.add("".join(next(letters) if c == "?" else c for c in window))
+        else:
+            marked.add("".join(draw(st.sampled_from("ab")) if c == "?" else c for c in window))
+    mark = draw(st.sampled_from("ab"))
+    code = tl.MarkerCode(tl.BINARY, radius, frozenset(marked), mark, "b" if mark == "a" else "a")
+    return code, tl.PeriodicPattern(symbols)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(marker_cases())
+def test_marker_code_image_matches_per_window_count(case):
+    code, pat = case
+    assert tl.apply_code(code, pat).symbols == per_window_marker_image(code, pat)
+
+
+def test_marker_code_image_fixed_cases():
+    pat = tl.PeriodicPattern("ab?babaa")
+    # both completions of the hole window "b?b" are marked; windows at 0 and 7 wrap
+    code = tl.MarkerCode(tl.BINARY, 1, frozenset(["bab", "bbb", "aab"]), "a", "b")
+    image = tl.apply_code(code, pat)
+    assert image.symbols == per_window_marker_image(code, pat)
+    assert image.at(2) == "a" and image.at(0) == "a"
+    # radius 3 on period 8: the window is almost the whole period
+    code = tl.MarkerCode(tl.BINARY, 3, frozenset(["aab?bab".replace("?", c) for c in "ab"]), "a", "b")
+    assert tl.apply_code(code, pat).symbols == per_window_marker_image(code, pat)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed_lists())
+def test_hole_tree_value_sets_match_naive_orbits(seeds):
+    s = tl.FillingSchedule(tl.BINARY, [tl.parse_seed(w) for w in seeds])
+    depth = len(seeds) - 1
+    tree = tl.hole_tree(s, depth, len(seeds))
+    period = s.period(tree.resolution_depth)
+    word = naive_fill(seeds[: tree.resolution_depth], 0, period)
+    for l in range(1, depth + 1):
+        p = s.period(l)
+        for r, node in tree.nodes(l).items():
+            assert node.value_set == {word[j] for j in range(r, period, p)} - {"?"}
+
+
+def test_hole_tree_value_sets_match_naive_orbits_on_gallery_words():
+    for name, depth in (("ex4.3", 2), ("ex5.7", 2), ("ex3.5", 1)):
+        s = tl.gallery(name)
+        tree = tl.hole_tree(s, depth)
+        seeds = [s.seed(l).symbols for l in range(1, tree.resolution_depth + 1)]
+        period = s.period(tree.resolution_depth)
+        word = naive_fill(seeds, 0, period)
+        for l in range(1, depth + 1):
+            for r, node in tree.nodes(l).items():
+                assert node.value_set == {word[j] for j in range(r, period, s.period(l))} - {"?"}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed_lists(), st.lists(st.integers(-6, 6), min_size=3, max_size=3),
+       st.lists(st.integers(-300, 300), min_size=1, max_size=20))
+def test_evaluate_with_warm_level_cache_matches_pattern(seeds, offsets, warm):
+    s = tl.FillingSchedule(tl.BINARY, [tl.parse_seed(w) for w in seeds], offsets=offsets)
+    for j in warm:
+        tl.evaluate(s, j, len(seeds))
+    for l in range(1, len(seeds) + 1):
+        pat = s.pattern(l)
+        for j in range(-2 * pat.period, 2 * pat.period):
+            assert (tl.evaluate(s, j, l) or "?") == pat.at(j)
+
+
+@st.composite
+def single_hole_cycles(draw):
+    seeds = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(3, 6))
+        letters = draw(st.text(alphabet="ab", min_size=n, max_size=n))
+        i = draw(st.integers(1, n - 2))
+        seeds.append(letters[:i] + "?" + letters[i + 1:])
+    return seeds
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(single_hole_cycles(), st.integers(2, 13))
+def test_exact_single_hole_set_matches_long_window_scan(seeds, length):
+    # an infinite schedule cycling through one-hole seeds
+    s = tl.FillingSchedule(tl.BINARY, lambda l: tl.parse_seed(seeds[(l - 1) % len(seeds)]))
+    l = 1
+    while s.period(l) < length:
+        l += 1
+    exact = tl.factor_set_exact_single_hole(s, l, length)
+    scan = tl.factor_set_window(s, length, (0, s.period(l + 3)), max_level=l + 6)
+    assert exact.words == scan.words

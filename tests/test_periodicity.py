@@ -15,9 +15,10 @@ from toeplitz_lab import (
     min_hole_gap,
     parse_seed,
     periodic_density,
+    schedule_from_text,
     verify_period_structure,
 )
-from toeplitz_lab.errors import DivisibilityViolation, NoHoles
+from toeplitz_lab.errors import DivisibilityViolation, NoHoles, ToeplitzError
 
 
 def statuses(source, p):
@@ -76,6 +77,14 @@ def test_aperiodic_residues_examples():
     assert aperiodic_residues(gallery("ex5.7"), 2, 4) == (5, 6, 9, 10)
     for l in (1, 2, 3):
         assert len(aperiodic_residues(gallery("ex4.4-mini"), l, l + 1)) == 1
+
+
+def test_aperiodic_residues_mismatch_with_holes_raises():
+    # the second seed fills both level-1 holes, so no residue mod 4 stays open
+    s = schedule_from_text("ab\na??b\nab\n")
+    assert s.holes(1) == (1, 2)
+    with pytest.raises(ToeplitzError, match="hole set"):
+        aperiodic_residues(s, 1, 2)
 
 
 def test_aperiodic_counts_ex43():
