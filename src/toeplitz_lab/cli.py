@@ -101,13 +101,31 @@ def load_code(spec: str, alphabet):
 
 
 def parse_window(text: str) -> tuple[int, int]:
+    """``lo:hi`` as two integers with lo < hi; argparse reports a bad one as a usage error."""
     lo, _, hi = text.partition(":")
-    return int(lo), int(hi)
+    try:
+        lo, hi = int(lo), int(hi)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected lo:hi with integers lo < hi, got %r" % text) from None
+    if hi <= lo:
+        raise argparse.ArgumentTypeError("empty window %r: need lo < hi" % text)
+    return lo, hi
+
+
+def parse_lengths(text: str) -> list[int]:
+    """Comma-separated positive integers; argparse reports a bad list as a usage error."""
+    try:
+        lengths = [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected comma-separated integers, got %r" % text) from None
+    if min(lengths) < 1:
+        raise argparse.ArgumentTypeError("lengths must be positive, got %r" % text)
+    return lengths
 
 
 def cmd_build(args) -> dict:
     s = load_schedule(args.schedule)
-    lo, hi = parse_window(args.window) if args.window else (0, min(4 * s.period(args.level), 512))
+    lo, hi = args.window or (0, min(4 * s.period(args.level), 512))
     lvl = s.level_info(args.level)
     results = {
         "period": lvl.period,
@@ -226,7 +244,7 @@ def cmd_pair(args) -> dict:
 
 def cmd_complexity(args) -> dict:
     s = load_schedule(args.schedule)
-    lengths = [int(x) for x in args.lengths.split(",")]
+    lengths = args.lengths
     entries = complexity.complexity_profile(s, lengths, args.mode, max_level=args.depth)
     if args.format == "csv":
         print("length,count,exact")
@@ -291,7 +309,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("build", help="compose seeds into a level pattern")
     p.add_argument("schedule")
     p.add_argument("--level", type=int, default=2)
-    p.add_argument("--window", help="lo:hi positions to display")
+    p.add_argument("--window", type=parse_window, help="lo:hi positions to display")
     add_common(p)
 
     p = sub.add_parser("eval", help="letter at one position")
@@ -326,7 +344,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("complexity", help="subword counts")
     p.add_argument("schedule")
-    p.add_argument("--lengths", default="4,8")
+    p.add_argument("--lengths", type=parse_lengths, default="4,8")
     p.add_argument("--mode", choices=("window", "decomposition"), default="window")
     p.add_argument("--depth", type=int, default=5)
     p.add_argument("--format", choices=("json", "text", "csv"), default="text")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import UnresolvedWindow
-from .words import FillingSchedule, evaluate
+from .words import HOLE, FillingSchedule, evaluate, resolve_window
 
 
 @dataclass(frozen=True)
@@ -99,15 +99,22 @@ def pair_report(
     for lo, hi in windows:
         diffs = []
         unresolved = 0
-        for j in range(lo, hi + 1):
-            c1 = eval_element(schedule, e1, j, eval_level)
-            c2 = eval_element(schedule, e2, j, eval_level)
-            if c1 is None or c2 is None:
+        t1 = _element_window(schedule, e1, lo, hi + 1, eval_level)
+        t2 = _element_window(schedule, e2, lo, hi + 1, eval_level)
+        for j, c1, c2 in zip(range(lo, hi + 1), t1, t2):
+            if c1 == HOLE or c2 == HOLE:
                 unresolved += 1
             elif c1 != c2:
                 diffs.append(j)
         censuses.append(WindowCensus((lo, hi), len(diffs), tuple(diffs), unresolved))
     return PairReport(agreement, tuple(censuses))
+
+
+def _element_window(schedule: FillingSchedule, element: ElementSpec, start: int, stop: int, max_level: int):
+    """The element's letters on ``[start, stop)``, unresolved positions as holes."""
+    if isinstance(element, Shift):
+        return resolve_window(schedule, start + element.n, stop + element.n, max_level)
+    return [eval_element(schedule, element, j, max_level) or HOLE for j in range(start, stop)]
 
 
 def fiber_block_contents(
@@ -130,11 +137,8 @@ def fiber_block_contents(
     step = schedule.period(omega.depth)
     contents = set()
     for m in range(block_range):
-        word = "".join(
-            c if (c := evaluate(schedule, j, depth)) is not None else "?"
-            for j in range(base + m * step, base + m * step + p)
-        )
-        if "?" not in word:
+        word = resolve_window(schedule, base + m * step, base + m * step + p, depth)
+        if HOLE not in word:
             contents.add(word)
     return tuple(sorted(contents))
 

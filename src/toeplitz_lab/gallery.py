@@ -83,7 +83,7 @@ def _ex57_seed(l: int) -> SeedWord:
 
 def _ex35_seed(l: int) -> SeedWord:
     def u(i: int) -> str:
-        return "".join("b" if j == i else "a" for j in range(1, 2 ** l + 1))
+        return "a" * (i - 1) + "b" + "a" * (2 ** l - i)
 
     first = "".join(u(i) for i in range(1, 2 ** (l - 1) + 1))
     last = "".join(u(i) for i in range(2 ** (l - 1) + 1, 2 ** l + 1))

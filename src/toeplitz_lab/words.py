@@ -4,8 +4,12 @@ A bi-infinite word is built in stages: a periodic pattern with holes is
 refined by inserting the next seed word, letter by letter, into its hole
 positions.  Levels are represented two ways: as explicit character
 patterns (one period) when the period is small enough, and as pure
-arithmetic (period plus sorted hole positions) which works at any scale.
-Positions are ordinary Python integers, so nothing overflows.
+arithmetic (period plus sorted hole positions) up to ``PATTERN_CAP``
+holes per period.  Letters of the limit word are read without either:
+``evaluate`` walks the seed stack for one position and
+``resolve_window`` walks it for a whole window at once, so both work at
+any period scale.  Positions are ordinary Python integers, so nothing
+overflows.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ from .errors import (
 
 HOLE = "?"
 
-#: Largest period for which an explicit one-period pattern is materialised.
+#: Largest period for which an explicit one-period pattern is materialised,
+#: and the most holes per period or seed letters ``level_info`` lists for a level.
 PATTERN_CAP = 1 << 22
 
 
@@ -76,11 +81,12 @@ class SeedWord:
     def __post_init__(self):
         if not self.symbols:
             raise AllHoles("seed word is empty")
-        if all(c == HOLE for c in self.symbols):
+        if self.symbols.count(HOLE) == len(self.symbols):
             raise AllHoles("seed word contains no letter: %r" % self.symbols)
-        for c in self.symbols:
-            if c != HOLE and c not in self.alphabet:
-                raise UnknownCharacter("character %r not in alphabet %r" % (c, self.alphabet.letters))
+        unknown = set(self.symbols).difference(self.alphabet.letters, HOLE)
+        if unknown:
+            c = min(unknown, key=self.symbols.index)
+            raise UnknownCharacter("character %r not in alphabet %r" % (c, self.alphabet.letters))
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -132,15 +138,31 @@ class PeriodicPattern:
     def window(self, start: int, stop: int) -> str:
         if stop <= start:
             return ""
-        s, p = self.symbols, self.period
-        i = start % p
-        head = s[i: i + stop - start]
-        full, rest = divmod(stop - start - len(head), p)
-        return head + s * full + s[:rest]
+        return _periodic_slice(self.symbols, start % self.period, stop - start)
 
     def letter_at(self, j: int) -> str | None:
         c = self.symbols[j % self.period]
         return None if c == HOLE else c
+
+
+def _periodic_slice(symbols: str, i: int, n: int) -> str:
+    """The ``n`` characters of the periodic extension of ``symbols`` from index ``i`` (0 <= i < period)."""
+    head = symbols[i: i + n]
+    full, rest = divmod(n - len(head), len(symbols))
+    return head + symbols * full + symbols[:rest]
+
+
+def fill_holes(text: str, letters: str) -> str:
+    """``text`` with its holes replaced, in order, by the characters of ``letters``.
+
+    ``letters`` must have exactly one character per hole; a hole marker
+    among them leaves that hole open.
+    """
+    parts = text.split(HOLE)
+    out = [""] * (2 * len(parts) - 1)
+    out[0::2] = parts
+    out[1::2] = letters
+    return "".join(out)
 
 
 def compose_fill(outer: PeriodicPattern, inner: SeedWord, anchor_offset: int = 0) -> PeriodicPattern:
@@ -149,19 +171,18 @@ def compose_fill(outer: PeriodicPattern, inner: SeedWord, anchor_offset: int = 0
     Hole number ``i`` (hole 0 being the first non-negative one) receives
     ``inner[(i - anchor_offset) mod len(inner)]``.
     """
-    holes = outer.holes
-    h = len(holes)
+    h = outer.hole_count
     if h == 0:
         raise NoHoles("outer pattern has no holes to fill")
     p, q = outer.period, len(inner)
     new_period = p * q // gcd(h, q)
     if new_period > PATTERN_CAP:
         raise PatternTooLarge("composed period %d exceeds pattern cap" % new_period)
-    copies = new_period // p
-    out = list(outer.symbols * copies)
-    for i in range(copies * h):
-        out[(i // h) * p + holes[i % h]] = inner.symbols[(i - anchor_offset) % q]
-    return PeriodicPattern("".join(out), outer.alphabet)
+    shift = -anchor_offset % q
+    letters = inner.symbols[shift:] + inner.symbols[:shift]
+    return PeriodicPattern(
+        fill_holes(outer.symbols * (new_period // p), letters * (h // gcd(h, q))), outer.alphabet
+    )
 
 
 class _LevelInfo:
@@ -252,33 +273,53 @@ class FillingSchedule:
     # -- level arithmetic (any scale) -------------------------------------
 
     def level_info(self, l: int) -> _LevelInfo:
-        """Period and sorted hole positions of level ``l``."""
-        if l in self._infos:
-            return self._infos[l]
+        """Period and sorted hole positions of level ``l``.
+
+        The hole count of every level still to be listed, lcm(h, q)/q
+        times the seed's hole count, is worked out first; a count or a
+        seed length past ``PATTERN_CAP`` raises PatternTooLarge before any
+        hole is listed.
+        """
+        info = self._infos.get(l)
+        if info is not None:
+            return info
         if l < 1:
             raise ToeplitzError("level must be >= 1")
-        if l == 1:
-            _, _, q, holes = self._walk_step(1)
-            info = _LevelInfo(q, holes, 0)
-        else:
-            prev = self.level_info(l - 1)
-            if not prev.holes:
+        first = l
+        while first > 1 and first - 1 not in self._infos:
+            first -= 1
+        h = len(self._infos[first - 1].holes) if first > 1 else self.seed(1).hole_count
+        for k in range(max(first, 2), l + 1):
+            if not h:
+                break
+            w = self.seed(k)
+            if len(w) > PATTERN_CAP:
+                raise PatternTooLarge("seed %d has length %d, beyond the explicit-pattern cap" % (k, len(w)))
+            h = h // gcd(h, len(w)) * w.hole_count
+            if h > PATTERN_CAP:
+                raise PatternTooLarge(
+                    "level %d has %d holes per period, beyond the explicit-pattern cap" % (k, h)
+                )
+        for k in range(first, l + 1):
+            if k == 1:
+                _, _, q, holes = self._walk_step(1)
+                info = _LevelInfo(q, holes, 0)
+            elif not self._infos[k - 1].holes:
                 # fully periodic already; deeper levels change nothing
-                info = _LevelInfo(prev.period, (), 0)
-                self._infos[l] = info
-                return info
-            w, off = self.seed(l), self.offset(l)
-            q, h = len(w), len(prev.holes)
-            period = prev.period * q // gcd(h, q)
-            copies = period // prev.period
-            hole_marks = frozenset(w.holes)
-            holes = []
-            for i in range(copies * h):
-                if (i - off) % q in hole_marks:
-                    holes.append((i // h) * prev.period + prev.holes[i % h])
-            anchor = (off // h) * prev.period + prev.holes[off % h]
-            info = _LevelInfo(period, tuple(sorted(holes)), anchor)
-        self._infos[l] = info
+                info = _LevelInfo(self._infos[k - 1].period, (), 0)
+            else:
+                prev = self._infos[k - 1]
+                _, off, q, rot = self._walk_step(k)
+                h, p = len(prev.holes), prev.period
+                n = h * q // gcd(h, q)
+                # hole i of the previous level (repeated n // h times) stays a
+                # hole when seed letter (i - off) mod q is one, i.e. when i mod q
+                # is in rot; positions grow with i, so they come out sorted
+                holes = tuple([
+                    ((b + r) // h) * p + prev.holes[(b + r) % h] for b in range(0, n, q) for r in rot
+                ])
+                info = _LevelInfo(n // h * p, holes, (off // h) * p + prev.holes[off % h])
+            self._infos[k] = info
         return info
 
     def period(self, l: int) -> int:
@@ -331,17 +372,34 @@ def evaluate(schedule: FillingSchedule, j: int, max_level: int) -> str | None:
 
 
 def resolve_window(schedule: FillingSchedule, start: int, stop: int, max_level: int) -> str:
-    """The word on ``[start, stop)`` with unresolved positions shown as holes."""
-    top = min(max_level, schedule.available_levels(max_level))
-    try:
-        return schedule.pattern(top).window(start, stop)
-    except PatternTooLarge:
-        pass
-    out = []
-    for j in range(start, stop):
-        c = evaluate(schedule, j, max_level)
-        out.append(HOLE if c is None else c)
-    return "".join(out)
+    """The word on ``[start, stop)`` with unresolved positions shown as holes.
+
+    Gives ``evaluate`` position by position, in one walk down the seed
+    stack: consecutive holes of a level's window are consecutive holes of
+    that level, so the next level needs only the window of their ranks.
+    The walk stops at the first window without holes or after
+    ``max_level`` levels, and each level's holes are then filled from
+    the window below.  No pattern is built, so it works at any period
+    scale, and its work is the sum of the window lengths it reads.
+    """
+    if stop <= start:
+        return ""
+    steps = schedule._walk
+    texts = []
+    lo, n = start, stop - start
+    for l in range(1, schedule.available_levels(max_level) + 1):
+        symbols, off, q, rot = steps.get(l) or schedule._walk_step(l)
+        text = _periodic_slice(symbols, (lo - off) % q, n)
+        texts.append(text)
+        n = text.count(HOLE)
+        if not n:
+            break
+        j = lo + text.index(HOLE)
+        lo = (j // q) * len(rot) + bisect_left(rot, j % q)
+    word = HOLE * n
+    while texts:
+        word = fill_holes(texts.pop(), word)
+    return word
 
 
 def derived_tail(schedule: FillingSchedule, l: int) -> FillingSchedule:

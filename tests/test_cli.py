@@ -73,6 +73,26 @@ def test_level_zero_is_an_error(capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["build", "ex4.3", "--window=abc"],
+    ["build", "ex4.3", "--window=10:5"],
+    ["complexity", "ex5.7", "--lengths", "x"],
+])
+def test_bad_flag_value_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error: argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["ex4.3", "ex3.5"])
+def test_runaway_level_is_an_error(name, capsys):
+    # both double their holes at least every two levels and grow their seeds
+    rc = main(["build", name, "--level", "99"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_bad_gallery_param_is_an_error(capsys):
     rc = main(["gallery", "williams", "--param", "ratios=x"])
     assert rc == 1

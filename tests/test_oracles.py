@@ -305,3 +305,152 @@ def test_exact_single_hole_set_matches_long_window_scan(seeds, length):
     exact = tl.factor_set_exact_single_hole(s, l, length)
     scan = tl.factor_set_window(s, length, (0, s.period(l + 3)), max_level=l + 6)
     assert exact.words == scan.words
+
+
+# -- window walk: resolve_window, fiber contents, pair censuses, compose_fill --
+
+
+def per_position_window(schedule, lo, hi, max_level):
+    return "".join(tl.evaluate(schedule, j, max_level) or "?" for j in range(lo, hi))
+
+
+@st.composite
+def walk_schedules(draw):
+    """Literal seeds, ragged ones included, with literal or callable offsets."""
+    seeds = []
+    for _ in range(draw(st.integers(1, 4))):
+        word = draw(st.text(alphabet="ab?", min_size=1, max_size=6).filter(lambda w: w.strip("?")))
+        seeds.append(tl.SeedWord(word))
+    if draw(st.booleans()):
+        offsets = draw(st.lists(st.integers(-9, 9), min_size=len(seeds), max_size=len(seeds)))
+    else:
+        a, b = draw(st.integers(-5, 5)), draw(st.integers(-5, 5))
+        offsets = lambda l, a=a, b=b: a * l + b  # noqa: E731
+    return tl.FillingSchedule(tl.BINARY, seeds, offsets=offsets)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(walk_schedules(), st.sampled_from((-10 ** 12, 0, 10 ** 12)), st.integers(-60, 60),
+       st.integers(0, 300), st.integers(0, 6))
+def test_resolve_window_matches_per_position_evaluate(s, base, shift, width, extra):
+    lo = base + shift
+    max_level = min(extra, s.max_levels + 2)  # 0 .. n + 2
+    assert tl.resolve_window(s, lo, lo + width, max_level) == per_position_window(s, lo, lo + width, max_level)
+
+
+def test_resolve_window_matches_per_position_evaluate_past_pattern_cap():
+    rng = random.Random(7)
+    for name, depth in (("ex4.4", 5), ("ex4.3", 30), ("ex5.7", 12), ("ex3.5", 6), ("williams", 12)):
+        s = tl.gallery(name)
+        assert s.period(depth) > tl.words.PATTERN_CAP
+        for _ in range(4):
+            lo = rng.randint(-10 ** 12, 10 ** 12)
+            width = rng.randint(0, 300)
+            assert tl.resolve_window(s, lo, lo + width, depth) == per_position_window(s, lo, lo + width, depth)
+
+
+def per_position_fiber_contents(schedule, omega, l, depth, block_range):
+    p = schedule.period(l)
+    base, step = omega.residues[-1], schedule.period(omega.depth)
+    contents = set()
+    for m in range(block_range):
+        word = per_position_window(schedule, base + m * step, base + m * step + p, depth)
+        if "?" not in word:
+            contents.add(word)
+    return tuple(sorted(contents))
+
+
+def random_branch(schedule, depth, rng):
+    # a level-depth hole is a hole at every level above it
+    r = rng.choice(schedule.holes(depth))
+    return tuple(r % schedule.period(l) for l in range(1, depth + 1))
+
+
+def test_fiber_block_contents_match_per_position_windows():
+    rng = random.Random(11)
+    for name, levels in (("ex5.7", (2, 3, 4)), ("ex3.5", (1, 2)), ("ex4.3", (2, 3, 5))):
+        s = tl.gallery(name)
+        for l in levels:
+            for _ in range(3):
+                omega = tl.branch_point(s, random_branch(s, l, rng))
+                depth = l + rng.randint(0, 3)
+                assert tl.fiber_block_contents(s, omega, l, depth, 24) == \
+                    per_position_fiber_contents(s, omega, l, depth, 24)
+
+
+def per_position_census(schedule, n1, n2, lo, hi, level):
+    diffs, unresolved = [], 0
+    for j in range(lo, hi + 1):
+        c1, c2 = tl.evaluate(schedule, j + n1, level), tl.evaluate(schedule, j + n2, level)
+        if c1 is None or c2 is None:
+            unresolved += 1
+        elif c1 != c2:
+            diffs.append(j)
+    return len(diffs), tuple(diffs), unresolved
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(("ex5.7", "ex4.3", "ex3.5", "ex4.4")), st.integers(-10 ** 9, 10 ** 9),
+       st.integers(-10 ** 9, 10 ** 9), st.integers(-500, 500), st.integers(0, 200), st.integers(1, 8))
+def test_shift_pair_censuses_match_per_position_loop(name, n1, n2, lo, width, level):
+    s = tl.gallery(name)
+    rep = tl.pair_report(s, tl.Shift(n1), tl.Shift(n2), 2, windows=[(lo, lo + width)], eval_level=level)
+    (census,) = rep.censuses
+    assert census.window == (lo, lo + width)
+    assert (census.resolved_differences, census.difference_positions, census.unresolved) == \
+        per_position_census(s, n1, n2, lo, lo + width, level)
+
+
+def test_shift_limit_pair_censuses_match_eval_element():
+    s = tl.gallery("ex5.7")
+    limit = tl.branch_rule(s, random_branch(s, 4, random.Random(3)))
+    rep = tl.pair_report(s, limit, tl.Shift(5), 3, windows=[(-40, 40)], eval_level=6)
+    diffs, unresolved = [], 0
+    for j in range(-40, 41):
+        c1, c2 = tl.eval_element(s, limit, j, 6), tl.eval_element(s, tl.Shift(5), j, 6)
+        if c1 is None or c2 is None:
+            unresolved += 1
+        elif c1 != c2:
+            diffs.append(j)
+    (census,) = rep.censuses
+    assert (census.difference_positions, census.unresolved) == (tuple(diffs), unresolved)
+
+
+def per_hole_compose(outer, inner, anchor):
+    holes = outer.holes
+    h, p, q = len(holes), outer.period, len(inner)
+    copies = q // gcd(h, q)
+    out = list(outer.symbols * copies)
+    for i in range(copies * h):
+        out[(i // h) * p + holes[i % h]] = inner.symbols[(i - anchor) % q]
+    return "".join(out)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.text(alphabet="ab?", min_size=1, max_size=12).filter(lambda w: "?" in w),
+       st.text(alphabet="ab?", min_size=1, max_size=7).filter(lambda w: w.strip("?")),
+       st.integers(-40, 40))
+def test_compose_fill_matches_per_hole_loop(outer, inner, anchor):
+    got = tl.compose_fill(tl.PeriodicPattern(outer), tl.SeedWord(inner), anchor)
+    assert got.symbols == per_hole_compose(tl.PeriodicPattern(outer), tl.SeedWord(inner), anchor)
+
+
+def test_window_reads_build_no_pattern(monkeypatch):
+    s = tl.gallery("ex5.7")
+    omega = tl.branch_point(s, random_branch(s, 3, random.Random(5)))
+    expected = (
+        tl.resolve_window(s, -70, 300, 4),
+        tl.fiber_block_contents(s, omega, 3, 5, 16),
+        tl.pair_report(s, tl.Shift(38), tl.Shift(230), 3, windows=[(-64, 64)], eval_level=6),
+    )
+
+    def refuse(self, l):
+        raise AssertionError("pattern(%d) built for a window" % l)
+
+    monkeypatch.setattr(tl.FillingSchedule, "pattern", refuse)
+    s = tl.gallery("ex5.7")
+    assert (
+        tl.resolve_window(s, -70, 300, 4),
+        tl.fiber_block_contents(s, omega, 3, 5, 16),
+        tl.pair_report(s, tl.Shift(38), tl.Shift(230), 3, windows=[(-64, 64)], eval_level=6),
+    ) == expected

@@ -15,7 +15,8 @@ from toeplitz_lab import (
     schedule_from_text,
     schedule_to_text,
 )
-from toeplitz_lab.errors import AllHoles, EndsWithHole, NoHoles, UnknownCharacter
+from toeplitz_lab import words
+from toeplitz_lab.errors import AllHoles, EndsWithHole, NoHoles, PatternTooLarge, UnknownCharacter
 
 
 def test_parse_seed_examples():
@@ -162,3 +163,24 @@ def test_derived_tail_is_seed_shift():
     tail = derived_tail(s, 1)
     for k in (1, 2, 3):
         assert tail.seed(k).symbols == s.seed(k + 1).symbols
+
+
+def test_unknown_character_names_the_first_one():
+    with pytest.raises(UnknownCharacter, match="'x'"):
+        parse_seed("a?xzyb")
+
+
+def test_level_info_refuses_more_holes_than_the_cap(monkeypatch):
+    monkeypatch.setattr(words, "PATTERN_CAP", 100)
+    s = FillingSchedule(BINARY, lambda l: SeedWord("a???b"))  # 3^l holes per period
+    with pytest.raises(PatternTooLarge, match="level 5 has 243 holes"):
+        s.level_info(9)
+    assert len(s.holes(4)) == 81
+
+
+def test_level_info_refuses_a_seed_longer_than_the_cap(monkeypatch):
+    monkeypatch.setattr(words, "PATTERN_CAP", 10)
+    s = FillingSchedule(BINARY, lambda l: SeedWord("a" * l + "?b"))  # one hole per period
+    with pytest.raises(PatternTooLarge, match="seed 9 has length 11"):
+        s.level_info(12)
+    assert s.period(8) > 0
