@@ -26,8 +26,7 @@ from .words import (
 from .periodicity import (
     OxtobyVerdict,
     PeriodStructureCertificate,
-    ResidueClassStatus,
-    Status,
+    ResidueClasses,
     aperiodic_residues,
     check_oxtoby,
     classify_residues,

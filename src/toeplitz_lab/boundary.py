@@ -67,7 +67,7 @@ def hole_tree(schedule: FillingSchedule, depth: int, resolution_depth: int | Non
     if resolution_depth is None:
         resolution_depth = depth + 2
     if resolution_depth < depth:
-        raise ValueError("resolution depth must be >= tree depth")
+        raise ToeplitzError("resolution depth %d is below the tree depth %d" % (resolution_depth, depth))
     resolution_depth = min(resolution_depth, schedule.available_levels(resolution_depth))
     from .words import PATTERN_CAP
 

@@ -123,6 +123,17 @@ def parse_lengths(text: str) -> list[int]:
     return lengths
 
 
+def parse_positive(text: str) -> int:
+    """An integer >= 1; argparse reports anything else as a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError("expected an integer >= 1, got %r" % text)
+    return value
+
+
 def cmd_build(args) -> dict:
     s = load_schedule(args.schedule)
     lo, hi = args.window or (0, min(4 * s.period(args.level), 512))
@@ -320,13 +331,13 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("analyze", help="periodicity verdicts")
     p.add_argument("schedule")
-    p.add_argument("--depth", type=int, default=3)
+    p.add_argument("--depth", type=parse_positive, default=3)
     add_common(p)
 
     p = sub.add_parser("boundary", help="hole tree and finiteness verdicts")
     p.add_argument("schedule")
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--resolution", type=int, default=None)
+    p.add_argument("--depth", type=parse_positive, default=3)
+    p.add_argument("--resolution", type=parse_positive, default=None)
     add_common(p)
 
     p = sub.add_parser("factor", help="apply a sliding block code and classify the image")

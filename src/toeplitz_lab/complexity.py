@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotSingleHole, UnresolvedWindow
-from .words import HOLE, FillingSchedule, derived_tail, resolve_window
+from .errors import NotSingleHole, PatternTooLarge, UnresolvedWindow
+from .words import HOLE, PATTERN_CAP, FillingSchedule, derived_tail, resolve_window
 
 
 @dataclass(frozen=True)
@@ -78,6 +78,10 @@ def factor_set_exact_single_hole(
     p = info.period
     if length > max_span * p:
         raise ValueError("length %d exceeds %d periods" % (length, max_span))
+    if p * length > 16 * PATTERN_CAP:
+        # each of the p offsets assembles at least one word of this length
+        raise PatternTooLarge(
+            "period %d times length %d exceeds the assembly bound %d" % (p, length, 16 * PATTERN_CAP))
     hole = info.holes[0]
     depth = depth if depth is not None else l + 3
     # one period starting right after the hole: the repeating block, hole last

@@ -22,7 +22,7 @@ from .errors import (
     ToeplitzError,
     UnresolvedWindow,
 )
-from .periodicity import Status, check_oxtoby, classify_residues
+from .periodicity import check_oxtoby, classify_residues
 from .words import HOLE, Alphabet, FillingSchedule, PeriodicPattern, evaluate, hole_positions, resolve_window
 
 MAX_COMPLETION_HOLES = 16
@@ -196,12 +196,8 @@ def factor_aperiodic_residues(code, schedule: FillingSchedule, l: int, depth: in
     except PatternTooLarge:
         return _sparse_factor_residues(code, schedule, l, depth)
     factor_pat = apply_code(code, pat)
-    statuses = classify_residues(factor_pat, p)
-    return FactorResidues(
-        p,
-        tuple(s.residue for s in statuses if s.status is Status.NONPERIODIC),
-        tuple(s.residue for s in statuses if s.status is Status.UNDETERMINED),
-    )
+    classes = classify_residues(factor_pat, p)
+    return FactorResidues(p, classes.nonperiodic, classes.undetermined)
 
 
 def _sparse_factor_residues(code, schedule: FillingSchedule, l: int, depth: int) -> FactorResidues:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import inf
 
 from .errors import ToeplitzError, UnresolvedElement
-from .periodicity import Status, classify_residues, prime_exponents
+from .periodicity import classify_residues, prime_exponents
 from .words import FillingSchedule, HOLE
 
 
@@ -116,8 +116,7 @@ def matching_shift(schedule: FillingSchedule, l: int, element, resolution: int) 
         raise TypeError("matching_shift needs a plain shift element")
     p = schedule.period(l)
     pat = schedule.pattern(min(resolution, schedule.available_levels(resolution)))
-    statuses = classify_residues(pat, p)
-    source = {s.residue: s.letter for s in statuses if s.status is Status.PERIODIC}
+    source = classify_residues(pat, p).periodic
     target = {(r - element.n) % p: letter for r, letter in source.items()}
     matches = [
         k for k in range(p)
@@ -249,8 +248,8 @@ def cps_window_member(schedule: FillingSchedule, omega: OdometerPoint, letter: s
     pat = schedule.pattern(resolution)
     for l in range(1, omega.depth + 1):
         p = schedule.period(l)
-        r = omega(l)
-        seen = {pat.symbols[(r + t * p) % pat.period] for t in range(pat.period // p)}
+        # p divides the pattern period, so the class of omega(l) is one slice
+        seen = set(pat.symbols[omega(l) % p::p])
         if HOLE in seen:
             continue
         if seen == {letter}:

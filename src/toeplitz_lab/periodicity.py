@@ -18,20 +18,21 @@ from .errors import DivisibilityViolation, NoHoles, ToeplitzError
 from .words import HOLE, FillingSchedule, PeriodicPattern
 
 
-class Status(Enum):
-    PERIODIC = "periodic"
-    NONPERIODIC = "nonperiodic"
-    UNDETERMINED = "undetermined"
-
-
 @dataclass(frozen=True)
-class ResidueClassStatus:
-    residue: int
-    status: Status
-    letter: str | None = None
+class ResidueClasses:
+    """The residues mod ``modulus`` split into the three certified-at-depth sets.
+
+    ``periodic`` maps each periodic residue to its letter;
+    ``nonperiodic`` and ``undetermined`` list the others, ascending.
+    """
+
+    modulus: int
+    periodic: dict[int, str]
+    nonperiodic: tuple[int, ...]
+    undetermined: tuple[int, ...]
 
 
-def classify_residues(pat: PeriodicPattern, p: int) -> list[ResidueClassStatus]:
+def classify_residues(pat: PeriodicPattern, p: int) -> ResidueClasses:
     """Three-valued classification of the residues mod ``p`` against a pattern.
 
     By the Chinese remainder theorem the positions congruent to ``r``
@@ -46,28 +47,19 @@ def classify_residues(pat: PeriodicPattern, p: int) -> list[ResidueClassStatus]:
     if p < 1:
         raise ValueError("period must be positive")
     g = gcd(p, pat.period)
-    out = []
+    kinds = []  # per residue mod g: its letter, HOLE if undetermined, None if nonperiodic
     for r in range(g):
         letters = set(pat.symbols[r::g])
         holey = HOLE in letters
         letters.discard(HOLE)
-        if len(letters) > 1:
-            out.append(ResidueClassStatus(r, Status.NONPERIODIC))
-        elif holey:
-            out.append(ResidueClassStatus(r, Status.UNDETERMINED))
-        else:
-            out.append(ResidueClassStatus(r, Status.PERIODIC, letters.pop()))
-    out += [ResidueClassStatus(r, out[r % g].status, out[r % g].letter) for r in range(g, p)]
-    return out
-
-
-def periodic_assignment(source, p: int) -> dict[int, str]:
-    """residue -> letter for the certified-periodic residues mod ``p``."""
-    return {
-        s.residue: s.letter
-        for s in classify_residues(source, p)
-        if s.status is Status.PERIODIC
-    }
+        kinds.append(None if len(letters) > 1 else HOLE if holey else letters.pop())
+    kinds *= p // g
+    return ResidueClasses(
+        p,
+        {r: k for r, k in enumerate(kinds) if k is not None and k != HOLE},
+        tuple(r for r, k in enumerate(kinds) if k is None),
+        tuple(r for r, k in enumerate(kinds) if k == HOLE),
+    )
 
 
 def aperiodic_residues(schedule: FillingSchedule, l: int, depth: int) -> tuple[int, ...]:
@@ -80,8 +72,8 @@ def aperiodic_residues(schedule: FillingSchedule, l: int, depth: int) -> tuple[i
     if depth < l:
         raise ValueError("resolution depth must be >= level")
     p = schedule.period(l)
-    statuses = classify_residues(schedule.pattern(depth), p)
-    aper = tuple(s.residue for s in statuses if s.status is not Status.PERIODIC)
+    classes = classify_residues(schedule.pattern(depth), p)
+    aper = tuple(sorted(classes.nonperiodic + classes.undetermined))
     if aper != schedule.holes(l):
         raise ToeplitzError(
             "level %d: residues %r not certified periodic at depth %d differ from the hole set %r"
@@ -159,25 +151,20 @@ def _per_witness(pat: PeriodicPattern, p_small: int, assignment: dict[int, str],
     return False
 
 
-def _per_sets_differ(pat: PeriodicPattern, p: int, p_l: int) -> bool | None:
-    """Exact three-valued comparison of Per(p) and Per(p_l) at this resolution.
+def _per_sets_differ(small: ResidueClasses, large: ResidueClasses) -> bool | None:
+    """Exact three-valued comparison of the two classifications' Per sets.
 
     Returns True (differ), False (equal as far as certified), or None
-    when undetermined residues block the comparison.
+    when undetermined residues block the comparison.  By the Chinese
+    remainder theorem a mod p and b mod p_l share a position exactly when
+    a = b mod gcd(p, p_l), so the sets differ iff a periodic class of one
+    side meets a nonperiodic class of the other modulo that gcd.
     """
-    span = p * p_l // gcd(p, p_l)
-    small = classify_residues(pat, p)
-    large = classify_residues(pat, p_l)
-    undetermined = False
-    for j in range(span):
-        s, t = small[j % p].status, large[j % p_l].status
-        if s is Status.PERIODIC and t is Status.NONPERIODIC:
+    d = gcd(small.modulus, large.modulus)
+    for one, other in ((small, large), (large, small)):
+        if {a % d for a in one.periodic}.intersection(b % d for b in other.nonperiodic):
             return True
-        if s is Status.NONPERIODIC and t is Status.PERIODIC:
-            return True
-        if s is Status.UNDETERMINED or t is Status.UNDETERMINED:
-            undetermined = True
-    return None if undetermined else False
+    return None if small.undetermined or large.undetermined else False
 
 
 def prime_exponents(n: int) -> dict[int, int]:
@@ -230,8 +217,8 @@ def verify_period_structure(
     nonempty = []
     reports = []
     for p_l in scale:
-        assignment = periodic_assignment(pat, p_l)
-        nonempty.append(bool(assignment))
+        large = classify_residues(pat, p_l)
+        nonempty.append(bool(large.periodic))
         if q is not None:
             candidates = []
             qq = q
@@ -243,10 +230,9 @@ def verify_period_structure(
             candidates = range(1, p_l)
         unresolved = []
         for p in candidates:
-            if _per_witness(pat, p, assignment, probe_cap):
+            if _per_witness(pat, p, large.periodic, probe_cap):
                 continue
-            differ = _per_sets_differ(pat, p, p_l)
-            if differ is True:
+            if _per_sets_differ(classify_residues(pat, p), large) is True:
                 continue
             unresolved.append(p)
         reports.append(EssentialityReport(p_l, certified=not unresolved, unresolved_periods=tuple(unresolved)))

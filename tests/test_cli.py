@@ -77,12 +77,27 @@ def test_level_zero_is_an_error(capsys):
     ["build", "ex4.3", "--window=abc"],
     ["build", "ex4.3", "--window=10:5"],
     ["complexity", "ex5.7", "--lengths", "x"],
+    ["analyze", "ex4.3", "--depth", "0"],
+    ["boundary", "ex4.3", "--depth", "0"],
+    ["boundary", "ex4.3", "--depth", "3", "--resolution", "-1"],
+    ["analyze", "ex4.3", "--depth", "x"],
 ])
 def test_bad_flag_value_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert "error: argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    # the hole tree needs value sets from at least its own depth
+    ["boundary", "ex4.3", "--depth", "3", "--resolution", "1"],
+    # a period of 2^18 times this length exceeds the word-assembly bound
+    ["complexity", "ex4.4-mini", "--mode", "decomposition", "--lengths", "100000"],
+])
+def test_unservable_request_is_an_error(argv, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize("name", ["ex4.3", "ex3.5"])
@@ -144,10 +159,10 @@ def test_complexity_csv(capsys):
 def test_to_jsonable_fractions_and_enums():
     from fractions import Fraction
 
-    from toeplitz_lab import Status
+    from toeplitz_lab.periodicity import OxtobyKind
 
     assert to_jsonable(Fraction(7, 8)) == {"numerator": 7, "denominator": 8}
-    assert to_jsonable(Status.PERIODIC) == "periodic"
+    assert to_jsonable(OxtobyKind.CERTIFIED) == "certified-to-depth"
     assert to_jsonable(float("inf")) == "inf"
     assert to_jsonable({1: (2, 3)}) == {"1": [2, 3]}
 

@@ -9,7 +9,7 @@ import random
 from itertools import product
 from math import gcd
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import toeplitz_lab as tl
 
@@ -83,17 +83,26 @@ def brute_classify(pattern, p):
     return out
 
 
+def classes_by_residue(classes):
+    """``classify_residues``'s three sets as one residue -> verdict map, in
+    ``brute_classify``'s terms, after checking that they partition range(p)."""
+    p = classes.modulus
+    assert list(classes.nonperiodic) == sorted(classes.nonperiodic)
+    assert list(classes.undetermined) == sorted(classes.undetermined)
+    assert len(classes.periodic) + len(classes.nonperiodic) + len(classes.undetermined) == p
+    assert set(classes.periodic) | set(classes.nonperiodic) | set(classes.undetermined) == set(range(p))
+    out = {r: "periodic:" + letter for r, letter in classes.periodic.items()}
+    out.update((r, "nonperiodic") for r in classes.nonperiodic)
+    out.update((r, "undetermined") for r in classes.undetermined)
+    return out
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(seed_lists(), st.integers(1, 24))
 def test_classification_matches_brute_force(seeds, p):
     s = tl.FillingSchedule(tl.BINARY, [tl.parse_seed(w) for w in seeds])
     pat = s.pattern(len(seeds))
-    want = brute_classify(pat, p)
-    for status in tl.classify_residues(pat, p):
-        if status.status is tl.Status.PERIODIC:
-            assert want[status.residue] == "periodic:" + status.letter
-        else:
-            assert want[status.residue] == status.status.value
+    assert classes_by_residue(tl.classify_residues(pat, p)) == brute_classify(pat, p)
 
 
 def brute_unique_residue(text, lo, length, p1):
@@ -183,11 +192,34 @@ def test_exact_complexity_matches_long_window_scan():
 def test_classification_of_any_pattern_matches_lcm_scan(symbols, p):
     # arbitrary patterns, so p need not divide the period
     pat = tl.PeriodicPattern(symbols, tl.Alphabet("abc"))
-    got = tl.classify_residues(pat, p)
-    assert [s.residue for s in got] == list(range(p))
-    want = brute_classify(pat, p)
-    for s in got:
-        assert want[s.residue] == ("periodic:" + s.letter if s.status is tl.Status.PERIODIC else s.status.value)
+    assert classes_by_residue(tl.classify_residues(pat, p)) == brute_classify(pat, p)
+
+
+def lcm_walk_per_sets_differ(pattern, p, p_l):
+    """Per(p) against Per(p_l) by walking every position of one lcm(p, p_l) span."""
+    small, large = brute_classify(pattern, p), brute_classify(pattern, p_l)
+    undetermined = False
+    for j in range(p * p_l // gcd(p, p_l)):
+        s, t = small[j % p].partition(":")[0], large[j % p_l].partition(":")[0]
+        if {s, t} == {"periodic", "nonperiodic"}:
+            return True
+        if "undetermined" in (s, t):
+            undetermined = True
+    return None if undetermined else False
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.text(alphabet="abc?", min_size=1, max_size=24), st.integers(1, 20), st.integers(1, 40))
+@example("cb", 5, 4)  # differ
+@example("a?", 5, 8)  # undetermined
+@example("aa", 9, 2)  # equal
+def test_per_sets_differ_matches_lcm_walk(symbols, p, p_l):
+    # arbitrary patterns and moduli: p need not divide p_l nor the period
+    from toeplitz_lab.periodicity import _per_sets_differ
+
+    pat = tl.PeriodicPattern(symbols, tl.Alphabet("abc"))
+    got = _per_sets_differ(tl.classify_residues(pat, p), tl.classify_residues(pat, p_l))
+    assert got is lcm_walk_per_sets_differ(pat, p, p_l)
 
 
 def per_window_marker_image(code, pattern):

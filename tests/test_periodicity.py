@@ -6,7 +6,6 @@ from toeplitz_lab import (
     BINARY,
     FillingSchedule,
     PeriodicPattern,
-    Status,
     aperiodic_residues,
     check_oxtoby,
     classify_residues,
@@ -21,55 +20,48 @@ from toeplitz_lab import (
 from toeplitz_lab.errors import DivisibilityViolation, NoHoles, ToeplitzError
 
 
-def statuses(source, p):
-    return {s.residue: s for s in classify_residues(source, p)}
-
-
 def test_classify_constant_pattern():
-    st = statuses(PeriodicPattern("a"), 1)
-    assert st[0].status is Status.PERIODIC and st[0].letter == "a"
+    c = classify_residues(PeriodicPattern("a"), 1)
+    assert c.modulus == 1 and c.periodic == {0: "a"}
+    assert c.nonperiodic == c.undetermined == ()
     with pytest.raises(TypeError):
         classify_residues(gallery("ex4.3"), 2)
 
 
 def test_classify_ex43_level2():
-    st = statuses(gallery("ex4.3").pattern(2), 16)
-    undetermined = [r for r, s in st.items() if s.status is Status.UNDETERMINED]
-    assert undetermined == [5, 9]
-    assert all(s.status is Status.PERIODIC for r, s in st.items() if r not in (5, 9))
+    c = classify_residues(gallery("ex4.3").pattern(2), 16)
+    assert c.undetermined == (5, 9)
+    assert c.nonperiodic == ()
+    assert sorted(c.periodic) == [r for r in range(16) if r not in (5, 9)]
 
 
 def test_classify_ex57_period8_at_depth4():
     # derived by direct window scan: nonperiodic at 1,2,5,6; the rest settle
-    st = statuses(gallery("ex5.7").pattern(4), 8)
-    nonper = sorted(r for r, s in st.items() if s.status is Status.NONPERIODIC)
-    assert nonper == [1, 2, 5, 6]
-    assert st[3].status is Status.PERIODIC and st[3].letter == "b"
-    assert st[0].status is Status.PERIODIC and st[0].letter == "a"
+    c = classify_residues(gallery("ex5.7").pattern(4), 8)
+    assert c.nonperiodic == (1, 2, 5, 6)
+    assert c.periodic[3] == "b"
+    assert c.periodic[0] == "a"
 
 
 def test_classification_monotone_in_resolution():
     s = gallery("ex5.7")
     for p in (4, 8, 16):
-        lo = statuses(s.pattern(3), p)
-        hi = statuses(s.pattern(5), p)
-        for r in range(p):
-            if lo[r].status is Status.PERIODIC:
-                assert hi[r].status is Status.PERIODIC and hi[r].letter == lo[r].letter
-            if lo[r].status is Status.NONPERIODIC:
-                assert hi[r].status is Status.NONPERIODIC
+        lo = classify_residues(s.pattern(3), p)
+        hi = classify_residues(s.pattern(5), p)
+        for r, letter in lo.periodic.items():
+            assert hi.periodic.get(r) == letter
+        assert set(lo.nonperiodic) <= set(hi.nonperiodic)
 
 
 def test_divisor_period_containment():
     s = gallery("ex5.7")
     pat = s.pattern(5)
-    small = statuses(pat, 4)
-    large = statuses(pat, 16)
+    small = classify_residues(pat, 4)
+    large = classify_residues(pat, 16)
     for r in range(16):
-        if small[r % 4].status is Status.PERIODIC:
+        if r % 4 in small.periodic:
             # a 4-periodic class stays periodic for the refined period
-            assert large[r].status is Status.PERIODIC
-            assert large[r].letter == small[r % 4].letter
+            assert large.periodic.get(r) == small.periodic[r % 4]
 
 
 def test_aperiodic_residues_examples():
@@ -148,10 +140,8 @@ def test_essentiality_witness_position():
     # the first deep hole is periodic at the next scale entry but not at
     # half of it: e.g. residue 5 settles modulo 64 yet splits modulo 32
     pat = gallery("ex5.7").pattern(6)
-    st64 = statuses(pat, 64)
-    st32 = statuses(pat, 32)
-    assert st64[5].status is Status.PERIODIC
-    assert st32[5].status is Status.NONPERIODIC
+    assert 5 in classify_residues(pat, 64).periodic
+    assert 5 in classify_residues(pat, 32).nonperiodic
 
 
 def test_divisibility_violation():
