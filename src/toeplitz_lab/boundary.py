@@ -213,13 +213,12 @@ def isolated_value_pair(
     branch,
     a: str,
     b: str,
-    settled_depth: int | None = None,
 ) -> IsolationVerdict:
     """Is the branch locally the only surviving hole path carrying both letters?
 
     Rival candidates are surviving nodes in the branch's cylinder whose
-    value set contains both letters.  Nodes deeper than ``settled_depth``
-    (default: half the tree depth) are an unsettled frontier: they may
+    value set contains both letters.  Nodes deeper than the settled depth
+    (half the tree depth, at least 1) are an unsettled frontier: they may
     refute isolation at this depth but cannot count towards certifying
     it, since their subtrees have not been given room to die out.
     """
@@ -232,8 +231,7 @@ def isolated_value_pair(
     for l in range(1, tree.depth + 1):
         if branch[l - 1] not in tree.nodes(l):
             raise ToeplitzError("branch leaves the tree at level %d" % l)
-    if settled_depth is None:
-        settled_depth = max(1, tree.depth // 2)
+    settled_depth = max(1, tree.depth // 2)
     survivors = tree.survivors()
     pair = {a, b}
 

@@ -123,15 +123,19 @@ def parse_lengths(text: str) -> list[int]:
     return lengths
 
 
-def parse_positive(text: str) -> int:
-    """An integer >= 1; argparse reports anything else as a usage error."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError("expected an integer >= 1, got %r" % text)
-    return value
+def parse_at_least(lower: int):
+    """An argparse type for integers >= ``lower``; argparse reports anything else as a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = lower - 1
+        if value < lower:
+            raise argparse.ArgumentTypeError("expected an integer >= %d, got %r" % (lower, text))
+        return value
+
+    return parse
 
 
 def cmd_build(args) -> dict:
@@ -326,43 +330,43 @@ def main(argv=None) -> int:
     p = sub.add_parser("eval", help="letter at one position")
     p.add_argument("schedule")
     p.add_argument("position", type=int)
-    p.add_argument("--depth", type=int, default=4)
+    p.add_argument("--depth", type=parse_at_least(1), default=4)
     add_common(p)
 
     p = sub.add_parser("analyze", help="periodicity verdicts")
     p.add_argument("schedule")
-    p.add_argument("--depth", type=parse_positive, default=3)
+    p.add_argument("--depth", type=parse_at_least(1), default=3)
     add_common(p)
 
     p = sub.add_parser("boundary", help="hole tree and finiteness verdicts")
     p.add_argument("schedule")
-    p.add_argument("--depth", type=parse_positive, default=3)
-    p.add_argument("--resolution", type=parse_positive, default=None)
+    p.add_argument("--depth", type=parse_at_least(1), default=3)
+    p.add_argument("--resolution", type=parse_at_least(1), default=None)
     add_common(p)
 
     p = sub.add_parser("factor", help="apply a sliding block code and classify the image")
     p.add_argument("schedule")
     p.add_argument("--code", required=True, help="gallery code name or code file")
-    p.add_argument("--depth", type=int, default=3)
+    p.add_argument("--depth", type=parse_at_least(1), default=3)
     add_common(p)
 
     p = sub.add_parser("pair", help="difference census of two shifted copies")
     p.add_argument("schedule")
     p.add_argument("--shifts", type=int, nargs=2, required=True)
-    p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--window-half", type=int, default=64)
+    p.add_argument("--depth", type=parse_at_least(1), default=4)
+    p.add_argument("--window-half", type=parse_at_least(0), default=64)
     add_common(p)
 
     p = sub.add_parser("complexity", help="subword counts")
     p.add_argument("schedule")
     p.add_argument("--lengths", type=parse_lengths, default="4,8")
     p.add_argument("--mode", choices=("window", "decomposition"), default="window")
-    p.add_argument("--depth", type=int, default=5)
+    p.add_argument("--depth", type=parse_at_least(1), default=5)
     p.add_argument("--format", choices=("json", "text", "csv"), default="text")
 
     p = sub.add_parser("gallery", help="list or export built-in schedules")
     p.add_argument("name", nargs="?")
-    p.add_argument("--levels", type=int, default=4)
+    p.add_argument("--levels", type=parse_at_least(1), default=4)
     p.add_argument("--param", action="append", help="key=value, may repeat")
     add_common(p)
 

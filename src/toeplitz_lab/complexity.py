@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotSingleHole, PatternTooLarge, UnresolvedWindow
+from .errors import NotSingleHole, PatternTooLarge, ToeplitzError, UnresolvedWindow
 from .words import HOLE, PATTERN_CAP, FillingSchedule, derived_tail, resolve_window
 
 
@@ -38,14 +38,14 @@ def factor_set_window(schedule: FillingSchedule, length: int, window: tuple[int,
     return FactorSet(length, words, False, "window[%d,%d)@%d" % (lo, hi, max_level))
 
 
-def _letters_of(schedule: FillingSchedule, probe_levels: int = 8) -> tuple[frozenset[str], bool]:
+def _letters_of(schedule: FillingSchedule) -> tuple[frozenset[str], bool]:
     """Letters occurring in the word, with an exactness flag.
 
-    Exact when the probed seeds already show the whole alphabet, or when
-    the schedule has no further seeds to look at.
+    Exact when the first eight seeds already show the whole alphabet, or
+    when the schedule has no further seeds to look at.
     """
     letters: set[str] = set()
-    top = schedule.available_levels(probe_levels)
+    top = schedule.available_levels(8)
     for l in range(1, top + 1):
         letters.update(c for c in schedule.seed(l).symbols if c != HOLE)
         if len(letters) == len(schedule.alphabet):
@@ -54,36 +54,35 @@ def _letters_of(schedule: FillingSchedule, probe_levels: int = 8) -> tuple[froze
     return frozenset(letters), exhausted
 
 
-def _single_hole_level_for(schedule: FillingSchedule, length: int, max_probe: int = 12) -> int:
-    for l in range(1, schedule.available_levels(max_probe) + 1):
+def _single_hole_level_for(schedule: FillingSchedule, length: int) -> int:
+    for l in range(1, schedule.available_levels(12) + 1):
         if len(schedule.holes(l)) != 1:
             raise NotSingleHole("level %d has %d holes per period" % (l, len(schedule.holes(l))))
         if schedule.period(l) >= length:
             return l
-    return schedule.available_levels(max_probe)
+    return schedule.available_levels(12)
 
 
-def factor_set_exact_single_hole(
-    schedule: FillingSchedule, l: int, length: int, max_span: int = 8, depth: int | None = None
-) -> FactorSet:
+def factor_set_exact_single_hole(schedule: FillingSchedule, l: int, length: int) -> FactorSet:
     """Exact subword set via the one-hole-per-period decomposition at level ``l``.
 
-    The between-holes block is cut at every offset and the spanned holes
-    are filled with every fill word of the right length; fill words are
-    the exact subword sets of the derived tail, computed by recursion.
+    The between-holes block, resolved at depth l + 3, is cut at every
+    offset and the spanned holes are filled with every fill word of the
+    right length; fill words are the exact subword sets of the derived
+    tail, computed by recursion.  ``length`` may span at most 8 periods.
     """
     info = schedule.level_info(l)
     if len(info.holes) != 1:
         raise NotSingleHole("level %d has %d holes per period" % (l, len(info.holes)))
     p = info.period
-    if length > max_span * p:
-        raise ValueError("length %d exceeds %d periods" % (length, max_span))
+    if length > 8 * p:
+        raise ToeplitzError("length %d exceeds 8 periods of level %d" % (length, l))
     if p * length > 16 * PATTERN_CAP:
         # each of the p offsets assembles at least one word of this length
         raise PatternTooLarge(
             "period %d times length %d exceeds the assembly bound %d" % (p, length, 16 * PATTERN_CAP))
     hole = info.holes[0]
-    depth = depth if depth is not None else l + 3
+    depth = l + 3
     # one period starting right after the hole: the repeating block, hole last
     block = resolve_window(schedule, hole + 1, hole + p, depth)
     if HOLE in block:
@@ -96,7 +95,7 @@ def factor_set_exact_single_hole(
         if m == 1:
             return _letters_of(tail)
         tl = _single_hole_level_for(tail, m)
-        fs = factor_set_exact_single_hole(tail, tl, m, max_span)
+        fs = factor_set_exact_single_hole(tail, tl, m)
         return fs.words, fs.exact
 
     copies = length // p + 2
@@ -136,6 +135,6 @@ def complexity_profile(schedule: FillingSchedule, lengths, mode: str, **kwargs) 
             fs = factor_set_window(schedule, L, window, kwargs.get("max_level", 6))
         else:
             level = kwargs.get("level") or _single_hole_level_for(schedule, L)
-            fs = factor_set_exact_single_hole(schedule, level, L, kwargs.get("max_span", 8))
+            fs = factor_set_exact_single_hole(schedule, level, L)
         out.append(ProfileEntry(L, fs.count, fs.exact, Fraction(fs.count, L)))
     return out

@@ -1,10 +1,11 @@
 """Subshift elements as shifts or shift limits, with pair and fiber analysis.
 
-A shift limit is given by a deterministic rule k -> n_k; its value at a
-position counts as resolved only once it agrees over a run of consecutive
-rule indices and over the whole remaining tail.  Disagreement surfaces as
-an unresolved position, never as a wrong letter, so every census below is
-a statement about certified positions only.
+A shift limit is given by a deterministic rule k -> n_k on the indices
+``k_start <= k < k_stop``.  Its letter at a position, and its residue
+modulo a period, settles only when the values read back from ``k_stop``
+end in a maximal run of equal values that has no unresolved value and is
+at least ``STABILIZATION_WINDOW`` long.  Anything else is unresolved,
+never a wrong letter, so every census below is certified at its depth.
 """
 
 from __future__ import annotations
@@ -23,6 +24,10 @@ class Shift:
     n: int
 
 
+#: Length of the final run of equal rule values a shift limit needs to settle.
+STABILIZATION_WINDOW = 3
+
+
 @dataclass(frozen=True)
 class ShiftLimit:
     """A limit of shifts along a deterministic rule k -> n_k."""
@@ -30,36 +35,32 @@ class ShiftLimit:
     rule: Callable[[int], int]
     k_start: int = 1
     k_stop: int = 8
-    stabilization_window: int = 3
 
-    def shift_at(self, k: int) -> int:
-        return self.rule(k)
+    def shifts(self) -> list[int]:
+        """The shifts n_k at the rule indices ``k_start <= k < k_stop``, in order."""
+        return [self.rule(k) for k in range(self.k_start, self.k_stop)]
 
 
 ElementSpec = Shift | ShiftLimit
+
+
+def settled_value(values):
+    """The value the rule values settle on by the module's rule, or None.
+
+    The final run is long enough exactly when the last
+    ``STABILIZATION_WINDOW`` values are one resolved value (not None).
+    """
+    tail = values[-STABILIZATION_WINDOW:]
+    if len(tail) < STABILIZATION_WINDOW or tail[0] is None or tail.count(tail[0]) < len(tail):
+        return None
+    return tail[0]
 
 
 def eval_element(schedule: FillingSchedule, element: ElementSpec, j: int, max_level: int) -> str | None:
     """Letter of the element at position ``j``, or None when unresolved."""
     if isinstance(element, Shift):
         return evaluate(schedule, j + element.n, max_level)
-    run_value: str | None = None
-    run_len = 0
-    for k in range(element.k_start, element.k_stop):
-        c = evaluate(schedule, j + element.shift_at(k), max_level)
-        if c is None:
-            run_value, run_len = None, 0
-            continue
-        if c == run_value:
-            run_len += 1
-        else:
-            run_value, run_len = c, 1
-        if run_len >= element.stabilization_window:
-            tail = (evaluate(schedule, j + element.shift_at(t), max_level) for t in range(k + 1, element.k_stop))
-            if all(c2 is None or c2 == run_value for c2 in tail):
-                return run_value
-            return None
-    return None
+    return settled_value([evaluate(schedule, j + n, max_level) for n in element.shifts()])
 
 
 @dataclass(frozen=True)
@@ -110,11 +111,19 @@ def pair_report(
     return PairReport(agreement, tuple(censuses))
 
 
-def _element_window(schedule: FillingSchedule, element: ElementSpec, start: int, stop: int, max_level: int):
-    """The element's letters on ``[start, stop)``, unresolved positions as holes."""
+def _element_window(schedule: FillingSchedule, element: ElementSpec, start: int, stop: int, max_level: int) -> str:
+    """The element's letters on ``[start, stop)``, unresolved positions as holes.
+
+    A shift limit is read as one window per rule index and settled
+    column by column, which gives :func:`eval_element` at every position.
+    """
     if isinstance(element, Shift):
         return resolve_window(schedule, start + element.n, stop + element.n, max_level)
-    return [eval_element(schedule, element, j, max_level) or HOLE for j in range(start, stop)]
+    rows = [resolve_window(schedule, start + n, stop + n, max_level) for n in element.shifts()]
+    if not rows:
+        return HOLE * max(0, stop - start)
+    # a column of holes settles on the hole itself, which reads as unresolved too
+    return "".join([settled_value(column) or HOLE for column in zip(*rows)])
 
 
 def fiber_block_contents(

@@ -53,10 +53,6 @@ class UnknownLetters(ToeplitzError):
     pass
 
 
-class RadiusTooLarge(ToeplitzError):
-    pass
-
-
 class BadParams(ToeplitzError):
     pass
 

@@ -18,7 +18,6 @@ from .errors import (
     NotIsolated,
     NotOxtoby,
     PatternTooLarge,
-    RadiusTooLarge,
     ToeplitzError,
     UnresolvedWindow,
 )
@@ -35,12 +34,12 @@ class SlidingBlockCode:
         self.alphabet = alphabet
         self.radius = radius
         width = 2 * radius + 1
-        expected = len(alphabet) ** width
-        if len(table) != expected:
-            raise ToeplitzError("table has %d entries, needs %d" % (len(table), expected))
         for k, v in table.items():
             if len(k) != width or any(c not in alphabet for c in k) or v not in alphabet:
                 raise ToeplitzError("bad table entry %r -> %r" % (k, v))
+        # a nonempty table's keys now bound the width, so the power below stays small
+        if not table or len(table) != len(alphabet) ** width:
+            raise ToeplitzError("table has %d entries, needs one per window of width %d" % (len(table), width))
         self.table = dict(table)
 
     def __call__(self, window: str) -> str:
@@ -131,8 +130,6 @@ def apply_code(code, pat: PeriodicPattern) -> PeriodicPattern:
     """Image of a level pattern under the code, holes where completions disagree."""
     J = code.radius
     width = 2 * J + 1
-    if pat.period <= width:
-        raise RadiusTooLarge("pattern period %d not larger than window width %d" % (pat.period, width))
     doubled = pat.symbols * 2 if J == 0 else (pat.symbols * (2 + (2 * J) // pat.period + 1))
     p = pat.period
     if isinstance(code, MarkerCode):
@@ -234,9 +231,9 @@ def _sparse_factor_residues(code, schedule: FillingSchedule, l: int, depth: int)
     return FactorResidues(p, tuple(nonper), tuple(undet))
 
 
-def _realised_two_images(code, schedule, r, J, p, depth, samples: int = 32) -> bool:
+def _realised_two_images(code, schedule, r, J, p, depth) -> bool:
     seen = set()
-    for k in range(samples):
+    for k in range(32):
         window = resolve_window(schedule, r + k * p - J, r + k * p + J + 1, depth)
         if HOLE in window:
             continue
@@ -298,13 +295,13 @@ def unique_residue_search(
 
 
 def find_unique_residue_level(
-    schedule: FillingSchedule, l1: int, max_l2: int = 8, window_blocks: int = 2
+    schedule: FillingSchedule, l1: int, max_l2: int = 8
 ) -> ResidueSearchCertificate:
-    """Smallest l2 whose windows pin residues mod p_l1, with its certificate."""
+    """Smallest l2 whose windows (two periods of level l2 + 1) pin residues mod p_l1, with its certificate."""
     last = None
     for l2 in range(l1, max_l2 + 1):
         try:
-            span = window_blocks * schedule.period(min(l2 + 1, schedule.available_levels(l2 + 1)))
+            span = 2 * schedule.period(min(l2 + 1, schedule.available_levels(l2 + 1)))
             cert = unique_residue_search(schedule, l1, l2, (0, span))
         except (UnresolvedWindow, PatternTooLarge):
             continue
@@ -326,13 +323,12 @@ def build_isolating_code(
     l1: int,
     l2: int | None = None,
     certificate=None,
-    collect_blocks: int = 3,
-    depth: int | None = None,
 ) -> MarkerCode:
     """Marker code isolating one boundary cylinder.
 
     Marks every resolved window of radius p_l2 centred on positions of the
-    branch's level-``l1`` class where the word shows ``letter``; other
+    branch's level-``l1`` class, over three periods of level l2 + 1 and
+    resolved at depth l2 + 3, where the word shows ``letter``; other
     letters map to the first alphabet letter different from ``letter``.
     The isolation certificate for the branch must be supplied or
     computable, and ``l1`` must lie in the certified cylinder.
@@ -356,11 +352,11 @@ def build_isolating_code(
         l2 = cert.l2
     p1, p2 = schedule.period(l1), schedule.period(l2)
     anchor = branch[l1 - 1]
-    depth = depth if depth is not None else l2 + 3
+    depth = l2 + 3
 
     marked: set[str] = set()
     saturated = False
-    span = max(1, (collect_blocks * schedule.period(min(l2 + 1, schedule.available_levels(l2 + 1)))) // p1)
+    span = max(1, (3 * schedule.period(min(l2 + 1, schedule.available_levels(l2 + 1)))) // p1)
     fresh_at = 0
     for m in range(span):
         j = anchor + m * p1
@@ -469,7 +465,10 @@ def code_from_text(text: str, alphabet: Alphabet):
         key, _, value = ln.partition(" ")
         value = value.strip()
         if key == "radius":
-            radius = int(value)
+            try:
+                radius = int(value)
+            except ValueError:
+                raise ToeplitzError("radius must be an integer, got %r" % value) from None
         elif key == "*":
             default = value
         else:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import inf
 
+from .elements import Shift, ShiftLimit, settled_value
 from .errors import ToeplitzError, UnresolvedElement
 from .periodicity import classify_residues, prime_exponents
 from .words import FillingSchedule, HOLE
@@ -68,38 +69,24 @@ def phi_prefix(schedule: FillingSchedule, element, depth: int) -> OdometerPoint:
     """Position of an element under the factor map, truncated to ``depth``.
 
     ``element`` is an ElementSpec from the elements module, or a plain
-    integer meaning the shift by that amount.
+    integer meaning the shift by that amount.  A shift limit's residue
+    mod each scale entry is the value its shifts' residues settle on.
     """
-    from .elements import Shift, ShiftLimit  # deferred: elements imports odometer
-
     if isinstance(element, int):
         return embed(schedule, element, depth)
     if isinstance(element, Shift):
         return embed(schedule, element.n, depth)
     if isinstance(element, ShiftLimit):
         scale = scale_of(schedule, depth)
+        shifts = element.shifts()
         residues = []
         for p in scale:
-            residues.append(_stabilized_residue(element, p))
+            r = settled_value([n % p for n in shifts])
+            if r is None:
+                raise UnresolvedElement("shift rule does not settle mod %d" % p)
+            residues.append(r)
         return OdometerPoint(scale, tuple(residues))
     raise TypeError("cannot map %r to the odometer" % (element,))
-
-
-def _stabilized_residue(element, p: int) -> int:
-    run_value, run_len = None, 0
-    for k in range(element.k_start, element.k_stop):
-        r = element.shift_at(k) % p
-        if r == run_value:
-            run_len += 1
-        else:
-            run_value, run_len = r, 1
-        if run_len >= element.stabilization_window:
-            tail_ok = all(
-                element.shift_at(t) % p == run_value for t in range(k, element.k_stop)
-            )
-            if tail_ok:
-                return run_value
-    raise UnresolvedElement("shift rule does not stabilise mod %d over its tail" % p)
 
 
 def matching_shift(schedule: FillingSchedule, l: int, element, resolution: int) -> int:
@@ -108,8 +95,6 @@ def matching_shift(schedule: FillingSchedule, l: int, element, resolution: int) 
     Searches all candidates and asserts uniqueness; used as the slow
     cross-check of the residue arithmetic in :func:`phi_prefix`.
     """
-    from .elements import Shift
-
     if isinstance(element, int):
         element = Shift(element)
     if not isinstance(element, Shift):

@@ -130,14 +130,15 @@ class PeriodStructureCertificate:
         )
 
 
-def _per_witness(pat: PeriodicPattern, p_small: int, assignment: dict[int, str], probe_cap: int) -> bool:
+def _per_witness(pat: PeriodicPattern, p_small: int, assignment: dict[int, str]) -> bool:
     """True when Per(p_small) provably differs from the assignment's Per set.
 
     Looks for a position certified periodic at the large scale whose
-    class mod ``p_small`` carries two distinct resolved letters.
+    class mod ``p_small`` carries two distinct resolved letters, probing
+    at most 256 steps of ``p_small`` from each assigned residue.
     """
     symbols, period = pat.symbols, pat.period
-    steps = min(probe_cap, period // gcd(p_small, period))
+    steps = min(256, period // gcd(p_small, period))
     for r, letter in assignment.items():
         # scan r + t * p_small for 0 < t < steps (mod period) for a resolved
         # letter != letter, one slice per pass through the period
@@ -194,7 +195,6 @@ def verify_period_structure(
     scale,
     depth: int,
     coverage_window: tuple[int, int] | None = None,
-    probe_cap: int = 256,
 ) -> PeriodStructureCertificate:
     """Check divisibility, essentiality and coverage of a candidate scale.
 
@@ -230,7 +230,7 @@ def verify_period_structure(
             candidates = range(1, p_l)
         unresolved = []
         for p in candidates:
-            if _per_witness(pat, p, large.periodic, probe_cap):
+            if _per_witness(pat, p, large.periodic):
                 continue
             if _per_sets_differ(classify_residues(pat, p), large) is True:
                 continue

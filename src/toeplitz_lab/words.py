@@ -49,7 +49,7 @@ class Alphabet:
             raise BadAlphabet("alphabet must be nonempty")
 
     def __contains__(self, ch: str) -> bool:
-        return ch in self.letters
+        return len(ch) == 1 and ch in self.letters
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -434,6 +434,8 @@ def schedule_from_text(text: str, name: str = "") -> FillingSchedule:
         from .gallery import gallery as named_gallery  # deferred: gallery imports words
 
         parts = lines[0][1:].split()
+        if not parts:
+            raise ToeplitzError("gallery reference %r names no entry" % lines[0])
         params = {}
         for p in parts[1:]:
             key, _, value = p.partition("=")

@@ -3,8 +3,11 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from toeplitz_lab import BINARY, code_from_text, schedule_from_text
 from toeplitz_lab.cli import main, to_jsonable
+from toeplitz_lab.errors import ToeplitzError
 
 
 def run(capsys, argv):
@@ -81,6 +84,12 @@ def test_level_zero_is_an_error(capsys):
     ["boundary", "ex4.3", "--depth", "0"],
     ["boundary", "ex4.3", "--depth", "3", "--resolution", "-1"],
     ["analyze", "ex4.3", "--depth", "x"],
+    ["eval", "ex5.7", "10", "--depth", "0"],
+    ["factor", "ex5.7", "--code", "ex5.7", "--depth", "0"],
+    ["pair", "ex5.7", "--shifts", "1", "2", "--depth", "-1"],
+    ["pair", "ex5.7", "--shifts", "1", "2", "--window-half", "-3"],
+    ["complexity", "ex5.7", "--depth", "0"],
+    ["gallery", "ex3.5", "--levels", "-1"],
 ])
 def test_bad_flag_value_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -98,6 +107,37 @@ def test_bad_flag_value_is_a_usage_error(argv, capsys):
 def test_unservable_request_is_an_error(argv, capsys):
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("text, argv", [
+    ("radius x\n", ["factor", "ex5.7", "--code", "{path}"]),
+    ("@\nab\n", ["build", "{path}"]),
+    # one period of 4 cannot be cut into a length-100 word
+    ("ab\naa?b\n", ["complexity", "{path}", "--mode", "decomposition", "--lengths", "100"]),
+])
+def test_bad_input_file_is_an_error(text, argv, tmp_path, capsys):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    assert main([a.replace("{path}", str(path)) for a in argv]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+_TOKENS = ("radius", "*", "#", "@", "=", " ", " ", "a", "b", "?", "x", "-", "0", "1", "3", "ab", "a?b", "aa?b",
+           "ex4.3", "williams", "ratios=", "letters=", "alphabet=", ",")
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(st.one_of(
+    st.text(max_size=40),
+    st.lists(st.lists(st.sampled_from(_TOKENS), max_size=6).map("".join), max_size=6).map("\n".join),
+    st.tuples(st.integers(-5, 10 ** 6), st.sampled_from(("", "* a\n", "aaa a\n"))).map("radius %d\n%s".__mod__),
+))
+def test_file_parsers_raise_only_typed_errors(text):
+    for parse in (schedule_from_text, lambda t: code_from_text(t, BINARY)):
+        try:
+            parse(text)
+        except ToeplitzError:
+            pass
 
 
 @pytest.mark.parametrize("name", ["ex4.3", "ex3.5"])
@@ -183,6 +223,14 @@ def test_gallery_params(capsys):
     assert rc == 0
     rep = json.loads(out)
     assert rep["results"]["scale"] == [5, 25]
+
+
+def test_window_half_zero_is_one_position(capsys):
+    rc, out = run(capsys, ["pair", "ex5.7", "--shifts", "38", "230", "--window-half", "0", "--format", "json"])
+    assert rc == 0
+    (census,) = json.loads(out)["results"]["report"]["censuses"]
+    assert census["window"] == [0, 0]
+    assert census["resolved_differences"] + census["unresolved"] <= 1
 
 
 def test_pair_report_carries_positions(capsys):

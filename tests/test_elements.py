@@ -1,4 +1,6 @@
 from toeplitz_lab import (
+    Alphabet,
+    FillingSchedule,
     Shift,
     ShiftLimit,
     branch_point,
@@ -11,6 +13,7 @@ from toeplitz_lab import (
     gallery,
     hole_tree,
     pair_report,
+    parse_seed,
     phi_prefix,
     proximal_shift_pair,
 )
@@ -157,7 +160,23 @@ def test_shift_limit_along_proximal_rule():
     s = gallery("ex5.7")
     rule = ShiftLimit(lambda k: proximal_shift_pair(k)[0], k_start=1, k_stop=8)
     # the rule's positions all resolve to the same letter once deep enough
-    assert eval_element(s, rule, 0, 8) == "b"
+    assert eval_element(s, rule, 0, 10) == "b"
     for l in range(3, 7):
         assert evaluate(s, proximal_shift_pair(l)[0], 8) == "b"
     assert phi_prefix(s, rule, 4).residues == (2, 6, 38, 102)
+
+
+def test_shift_limit_letter_is_not_withdrawn_deeper():
+    # the last three rule values read b, b, then a hole that level 2 resolves to a
+    ab = Alphabet("ab")
+    s = FillingSchedule(ab, [parse_seed(w, ab) for w in ("b?ab", "a?ab", "bb?b", "aaa")])
+    limit = ShiftLimit(lambda k: (23, 3, 3, 17)[k - 1], k_start=1, k_stop=5)
+    assert [evaluate(s, n, 1) for n in (23, 3, 17)] == ["b", "b", None]
+    assert evaluate(s, 17, 2) == "a"
+    for max_level in range(1, 5):
+        assert eval_element(s, limit, 0, max_level) is None
+    # the proximal rule's 7th value (shift 26214) is still a hole at depth 8
+    s57 = gallery("ex5.7")
+    rule = ShiftLimit(lambda k: proximal_shift_pair(k)[0], k_start=1, k_stop=8)
+    assert evaluate(s57, 26214, 8) is None
+    assert eval_element(s57, rule, 0, 8) is None

@@ -22,7 +22,7 @@ from toeplitz_lab import (
     parse_seed,
     unique_residue_search,
 )
-from toeplitz_lab.errors import NotIsolated, RadiusTooLarge, ToeplitzError
+from toeplitz_lab.errors import NotIsolated, ToeplitzError
 
 EX43_BRANCH = tuple((4 ** l - 1) // 3 for l in range(1, 9))
 
@@ -40,11 +40,6 @@ def test_apply_gallery_code_positions():
     out = apply_code(gallery_code("ex5.7"), s.pattern(4))
     a_positions = [j for j in range(16) if out.at(j) == "a"]
     assert a_positions == [1, 5]
-
-
-def test_radius_too_large():
-    with pytest.raises(RadiusTooLarge):
-        apply_code(SlidingBlockCode.from_fn(BINARY, 2, lambda w: "a"), gallery("ex5.7").pattern(1))
 
 
 def test_hole_output_soundness():
@@ -183,6 +178,10 @@ def test_marker_code_rejects_letters_outside_alphabet():
         MarkerCode(BINARY, 0, frozenset(["a"]), "a", "c")
     with pytest.raises(ToeplitzError):
         code_from_text("radius 0\nc a\na a\n* b\n", BINARY)
+    # an output is one letter, neither empty nor two letters
+    for text in ("radius 0\na\nb a\n", "radius 0\na ab\nb a\n", "radius 1\naaa\n* b\n"):
+        with pytest.raises(ToeplitzError):
+            code_from_text(text, BINARY)
 
 
 def test_factor_isolation_implies_source_isolation_on_separated_holes():

@@ -152,6 +152,41 @@ def test_apply_code_matches_brute_completion():
             assert image.at(j) == brute_apply(code, pat, j)
 
 
+@st.composite
+def short_period_cases(draw):
+    """A pattern of period at most 6 with a table code of radius <= 3 or a marker code of radius <= 4."""
+    symbols = draw(st.text(alphabet="ab?", min_size=1, max_size=6))
+    if draw(st.booleans()):
+        width = 2 * draw(st.integers(0, 3)) + 1
+        windows = ["".join(w) for w in product("ab", repeat=width)]
+        outputs = draw(st.lists(st.sampled_from("ab"), min_size=len(windows), max_size=len(windows)))
+        return tl.SlidingBlockCode(tl.BINARY, width // 2, dict(zip(windows, outputs))), tl.PeriodicPattern(symbols)
+    width = 2 * draw(st.integers(0, 4)) + 1
+    cyclic = symbols * (2 * width)
+    marked = set()
+    for start in draw(st.lists(st.integers(0, len(symbols) - 1), max_size=4)):
+        # mark windows the extension shows, with all or one of their completions
+        window = cyclic[start: start + width]
+        fills = list(product("ab", repeat=window.count("?")))
+        if len(fills) > 8 or draw(st.booleans()):
+            fills = fills[:1]
+        for fill in fills:
+            letters = iter(fill)
+            marked.add("".join(next(letters) if c == "?" else c for c in window))
+    return tl.MarkerCode(tl.BINARY, width // 2, frozenset(marked), "a", "b"), tl.PeriodicPattern(symbols)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(short_period_cases())
+@example((tl.SlidingBlockCode.from_fn(tl.BINARY, 2, lambda w: "a"), tl.PeriodicPattern("a??b")))
+def test_apply_code_on_periods_within_the_window_matches_brute_completion(case):
+    # a window wider than the period meets copies of the same hole class,
+    # which are distinct positions of the word and are completed independently
+    code, pat = case
+    image = tl.apply_code(code, pat)
+    assert image.symbols == "".join(brute_apply(code, pat, j) for j in range(pat.period))
+
+
 def test_sparse_factor_route_agrees_with_pattern_route():
     from toeplitz_lab.factors import _sparse_factor_residues
 
@@ -433,19 +468,54 @@ def test_shift_pair_censuses_match_per_position_loop(name, n1, n2, lo, width, le
         per_position_census(s, n1, n2, lo, lo + width, level)
 
 
+def shift_limit_pairs():
+    s57 = tl.gallery("ex5.7")
+    yield s57, tl.branch_rule(s57, random_branch(s57, 4, random.Random(3))), tl.Shift(5), 6
+    s35 = tl.gallery("ex3.5")
+    rng = random.Random(4)
+    for _ in range(3):
+        branch = random_branch(s35, 3, rng)
+        # at level 3 some rule values stay holes, so columns meet unresolved tails
+        yield s35, tl.branch_rule(s35, branch), tl.branch_rule(s35, branch, block_offset=1), 3
+
+
 def test_shift_limit_pair_censuses_match_eval_element():
-    s = tl.gallery("ex5.7")
-    limit = tl.branch_rule(s, random_branch(s, 4, random.Random(3)))
-    rep = tl.pair_report(s, limit, tl.Shift(5), 3, windows=[(-40, 40)], eval_level=6)
-    diffs, unresolved = [], 0
-    for j in range(-40, 41):
-        c1, c2 = tl.eval_element(s, limit, j, 6), tl.eval_element(s, tl.Shift(5), j, 6)
-        if c1 is None or c2 is None:
-            unresolved += 1
-        elif c1 != c2:
-            diffs.append(j)
-    (census,) = rep.censuses
-    assert (census.difference_positions, census.unresolved) == (tuple(diffs), unresolved)
+    unresolved_seen = 0
+    for s, e1, e2, level in shift_limit_pairs():
+        rep = tl.pair_report(s, e1, e2, 3, windows=[(-40, 40)], eval_level=level)
+        diffs, unresolved = [], 0
+        for j in range(-40, 41):
+            c1, c2 = tl.eval_element(s, e1, j, level), tl.eval_element(s, e2, j, level)
+            if c1 is None or c2 is None:
+                unresolved += 1
+            elif c1 != c2:
+                diffs.append(j)
+        (census,) = rep.censuses
+        assert (census.difference_positions, census.unresolved) == (tuple(diffs), unresolved)
+        unresolved_seen += unresolved
+    assert unresolved_seen
+
+
+def brute_settled(values):
+    """The settling rule by definition: some suffix of at least three values is one resolved value."""
+    for i in range(len(values) - 2):
+        suffix = values[i:]
+        if suffix[0] is not None and all(v == suffix[0] for v in suffix):
+            return suffix[0]
+    return None
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.one_of(st.lists(st.sampled_from((None, "a", "b")), max_size=10),
+                 st.lists(st.integers(0, 3), max_size=10)))
+@example([None, "a", "a", "a"])
+@example(["a", "a", "a", None])
+@example([0, 0, 0])
+def test_settled_value_matches_its_definition(values):
+    from toeplitz_lab.elements import settled_value
+
+    assert settled_value(values) == brute_settled(values)
+    assert settled_value(tuple(values)) == brute_settled(values)
 
 
 def per_hole_compose(outer, inner, anchor):
