@@ -75,6 +75,7 @@ from .factors import (
     code_to_text,
     factor_aperiodic_residues,
     factor_obstruction_check,
+    factor_residues,
     find_unique_residue_level,
     unique_residue_search,
 )

@@ -171,8 +171,7 @@ def _ex57_factor_aper() -> CheckResult:
     code = gallery_code("ex5.7")
     got = {}
     ok = True
-    for l in range(1, 5):
-        fr = factors.factor_aperiodic_residues(code, s, l, 7)
+    for l, fr in enumerate(factors.factor_residues(code, s, range(1, 5), 7), 1):
         got[l] = list(fr.nonperiodic)
         ok = ok and fr.nonperiodic == ((4 ** l - 1) // 3,)
     return CheckResult("ex5.7-factor-aper", ok, {"nonperiodic": got})
@@ -182,7 +181,7 @@ def _ex57_factor_aper() -> CheckResult:
 def _ex57_factor_fb() -> CheckResult:
     s = make_gallery("ex5.7")
     code = gallery_code("ex5.7")
-    counts = [len(factors.factor_aperiodic_residues(code, s, l, 7).nonperiodic) for l in range(1, 5)]
+    counts = [len(fr.nonperiodic) for fr in factors.factor_residues(code, s, range(1, 5), 7)]
     ok = all(c <= 1 for c in counts)
     kind = boundary.VerdictKind.CERTIFIED_STRUCTURALLY if ok else boundary.VerdictKind.UNKNOWN
     return CheckResult("ex5.7-factor-fb", ok, {"counts": counts, "verdict": kind, "declared_bound": 1})
@@ -299,13 +298,14 @@ def _ex43_isolating() -> CheckResult:
     if not (iso.kind == boundary.IsolationKind.CERTIFIED and cert.holds):
         return CheckResult("ex4.3-isolating-factor", False, {"iso": iso.kind, "search": cert.holds})
     code = factors.build_isolating_code(s, EX43_BRANCH, "a", l1=5, l2=5, certificate=iso)
+    # the chain and the period structure are both read off the one depth-7 image
+    fpat = factors.apply_code(code, s.pattern(7))
     chain_ok = True
     got = {}
     for l in range(1, 6):
-        fr = factors.factor_aperiodic_residues(code, s, l, 7)
+        fr = periodicity.classify_residues(fpat, s.period(l))
         got[l] = list(fr.nonperiodic)
         chain_ok = chain_ok and fr.nonperiodic == (EX43_BRANCH[l - 1],) and not fr.undetermined
-    fpat = factors.apply_code(code, s.pattern(7))
     struct = periodicity.verify_period_structure(
         fpat, [4 ** l for l in range(1, 6)], 7, coverage_window=(-200, 200)
     )
@@ -326,17 +326,22 @@ def _ex44_isolating() -> CheckResult:
     if not (iso.kind == boundary.IsolationKind.CERTIFIED and cert.holds):
         return CheckResult("ex4.4-isolating-factor", False, {"iso": iso.kind, "search": cert.holds})
     code = factors.build_isolating_code(s, chain, "a", l1=1, l2=cert.l2, certificate=iso)
+    # level l is read at depth l + 2; level 2's depth-4 image also gives the
+    # period structure below
+    fpat = factors.apply_code(code, s.pattern(4))
     chain_ok = True
     got = {}
     residues_by_level = {}
     for l in range(1, 6):
-        fr = factors.factor_aperiodic_residues(code, s, l, l + 2)
+        if l == 2:
+            fr = periodicity.classify_residues(fpat, s.period(l))
+        else:
+            fr = factors.factor_aperiodic_residues(code, s, l, l + 2)
         got[l] = list(fr.nonperiodic)
         residues_by_level[l] = fr
         chain_ok = chain_ok and fr.nonperiodic == (chain[l - 1],) and not fr.undetermined
     # essential periods reach every checked entry: explicit pattern route for
     # the small levels, the chain argument for the two large ones
-    fpat = factors.apply_code(code, s.pattern(4))
     struct = periodicity.verify_period_structure(
         fpat, [s.period(l) for l in (1, 2, 3)], 4, coverage_window=(-64, 64)
     )
@@ -401,8 +406,7 @@ def _ex57_random_codes() -> CheckResult:
         code = factors.SlidingBlockCode.from_fn(
             s.alphabet, radius, lambda w: rng.choice(s.alphabet.letters)
         )
-        for l in range(1, 5):
-            fr = factors.factor_aperiodic_residues(code, s, l, 6)
+        for l, fr in enumerate(factors.factor_residues(code, s, range(1, 5), 6), 1):
             count = len(fr.nonperiodic) + len(fr.undetermined)
             bound = (2 * radius + 1) * len(s.holes(l))
             worst = max(worst, count / bound)

@@ -223,8 +223,7 @@ def cmd_factor(args) -> dict:
     s = load_schedule(args.schedule)
     code = load_code(args.code, s.alphabet)
     residues = {}
-    for l in range(1, args.depth + 1):
-        fr = factors.factor_aperiodic_residues(code, s, l, args.depth + 2)
+    for l, fr in enumerate(factors.factor_residues(code, s, range(1, args.depth + 1), args.depth + 2), 1):
         residues[l] = {"nonperiodic": fr.nonperiodic, "undetermined": fr.undetermined}
     pullback = factors.boundary_pullback_check(code, s, args.depth)
     results = {

@@ -108,10 +108,10 @@ def factor_set_exact_single_hole(schedule: FillingSchedule, l: int, length: int)
         m = len(range(first, length, p))
         if m not in fill_cache:
             fill_cache[m] = tail_words(m)
-        for u in fill_cache[m][0]:
-            chars = list(piece)
-            chars[first::p] = u
-            words.add("".join(chars))
+        # the runs between the piece's holes are whole copies of ``block``
+        runs = piece.split(HOLE)
+        first_run, last_run = runs[0], (runs[-1] if m else "")
+        words.update([first_run + block.join(u) + last_run for u in fill_cache[m][0]])
     exact = all(flag for _, flag in fill_cache.values())
     return FactorSet(length, frozenset(words), exact, "decomposition@L%d" % l)
 

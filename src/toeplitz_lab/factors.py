@@ -135,7 +135,10 @@ def apply_code(code, pat: PeriodicPattern) -> PeriodicPattern:
     if isinstance(code, MarkerCode):
         image = _marker_image(code, doubled, p)
     else:
-        image = "".join([code_output(code, doubled[s: s + width]) for s in range(p)])
+        # a table code's output depends on the window text alone: look each distinct one up once
+        outputs: dict[str, str] = {}
+        windows = (doubled[s: s + width] for s in range(p))
+        image = "".join([outputs.get(w) or outputs.setdefault(w, code_output(code, w)) for w in windows])
     # the window centred on j starts at (j - J) mod p
     k = p - J % p
     return PeriodicPattern(image[k:] + image[:k], pat.alphabet)
@@ -180,21 +183,26 @@ class FactorResidues:
     undetermined: tuple[int, ...]
 
 
-def factor_aperiodic_residues(code, schedule: FillingSchedule, l: int, depth: int) -> FactorResidues:
-    """Classify the factor word modulo the level-``l`` period at a resolution depth.
+def factor_residues(code, schedule: FillingSchedule, levels, depth: int) -> list[FactorResidues]:
+    """Classify the factor word modulo each level period in ``levels`` at one resolution depth.
 
-    Uses the explicit factor pattern when the resolution level fits in
-    memory; otherwise falls back to the sparse strategy, which is exact
-    for candidates whose code windows meet few unresolved source classes.
+    Uses one explicit factor pattern for every level when the resolution
+    level fits in memory; otherwise falls back, level by level, to the
+    sparse strategy, which is exact for candidates whose code windows
+    meet few unresolved source classes.
     """
-    p = schedule.period(l)
     try:
         pat = schedule.pattern(min(depth, schedule.available_levels(depth)))
     except PatternTooLarge:
-        return _sparse_factor_residues(code, schedule, l, depth)
+        return [_sparse_factor_residues(code, schedule, l, depth) for l in levels]
     factor_pat = apply_code(code, pat)
-    classes = classify_residues(factor_pat, p)
-    return FactorResidues(p, classes.nonperiodic, classes.undetermined)
+    classes = [classify_residues(factor_pat, schedule.period(l)) for l in levels]
+    return [FactorResidues(c.modulus, c.nonperiodic, c.undetermined) for c in classes]
+
+
+def factor_aperiodic_residues(code, schedule: FillingSchedule, l: int, depth: int) -> FactorResidues:
+    """One level of :func:`factor_residues`: the factor word's residues modulo the level-``l`` period."""
+    return factor_residues(code, schedule, [l], depth)[0]
 
 
 def _sparse_factor_residues(code, schedule: FillingSchedule, l: int, depth: int) -> FactorResidues:
@@ -403,10 +411,9 @@ def boundary_pullback_check(code, schedule: FillingSchedule, depth: int) -> list
     """Every factor hole residue must sit within the code radius of a source hole."""
     J = code.radius
     reports = []
-    for l in range(1, depth + 1):
+    for l, res in enumerate(factor_residues(code, schedule, range(1, depth + 1), depth + 2), 1):
         p = schedule.period(l)
         source = set(schedule.holes(l))
-        res = factor_aperiodic_residues(code, schedule, l, depth + 2)
         uncovered = tuple(
             r
             for r in res.nonperiodic
@@ -432,11 +439,9 @@ def factor_obstruction_check(code, schedule: FillingSchedule, depth: int, l0: in
     for d in range(-J, J + 1):
         if d % p0 in source_holes:
             raise ToeplitzError("code radius not resolved at level %d" % l0)
-    out = []
-    for l in range(l0, depth + 1):
-        res = factor_aperiodic_residues(code, schedule, l, depth + 2)
-        out.append((l, len(res.nonperiodic) + len(res.undetermined)))
-    return out
+    levels = range(l0, depth + 1)
+    residues = factor_residues(code, schedule, levels, depth + 2)
+    return [(l, len(res.nonperiodic) + len(res.undetermined)) for l, res in zip(levels, residues)]
 
 
 # -- code table file format -------------------------------------------------
@@ -458,12 +463,16 @@ def code_from_text(text: str, alphabet: Alphabet):
     entries = {}
     default = None
     radius = None
+    seen = set()  # keys given so far: a repeated one would silently replace the first
     for ln in text.splitlines():
         ln = ln.strip()
         if not ln or ln.startswith("#"):
             continue
         key, _, value = ln.partition(" ")
         value = value.strip()
+        if key in seen:
+            raise ToeplitzError("code text gives %r twice" % key)
+        seen.add(key)
         if key == "radius":
             try:
                 radius = int(value)

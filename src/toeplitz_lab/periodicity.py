@@ -49,7 +49,11 @@ def classify_residues(pat: PeriodicPattern, p: int) -> ResidueClasses:
     g = gcd(p, pat.period)
     kinds = []  # per residue mod g: its letter, HOLE if undetermined, None if nonperiodic
     for r in range(g):
-        letters = set(pat.symbols[r::g])
+        cells = pat.symbols[r::g]
+        if cells.count(cells[0]) == len(cells):  # one letter, or all holes
+            kinds.append(cells[0])
+            continue
+        letters = set(cells)
         holey = HOLE in letters
         letters.discard(HOLE)
         kinds.append(None if len(letters) > 1 else HOLE if holey else letters.pop())

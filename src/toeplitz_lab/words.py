@@ -423,8 +423,9 @@ def schedule_from_text(text: str, name: str = "") -> FillingSchedule:
     """Parse the literal-seed schedule format.
 
     Line 1 is the alphabet; each further non-comment line is one seed
-    word.  ``#`` starts a comment.  Gallery references (lines starting
-    with ``@``) are resolved by the gallery module.
+    word.  ``#`` starts a comment.  A gallery reference (a line starting
+    with ``@``) is resolved by the gallery module and must be the only
+    non-comment line.
     """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -436,6 +437,8 @@ def schedule_from_text(text: str, name: str = "") -> FillingSchedule:
         parts = lines[0][1:].split()
         if not parts:
             raise ToeplitzError("gallery reference %r names no entry" % lines[0])
+        if len(lines) > 1:
+            raise ToeplitzError("gallery reference %r is followed by %d more lines" % (lines[0], len(lines) - 1))
         params = {}
         for p in parts[1:]:
             key, _, value = p.partition("=")

@@ -114,6 +114,9 @@ def test_unservable_request_is_an_error(argv, capsys):
     ("@\nab\n", ["build", "{path}"]),
     # one period of 4 cannot be cut into a length-100 word
     ("ab\naa?b\n", ["complexity", "{path}", "--mode", "decomposition", "--lengths", "100"]),
+    # a window given twice, and seeds after a gallery reference
+    ("radius 0\na a\na b\nb a\n", ["factor", "ex5.7", "--code", "{path}"]),
+    ("@ex4.3\nab\naa?b\n", ["build", "{path}"]),
 ])
 def test_bad_input_file_is_an_error(text, argv, tmp_path, capsys):
     path = tmp_path / "input.txt"

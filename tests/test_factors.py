@@ -184,6 +184,16 @@ def test_marker_code_rejects_letters_outside_alphabet():
             code_from_text(text, BINARY)
 
 
+@pytest.mark.parametrize("text", [
+    "radius 0\na a\na b\nb a\n",  # used to parse to the table {'a': 'b', 'b': 'a'}
+    "radius 0\nradius 1\na a\nb b\n",
+    "radius 0\na a\n* b\n* a\n",
+])
+def test_code_text_rejects_a_repeated_key(text):
+    with pytest.raises(ToeplitzError, match="twice"):
+        code_from_text(text, BINARY)
+
+
 def test_factor_isolation_implies_source_isolation_on_separated_holes():
     # with one hole per period the code sees at most one unresolved class,
     # so a single-chain factor can only arise from a source that already

@@ -9,9 +9,11 @@ import random
 from itertools import product
 from math import gcd
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import toeplitz_lab as tl
+from toeplitz_lab.errors import PatternTooLarge
 
 
 def naive_fill(seeds, lo, hi, margin=None):
@@ -556,3 +558,252 @@ def test_window_reads_build_no_pattern(monkeypatch):
         tl.fiber_block_contents(s, omega, 3, 5, 16),
         tl.pair_report(s, tl.Shift(38), tl.Shift(230), 3, windows=[(-64, 64)], eval_level=6),
     ) == expected
+
+
+# -- one image per depth, distinct windows once, words from runs -------------
+
+
+def per_level_image_classes(code, schedule, levels, depth):
+    """Each level's residues from its own image of the depth pattern, classified separately."""
+    out = []
+    for l in levels:
+        image = tl.apply_code(code, schedule.pattern(depth))
+        classes = tl.classify_residues(image, schedule.period(l))
+        out.append((classes.modulus, classes.nonperiodic, classes.undetermined))
+    return out
+
+
+def test_factor_residues_over_levels_match_per_level_images():
+    rng = random.Random(17)
+    marker = tl.MarkerCode(tl.BINARY, 1, frozenset(["aab", "bab", "abb"]), "a", "b")
+    for name, depth in (("ex5.7", 6), ("ex4.3", 5), ("ex3.5", 4), ("ex4.4-mini", 3)):
+        s = tl.gallery(name)
+        codes = [tl.SlidingBlockCode.from_fn(tl.BINARY, rng.choice((0, 1, 2)), lambda w: rng.choice("ab"))
+                 for _ in range(4)]
+        for code in codes + [marker]:
+            levels = range(1, depth + 1)
+            got = [(fr.modulus, fr.nonperiodic, fr.undetermined) for fr in tl.factor_residues(code, s, levels, depth)]
+            assert got == per_level_image_classes(code, tl.gallery(name), levels, depth)
+
+
+def test_factor_residues_past_the_cap_match_per_level_sparse_calls(monkeypatch):
+    from toeplitz_lab import words
+    from toeplitz_lab.factors import _sparse_factor_residues
+
+    rng = random.Random(23)
+    codes = [tl.SlidingBlockCode.from_fn(tl.BINARY, rng.choice((1, 2)), lambda w: rng.choice("ab"))
+             for _ in range(3)]
+    codes.append(tl.MarkerCode(tl.BINARY, 1, frozenset(["aab", "bab", "abb"]), "a", "b"))
+    # period 1024 at depth 5 is past this cap, while every level's hole list is not
+    monkeypatch.setattr(words, "PATTERN_CAP", 512)
+    for name in ("ex5.7", "ex4.3"):
+        with pytest.raises(PatternTooLarge):
+            tl.gallery(name).pattern(5)
+        for code in codes:
+            got = tl.factor_residues(code, tl.gallery(name), range(1, 5), 5)
+            assert got == [_sparse_factor_residues(code, tl.gallery(name), l, 5) for l in range(1, 5)]
+            assert got[2] == tl.factor_aperiodic_residues(code, tl.gallery(name), 3, 5)
+
+
+@st.composite
+def repetitive_patterns(draw):
+    """A table code and a pattern made of one short block repeated, with a few cells changed."""
+    radius = draw(st.integers(0, 2))
+    width = 2 * radius + 1
+    windows = ["".join(w) for w in product("ab", repeat=width)]
+    outputs = draw(st.lists(st.sampled_from("ab"), min_size=len(windows), max_size=len(windows)))
+    block = draw(st.text(alphabet="ab?", min_size=1, max_size=6))
+    cells = list(block * draw(st.integers(2, 12)))
+    for i in draw(st.lists(st.integers(0, len(cells) - 1), max_size=3)):
+        cells[i] = draw(st.sampled_from("ab?"))
+    return tl.SlidingBlockCode(tl.BINARY, radius, dict(zip(windows, outputs))), tl.PeriodicPattern("".join(cells))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(repetitive_patterns())
+def test_table_code_image_matches_per_window_code_output(case):
+    from toeplitz_lab.factors import code_output
+
+    code, pat = case
+    J = code.radius
+    expected = "".join(code_output(code, pat.window(j - J, j + J + 1)) for j in range(pat.period))
+    assert tl.apply_code(code, pat).symbols == expected
+
+
+def list_assembly_words(schedule, l, length):
+    """The exact single-hole subword set, each word assembled by list assignment.
+
+    The fill words of ``m`` holes come from the derived tail by the same
+    recursion: its letters for one hole, its own exact set for more.
+    """
+    p, (hole,) = schedule.period(l), schedule.holes(l)
+    block = tl.resolve_window(schedule, hole + 1, hole + p, l + 3)
+    tail = tl.derived_tail(schedule, l)
+
+    def fills(m):
+        if m <= 1:
+            letters = {c for k in range(1, tail.available_levels(8) + 1) for c in tail.seed(k).symbols}
+            return {""} if m == 0 else letters - {"?"}
+        k = next(k for k in range(1, 13) if tail.period(k) >= m)
+        return list_assembly_words(tail, k, m)
+
+    carrier = (block + "?") * (length // p + 2)
+    words = set()
+    for j in range(p):
+        piece = carrier[j: j + length]
+        first = p - 1 - j
+        for u in fills(len(range(first, length, p))):
+            chars = list(piece)
+            chars[first::p] = u
+            words.add("".join(chars))
+    return words
+
+
+def test_single_hole_words_match_list_assembly():
+    m = tl.gallery("ex4.4-mini")
+    p = m.period(1)
+    # up to 8 holes per word at level 1, and one or two at level 2
+    for length in (1, 3, p - 1, p, p + 1, 2 * p + 3, 5 * p, 8 * p - 1, 8 * p):
+        assert tl.factor_set_exact_single_hole(m, 1, length).words == list_assembly_words(m, 1, length)
+    for length in (p, m.period(2), m.period(2) + 5):
+        assert tl.factor_set_exact_single_hole(m, 2, length).words == list_assembly_words(m, 2, length)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(single_hole_cycles(), st.integers(1, 8), st.integers(0, 5))
+def test_single_hole_words_of_cycles_match_list_assembly(seeds, periods, extra):
+    s = tl.FillingSchedule(tl.BINARY, lambda l: tl.parse_seed(seeds[(l - 1) % len(seeds)]))
+    length = periods * s.period(1) - min(extra, s.period(1) - 1)
+    assert tl.factor_set_exact_single_hole(s, 1, length).words == list_assembly_words(s, 1, length)
+
+
+@st.composite
+def classed_patterns(draw):
+    """A pattern whose classes mod g are all holes, one letter, or mixed, with a modulus p."""
+    g = draw(st.integers(1, 6))
+    copies = draw(st.integers(1, 5))
+    columns = []
+    for _ in range(g):
+        kind = draw(st.sampled_from(("holes", "constant", "letter-and-holes", "mixed")))
+        letter = draw(st.sampled_from("abc"))
+        if kind == "holes":
+            column = "?" * copies
+        elif kind == "constant":
+            column = letter * copies
+        else:
+            alphabet = "?" + letter if kind == "letter-and-holes" else "abc?"
+            column = draw(st.text(alphabet=alphabet, min_size=copies, max_size=copies))
+        columns.append(column)
+    symbols = "".join(columns[r][k] for k in range(copies) for r in range(g))
+    return tl.PeriodicPattern(symbols, tl.Alphabet("abc")), g * draw(st.integers(1, 4))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(classed_patterns())
+@example((tl.PeriodicPattern("????"), 2))  # every class all holes
+@example((tl.PeriodicPattern("a?a?"), 2))  # a constant and an all-hole class
+@example((tl.PeriodicPattern("a??a"), 2))  # letter-and-hole classes
+@example((tl.PeriodicPattern("ab"), 3))  # one mixed class
+def test_classification_of_hole_and_constant_classes_matches_brute_force(case):
+    pat, p = case
+    assert classes_by_residue(tl.classify_residues(pat, p)) == brute_classify(pat, p)
+
+
+# -- hole-tree censuses and isolation verdicts from the simulated word ----------
+
+
+def naive_hole_tree(seeds, s, depth, resolution):
+    """Per level, the holes of the simulated level word with the letters their classes show deeper."""
+    word = naive_fill(seeds[:resolution], 0, s.period(resolution))
+    levels = []
+    for l in range(1, depth + 1):
+        p = s.period(l)
+        level_word = naive_fill(seeds[:l], 0, p)
+        levels.append({r: {word[j] for j in range(r, len(word), p)} - {"?"}
+                       for r in range(p) if level_word[r] == "?"})
+    return levels
+
+
+def naive_survivors(s, levels):
+    """Per level, the holes with a hole of the deepest level in their class."""
+    deepest = levels[-1]
+    return [{r for r in level if any(d % s.period(l) == r for d in deepest)}
+            for l, level in enumerate(levels, 1)]
+
+
+def naive_isolation(s, levels, branch, a, b):
+    """``isolated_value_pair`` by its definition, on the simulated hole tree."""
+    depth = len(levels)
+    settled = max(1, depth // 2)
+    survivors = naive_survivors(s, levels)
+
+    def carries(horizon):
+        return all({a, b} <= levels[d - 1][branch[d - 1]] for d in range(1, horizon + 1))
+
+    def rival(l1, horizon):
+        p = s.period(l1)
+        found = [(d, r) for d in range(l1, horizon + 1) for r in sorted(survivors[d - 1])
+                 if r % p == branch[l1 - 1] and r != branch[d - 1] and {a, b} <= levels[d - 1][r]]
+        return found[0] if found else None
+
+    for horizon in (depth, settled):
+        if carries(horizon):
+            for l1 in range(1, horizon):
+                if rival(l1, horizon) is None:
+                    return (tl.IsolationKind.CERTIFIED, l1, horizon)
+    if depth == 1 or any(rival(l1, depth) is None for l1 in range(1, depth)):
+        return (tl.IsolationKind.UNKNOWN, None, settled)
+    return (tl.IsolationKind.REFUTED, None, settled)
+
+
+@st.composite
+def tree_schedules(draw):
+    """Binary seeds with many holes, a tree depth below their count, and a random source for the branch."""
+    n = draw(st.integers(3, 5))
+    seeds = []
+    for _ in range(n):
+        length = draw(st.integers(3, 5))
+        mid = "".join(draw(st.lists(st.sampled_from("ab???"), min_size=length - 2, max_size=length - 2)))
+        seeds.append(draw(st.sampled_from("ab")) + mid + draw(st.sampled_from("ab")))
+    return seeds, draw(st.integers(2, n - 1)), draw(st.randoms(use_true_random=False))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(tree_schedules())
+def test_census_and_isolation_match_naive_fill(case):
+    seeds, depth, rng = case
+    s = tl.FillingSchedule(tl.BINARY, [tl.parse_seed(w) for w in seeds])
+    tree = tl.hole_tree(s, depth)
+    levels = naive_hole_tree(seeds, s, depth, tree.resolution_depth)
+    assert [set(tree.nodes(l)) for l in range(1, depth + 1)] == [set(level) for level in levels]
+    assert tl.pruned_branch_census(tree) == [len(level) for level in naive_survivors(s, levels)]
+    # a branch: a chain of holes, each in the class of the one above
+    branch = []
+    for l, level in enumerate(levels, 1):
+        below = sorted(r for r in level if l == 1 or r % s.period(l - 1) == branch[-1])
+        if not below:
+            return
+        branch.append(rng.choice(below))
+    got = tl.isolated_value_pair(tree, branch, "a", "b")
+    assert (got.kind, got.level, got.settled_depth) == naive_isolation(s, levels, branch, "a", "b")
+    if got.kind == tl.IsolationKind.REFUTED:
+        # the reported rival is one at the last cylinder level with room below
+        d, r = got.rival
+        assert r in naive_survivors(s, levels)[d - 1] and r != branch[d - 1]
+        assert r % s.period(depth - 1) == branch[depth - 2] and levels[d - 1][r] == {"a", "b"}
+
+
+def test_census_and_isolation_match_naive_fill_on_gallery_words():
+    # ex4.3 isolates its branches at depth 4; ex5.7 refutes isolation at depth 3
+    kinds = set()
+    for name, depth in (("ex4.3", 4), ("ex5.7", 3)):
+        s = tl.gallery(name)
+        tree = tl.hole_tree(s, depth)
+        seeds = [s.seed(l).symbols for l in range(1, tree.resolution_depth + 1)]
+        levels = naive_hole_tree(seeds, s, depth, tree.resolution_depth)
+        assert tl.pruned_branch_census(tree) == [len(level) for level in naive_survivors(s, levels)]
+        for branch in tree.branches():
+            got = tl.isolated_value_pair(tree, branch, "a", "b")
+            assert (got.kind, got.level, got.settled_depth) == naive_isolation(s, levels, branch, "a", "b")
+            kinds.add(got.kind)
+    assert kinds == {tl.IsolationKind.CERTIFIED, tl.IsolationKind.REFUTED}

@@ -16,7 +16,7 @@ from toeplitz_lab import (
     schedule_to_text,
 )
 from toeplitz_lab import words
-from toeplitz_lab.errors import AllHoles, EndsWithHole, NoHoles, PatternTooLarge, UnknownCharacter
+from toeplitz_lab.errors import AllHoles, EndsWithHole, NoHoles, PatternTooLarge, ToeplitzError, UnknownCharacter
 
 
 def test_parse_seed_examples():
@@ -149,6 +149,15 @@ def test_schedule_text_roundtrip(tmp_path):
     assert [back.seed(l).symbols for l in range(1, 5)] == [s.seed(l).symbols for l in range(1, 5)]
     ref = schedule_from_text("# gallery reference\n@ex5.7\n")
     assert ref.name == "ex5.7"
+
+
+def test_gallery_reference_must_stand_alone():
+    # the seeds after the reference used to be dropped without a word
+    with pytest.raises(ToeplitzError, match="followed by 2 more lines"):
+        schedule_from_text("@ex4.3\nab\naa?b\n")
+    with pytest.raises(ToeplitzError):
+        schedule_from_text("@ex4.3\n# comment\n@ex5.7\n")
+    assert schedule_from_text("@ex4.3\n# trailing comment\n\n").name == "ex4.3"
 
 
 def test_negative_positions_follow_periodic_extension():
