@@ -25,8 +25,10 @@ SCHEMA = "toeplitz-lab/1"
 
 
 def to_jsonable(obj):
+    if obj is None or type(obj) in (int, str, bool):
+        return obj
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {k: to_jsonable(v) for k, v in dataclasses.asdict(obj).items()}
+        return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, Enum):
         return obj.value
     if isinstance(obj, Fraction):
@@ -84,10 +86,18 @@ def _flat(v):
     return v
 
 
+def read_input(path: Path) -> str:
+    """An input file's text; a directory or an unreadable file is a ToeplitzError."""
+    try:
+        return path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ToeplitzError("cannot read %s: %s" % (path, exc)) from None
+
+
 def load_schedule(spec: str) -> words.FillingSchedule:
     path = Path(spec)
     if path.exists():
-        return words.schedule_from_text(path.read_text(), name=path.name)
+        return words.schedule_from_text(read_input(path), name=path.name)
     if spec in GALLERY_NAMES:
         return named_gallery(spec)
     raise ToeplitzError("no such schedule file or gallery entry: %r" % spec)
@@ -96,7 +106,7 @@ def load_schedule(spec: str) -> words.FillingSchedule:
 def load_code(spec: str, alphabet):
     path = Path(spec)
     if path.exists():
-        return factors.code_from_text(path.read_text(), alphabet)
+        return factors.code_from_text(read_input(path), alphabet)
     return gallery_code(spec)
 
 
@@ -222,14 +232,11 @@ def cmd_boundary(args) -> dict:
 def cmd_factor(args) -> dict:
     s = load_schedule(args.schedule)
     code = load_code(args.code, s.alphabet)
-    residues = {}
-    for l, fr in enumerate(factors.factor_residues(code, s, range(1, args.depth + 1), args.depth + 2), 1):
-        residues[l] = {"nonperiodic": fr.nonperiodic, "undetermined": fr.undetermined}
-    pullback = factors.boundary_pullback_check(code, s, args.depth)
+    res = factors.factor_residues(code, s, range(1, args.depth + 1), args.depth + 2)
     results = {
         "radius": code.radius,
-        "residues": residues,
-        "pullback_holds": all(r.holds for r in pullback),
+        "residues": {l: {"nonperiodic": r.nonperiodic, "undetermined": r.undetermined} for l, r in enumerate(res, 1)},
+        "pullback_holds": all(r.holds for r in factors.pullback_reports(code, s, res)),
     }
     return report("factor", {"schedule": args.schedule, "code": args.code, "depth": args.depth}, results)
 

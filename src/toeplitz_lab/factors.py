@@ -409,9 +409,14 @@ class PullbackReport:
 
 def boundary_pullback_check(code, schedule: FillingSchedule, depth: int) -> list[PullbackReport]:
     """Every factor hole residue must sit within the code radius of a source hole."""
+    return pullback_reports(code, schedule, factor_residues(code, schedule, range(1, depth + 1), depth + 2))
+
+
+def pullback_reports(code, schedule: FillingSchedule, residues) -> list[PullbackReport]:
+    """:func:`boundary_pullback_check` read off ``residues``, the factor residues of levels 1, 2, ..."""
     J = code.radius
     reports = []
-    for l, res in enumerate(factor_residues(code, schedule, range(1, depth + 1), depth + 2), 1):
+    for l, res in enumerate(residues, 1):
         p = schedule.period(l)
         source = set(schedule.holes(l))
         uncovered = tuple(

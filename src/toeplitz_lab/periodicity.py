@@ -207,7 +207,10 @@ def verify_period_structure(
     smaller candidate periods; when every entry of the scale is a power
     of one prime q, only powers of q can yield an equal Per set (every
     resolved position has a q-power minimal period), so the scan is
-    reduced accordingly.
+    reduced accordingly.  The classes mod p are read off those mod g = gcd(p, period),
+    and a class mod g meets one mod ``p_l`` exactly when they agree mod gcd(g, p_l)
+    (Chinese remainder theorem), so every candidate gets the verdict of its g,
+    worked out once per g; a ``_per_witness`` for p is only its fast path.
     """
     scale = tuple(scale)
     if any(b % a for a, b in zip(scale, scale[1:])):
@@ -232,13 +235,15 @@ def verify_period_structure(
             candidates.insert(0, 1)
         else:
             candidates = range(1, p_l)
+        differs: dict[int, bool] = {}  # gcd(p, period) -> whether Per(p) provably differs from Per(p_l)
         unresolved = []
         for p in candidates:
-            if _per_witness(pat, p, large.periodic):
-                continue
-            if _per_sets_differ(classify_residues(pat, p), large) is True:
-                continue
-            unresolved.append(p)
+            g = gcd(p, pat.period)
+            if g not in differs:
+                differs[g] = _per_witness(pat, p, large.periodic) or (
+                    _per_sets_differ(classify_residues(pat, g), large) is True)
+            if not differs[g]:
+                unresolved.append(p)
         reports.append(EssentialityReport(p_l, certified=not unresolved, unresolved_periods=tuple(unresolved)))
 
     if coverage_window is None:

@@ -239,7 +239,7 @@ class FillingSchedule:
         self.name = name
         self._seeds: dict[int, SeedWord] = {}
         self._infos: dict[int, _LevelInfo] = {}
-        self._walk: dict[int, tuple[str, int, int, tuple[int, ...]]] = {}
+        self._walk: dict[int, tuple[str, int, tuple[int, ...]]] = {}
         self._patterns: dict[int, PeriodicPattern] = {}
 
     # -- seeds -----------------------------------------------------------
@@ -260,13 +260,16 @@ class FillingSchedule:
     def available_levels(self, cap: int = 64) -> int:
         return cap if self.max_levels is None else min(cap, self.max_levels)
 
-    def _walk_step(self, l: int) -> tuple[str, int, int, tuple[int, ...]]:
-        """Seed ``l``'s symbols, offset and length, and its holes shifted by the offset, sorted."""
+    def _walk_step(self, l: int) -> tuple[str, int, tuple[int, ...]]:
+        """Seed ``l`` rotated by its offset (letter i is seed letter (i - offset) mod q, the one
+        hole i of the level above receives), its length q, and its holes, which come out sorted."""
         step = self._walk.get(l)
         if step is None:
-            w, off = self.seed(l), self.offset(l)
+            w = self.seed(l).symbols
             q = len(w)
-            step = (w.symbols, off, q, tuple(sorted((h + off) % q for h in w.holes)))
+            shift = -self.offset(l) % q
+            rotated = w[shift:] + w[:shift]
+            step = (rotated, q, hole_positions(rotated))
             self._walk[l] = step
         return step
 
@@ -302,14 +305,15 @@ class FillingSchedule:
                 )
         for k in range(first, l + 1):
             if k == 1:
-                _, _, q, holes = self._walk_step(1)
+                _, q, holes = self._walk_step(1)
                 info = _LevelInfo(q, holes, 0)
             elif not self._infos[k - 1].holes:
                 # fully periodic already; deeper levels change nothing
                 info = _LevelInfo(self._infos[k - 1].period, (), 0)
             else:
                 prev = self._infos[k - 1]
-                _, off, q, rot = self._walk_step(k)
+                _, q, rot = self._walk_step(k)
+                off = self.offset(k)
                 h, p = len(prev.holes), prev.period
                 n = h * q // gcd(h, q)
                 # hole i of the previous level (repeated n // h times) stays a
@@ -338,9 +342,7 @@ class FillingSchedule:
             raise PatternTooLarge(
                 "level %d has period %d, beyond the explicit-pattern cap" % (l, info.period)
             )
-        w = self.seed(1)
-        shift = -self.offset(1) % len(w)
-        pat = PeriodicPattern(w.symbols[shift:] + w.symbols[:shift], self.alphabet)
+        pat = PeriodicPattern(self._walk_step(1)[0], self.alphabet)
         for k in range(2, l + 1):
             if not pat.holes:
                 break
@@ -363,8 +365,8 @@ def evaluate(schedule: FillingSchedule, j: int, max_level: int) -> str | None:
     steps = schedule._walk
     pos = j
     for l in range(1, levels + 1):
-        symbols, off, q, rot = steps.get(l) or schedule._walk_step(l)
-        c = symbols[(pos - off) % q]
+        rotated, q, rot = steps.get(l) or schedule._walk_step(l)
+        c = rotated[pos % q]
         if c != HOLE:
             return c
         pos = (pos // q) * len(rot) + bisect_left(rot, pos % q)
@@ -388,8 +390,8 @@ def resolve_window(schedule: FillingSchedule, start: int, stop: int, max_level: 
     texts = []
     lo, n = start, stop - start
     for l in range(1, schedule.available_levels(max_level) + 1):
-        symbols, off, q, rot = steps.get(l) or schedule._walk_step(l)
-        text = _periodic_slice(symbols, (lo - off) % q, n)
+        rotated, q, rot = steps.get(l) or schedule._walk_step(l)
+        text = _periodic_slice(rotated, lo % q, n)
         texts.append(text)
         n = text.count(HOLE)
         if not n:

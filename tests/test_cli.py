@@ -1,5 +1,7 @@
 import hashlib
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from toeplitz_lab import BINARY, code_from_text, schedule_from_text
 from toeplitz_lab.cli import main, to_jsonable
 from toeplitz_lab.errors import ToeplitzError
+from toeplitz_lab.gallery import GALLERY_NAMES
 
 
 def run(capsys, argv):
@@ -123,6 +126,18 @@ def test_bad_input_file_is_an_error(text, argv, tmp_path, capsys):
     path.write_text(text)
     assert main([a.replace("{path}", str(path)) for a in argv]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "{dir}"],
+    ["factor", "ex5.7", "--code", "{dir}"],
+    ["build", "{dir}/latin1.txt"],
+    ["factor", "ex5.7", "--code", "{dir}/latin1.txt"],
+])
+def test_unreadable_input_file_is_an_error(argv, tmp_path, capsys):
+    (tmp_path / "latin1.txt").write_bytes("ab\na?\xe9b\n".encode("latin-1"))
+    assert main([a.replace("{dir}", str(tmp_path)) for a in argv]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot read ")
 
 
 _TOKENS = ("radius", "*", "#", "@", "=", " ", " ", "a", "b", "?", "x", "-", "0", "1", "3", "ab", "a?b", "aa?b",
@@ -242,3 +257,83 @@ def test_pair_report_carries_positions(capsys):
     pos = rep["results"]["positions"]
     assert pos["first"] == [38 % 4, 38 % 16, 38 % 64]
     assert pos["scale"] == [4, 16, 64]
+
+
+def test_factor_builds_one_image(monkeypatch, capsys):
+    from toeplitz_lab import factors, gallery, gallery_code
+
+    calls = []
+    apply_code = factors.apply_code
+    monkeypatch.setattr(factors, "apply_code", lambda *a: calls.append(a) or apply_code(*a))
+    rc, out = run(capsys, ["factor", "ex5.7", "--code", "ex5.7", "--depth", "4", "--format", "json"])
+    assert rc == 0 and len(calls) == 1
+    s, code = gallery("ex5.7"), gallery_code("ex5.7")
+    residues = factors.factor_residues(code, s, range(1, 5), 6)
+    assert json.loads(out)["results"] == {
+        "radius": 1,
+        "residues": {str(l): {"nonperiodic": list(fr.nonperiodic), "undetermined": list(fr.undetermined)}
+                     for l, fr in enumerate(residues, 1)},
+        "pullback_holds": all(r.holds for r in factors.boundary_pullback_check(code, s, 4)),
+    }
+    assert json.loads(out)["results"]["pullback_holds"] is True
+
+
+_SMALL = st.integers(-3, 6).map(str)
+# every flag of each subcommand, with values of the kind it takes
+_FLAG_VALUES = {
+    "--level": _SMALL, "--depth": _SMALL, "--resolution": _SMALL, "--window-half": _SMALL, "--levels": _SMALL,
+    "--window": st.tuples(_SMALL, _SMALL).map(":".join),
+    "--lengths": st.lists(_SMALL, min_size=1, max_size=3).map(",".join),
+    "--shifts": st.tuples(_SMALL, _SMALL).map(" ".join),
+    "--mode": st.sampled_from(("window", "decomposition")),
+    "--format": st.sampled_from(("json", "text", "csv")),
+    "--code": st.sampled_from(GALLERY_NAMES),
+    "--param": st.sampled_from(("ratio=5", "ratios=4,6", "letters=ba", "alphabet=abc", "ratio=x", "=")),
+}
+_FLAGS = {
+    "build": ("--level", "--window", "--format"),
+    "eval": ("--depth", "--format"),
+    "analyze": ("--depth", "--format"),
+    "boundary": ("--depth", "--resolution", "--format"),
+    "factor": ("--code", "--depth", "--format"),
+    "pair": ("--shifts", "--depth", "--window-half", "--format"),
+    "complexity": ("--lengths", "--mode", "--depth", "--format"),
+    "gallery": ("--levels", "--param", "--format"),
+    "verify": ("--format",),
+}
+# anything else: gallery names, short junk (a lone "." names a directory), and help
+_JUNK = st.sampled_from(GALLERY_NAMES + ("-h",)) | st.text(alphabet="ab?:,=.-@x", max_size=5)
+
+
+@st.composite
+def cli_argv(draw, command):
+    """The positionals, then flags mostly with a value of their kind, sometimes with junk, and stray tokens."""
+    argv = [command]
+    if command == "verify":  # always name a check: all 25 take half a second
+        argv.append(draw(st.sampled_from(("sec2.2-compose", "ex4.3-level2-pattern")) | _JUNK))
+    elif command != "gallery":
+        argv.append(draw(st.sampled_from(GALLERY_NAMES) | _JUNK))
+    if command == "eval":
+        argv.append(draw(_SMALL | _JUNK))
+    flag = st.sampled_from(_FLAGS[command])
+    fitting = flag.flatmap(lambda f: _FLAG_VALUES[f].map(lambda v: [f] + v.split(" ")))
+    # twice, so that half the flags get a value of their kind
+    chunk = st.one_of(fitting, fitting, st.tuples(flag, _JUNK).map(list), _JUNK.map(lambda v: [v]))
+    for tokens in draw(st.lists(chunk, max_size=4)):
+        argv += tokens
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(_FLAGS))
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_cli_arguments_end_in_an_exit_code(command, data):
+    argv = data.draw(cli_argv(command))
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()

@@ -5,6 +5,7 @@ with the implementations they check: the filler below literally walks
 positions in order and drops seed letters into holes one by one.
 """
 
+import dataclasses
 import random
 from itertools import product
 from math import gcd
@@ -807,3 +808,202 @@ def test_census_and_isolation_match_naive_fill_on_gallery_words():
             assert (got.kind, got.level, got.settled_depth) == naive_isolation(s, levels, branch, "a", "b")
             kinds.add(got.kind)
     assert kinds == {tl.IsolationKind.CERTIFIED, tl.IsolationKind.REFUTED}
+
+
+# -- essentiality once per gcd class, reports without deep copies ------------
+
+
+def per_candidate_unresolved(pat, scale):
+    """Each scale entry's unresolved candidates, every candidate period judged on its own."""
+    from toeplitz_lab.periodicity import _per_sets_differ, _per_witness, prime_exponents
+
+    primes = {q for s in scale for q in prime_exponents(s)}
+    out = []
+    for p_l in scale:
+        large = tl.classify_residues(pat, p_l)
+        if len(primes) == 1:
+            (q,) = primes
+            candidates = [1] + [q ** e for e in range(1, p_l.bit_length()) if q ** e < p_l]
+        else:
+            candidates = range(1, p_l)
+        unresolved = []
+        for p in candidates:
+            if _per_witness(pat, p, large.periodic):
+                continue
+            if _per_sets_differ(tl.classify_residues(pat, p), large) is True:
+                continue
+            unresolved.append(p)
+        out.append(tuple(unresolved))
+    return out
+
+
+@st.composite
+def period_structure_cases(draw):
+    """A pattern over abc? of one short block repeated, a few cells changed, and a divisible scale up to 600."""
+    block = draw(st.text(alphabet="abc?", min_size=1, max_size=8))
+    cells = list(block * draw(st.integers(1, 90)))
+    for i in draw(st.lists(st.integers(0, len(cells) - 1), max_size=3)):
+        cells[i] = draw(st.sampled_from("abc?"))
+    if draw(st.booleans()):  # powers of one prime
+        q = draw(st.sampled_from((2, 3, 5)))
+        top = {2: 9, 3: 5, 5: 3}[q]
+        scale = [q ** e for e in sorted(draw(st.sets(st.integers(1, top), min_size=1, max_size=4)))]
+    else:  # mixed: the first entry often a multiple of the block, so some classes are periodic
+        scale = [draw(st.sampled_from((len(block), 2 * len(block))) | st.integers(1, 12))]
+        for factor in draw(st.lists(st.integers(2, 6), max_size=3)):
+            if scale[-1] * factor > 600:
+                break
+            scale.append(scale[-1] * factor)
+    return "".join(cells), scale
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(period_structure_cases())
+@example(("a" * 520 + "b", [6, 30, 210]))  # period 521 is prime, so the 256-step witness cap binds
+@example(("ab?" * 100, [4, 12, 36]))  # 4 does not divide the period 300
+@example(("abcab?" * 60, [2, 8, 32, 128, 512]))  # prime-power scale, 512 does not divide 360
+@example(("abac" * 70 + "c", [5, 20, 100, 300]))  # mixed scale, period 281 is prime
+def test_period_structure_matches_per_candidate_loop(case):
+    symbols, scale = case
+    pat = tl.PeriodicPattern(symbols, tl.Alphabet("abc"))
+    cert = tl.verify_period_structure(pat, scale, 1)
+    expected = per_candidate_unresolved(pat, scale)
+    assert [e.unresolved_periods for e in cert.essentiality] == expected
+    assert [e.certified for e in cert.essentiality] == [not u for u in expected]
+
+
+def asdict_jsonable(obj):
+    """The report conversion through ``dataclasses.asdict``, which copies each dataclass deeply first."""
+    from enum import Enum
+    from fractions import Fraction
+
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {k: asdict_jsonable(v) for k, v in dataclasses.asdict(obj).items()}
+    if isinstance(obj, Enum):
+        return obj.value
+    if isinstance(obj, Fraction):
+        return {"numerator": obj.numerator, "denominator": obj.denominator}
+    if isinstance(obj, dict):
+        return {str(k): asdict_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        return [asdict_jsonable(v) for v in obj]
+    if isinstance(obj, float) and obj == float("inf"):
+        return "inf"
+    return obj
+
+
+def test_cli_reports_match_asdict_conversion(monkeypatch):
+    import io
+    from contextlib import redirect_stdout
+
+    from toeplitz_lab import cli
+
+    converted, kinds = [], set()
+    original = cli.report
+
+    def recorder(command, params, results):
+        dataclass_kinds(results)
+        # asdict_jsonable first: if the tested conversion mutated its input, the comparison would see it
+        converted.append((asdict_jsonable(params), asdict_jsonable(results), cli.to_jsonable(params),
+                          cli.to_jsonable(results)))
+        return original(command, params, results)
+
+    def dataclass_kinds(obj):
+        if dataclasses.is_dataclass(obj):
+            kinds.add(type(obj).__name__)
+            for f in dataclasses.fields(obj):
+                dataclass_kinds(getattr(obj, f.name))
+        elif isinstance(obj, dict):
+            for v in obj.values():
+                dataclass_kinds(v)
+        elif isinstance(obj, (list, tuple)):
+            for v in obj:
+                dataclass_kinds(v)
+
+    monkeypatch.setattr(cli, "report", recorder)
+    for argv in (
+        ["analyze", "ex3.5", "--depth", "3"],
+        ["analyze", "ex4.3", "--depth", "4"],
+        ["boundary", "ex4.3", "--depth", "4", "--resolution", "6"],
+        ["factor", "ex5.7", "--code", "ex5.7", "--depth", "3"],
+        ["pair", "ex5.7", "--shifts", "38", "230", "--depth", "3"],
+        ["complexity", "ex4.4-mini", "--lengths", "4,8", "--mode", "decomposition"],
+        ["complexity", "ex5.7", "--lengths", "4,8"],
+        ["build", "ex4.3", "--level", "3"],
+        ["eval", "ex4.3", "5"],
+        ["gallery", "williams", "--param", "ratios=4,6"],
+        ["gallery"],
+        ["verify", "ex3.5-oxtoby-certified", "ex5.7-factor-aper", "sec2.2-compose"],
+    ):
+        with redirect_stdout(io.StringIO()):
+            assert cli.main(argv + ["--format", "json"]) == 0, argv
+    # every result dataclass the commands above emit
+    assert kinds == {"PeriodStructureCertificate", "EssentialityReport", "Verdict", "PairReport",
+                     "WindowCensus", "ProfileEntry"}
+    for old_params, old_results, params, results in converted:
+        assert (params, results) == (old_params, old_results)
+
+
+@dataclasses.dataclass(frozen=True)
+class Box:
+    value: object
+    items: tuple = ()
+
+
+def jsonable_values():
+    from fractions import Fraction
+
+    from toeplitz_lab.periodicity import EssentialityReport, OxtobyKind
+
+    scalars = (st.none() | st.booleans() | st.integers(-10 ** 20, 10 ** 20) | st.text(max_size=4)
+               | st.fractions() | st.sampled_from(list(OxtobyKind)) | st.floats(allow_nan=False)
+               | st.just(float("inf")) | st.just(Fraction(3, 1)))
+    reports = st.builds(EssentialityReport, st.integers(1, 50), st.booleans(),
+                        st.lists(st.integers(1, 50)).map(tuple))
+    return st.recursive(
+        scalars | reports,
+        lambda inner: (
+            st.lists(inner, max_size=4)
+            | st.lists(inner, max_size=4).map(tuple)
+            | st.sets(st.integers(-50, 50), max_size=6)
+            | st.frozensets(st.text(max_size=3), max_size=4)
+            | st.dictionaries(st.integers(-5, 5), inner, max_size=4)
+            | st.dictionaries(st.text(max_size=3), inner, max_size=4)
+            | st.builds(Box, inner, st.lists(inner, max_size=3).map(tuple))
+        ),
+        max_leaves=20,
+    )
+
+
+def assert_same_conversion(value, got, want):
+    """``got == want`` for the conversions of ``value``, except that a set's elements may come in any order.
+
+    A set iterates in an order that depends on how it was built, and the
+    ``asdict`` copy is built anew: ``{37, 5}`` can list as [37, 5] while
+    its copy lists as [5, 37].
+    """
+    if dataclasses.is_dataclass(value):
+        assert list(got) == list(want) == [f.name for f in dataclasses.fields(value)]
+        for f in dataclasses.fields(value):
+            assert_same_conversion(getattr(value, f.name), got[f.name], want[f.name])
+    elif isinstance(value, (set, frozenset)):
+        assert isinstance(got, list) and sorted(got, key=repr) == sorted(want, key=repr)
+    elif isinstance(value, dict):
+        assert list(got) == list(want) == [str(k) for k in value]
+        for k, v in value.items():
+            assert_same_conversion(v, got[str(k)], want[str(k)])
+    elif isinstance(value, (list, tuple)):
+        assert isinstance(got, list) and len(got) == len(want) == len(value)
+        for v, g, w in zip(value, got, want):
+            assert_same_conversion(v, g, w)
+    else:
+        assert got == want
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(jsonable_values())
+@example(Box({37, 5}))
+def test_to_jsonable_matches_asdict_conversion(value):
+    from toeplitz_lab.cli import to_jsonable
+
+    assert_same_conversion(value, to_jsonable(value), asdict_jsonable(value))
