@@ -68,7 +68,7 @@ def hole_tree(schedule: FillingSchedule, depth: int, resolution_depth: int | Non
         resolution_depth = depth + 2
     if resolution_depth < depth:
         raise ToeplitzError("resolution depth %d is below the tree depth %d" % (resolution_depth, depth))
-    resolution_depth = min(resolution_depth, schedule.available_levels(resolution_depth))
+    resolution_depth = schedule.available_levels(resolution_depth)
     from .words import PATTERN_CAP
 
     while resolution_depth > depth and schedule.period(resolution_depth) > PATTERN_CAP:

@@ -269,24 +269,20 @@ def _ex35_pairs() -> CheckResult:
     return CheckResult("ex3.5-pair-census", ok, {"max_differences": worst, "total": total})
 
 
-@check("ex3.5-no-isolation-witnesses")
-def _ex35_witnesses() -> CheckResult:
-    s = make_gallery("ex3.5")
-    wits = boundary.oxtoby_no_isolation_check(s, 3)
-    covered = {(w.level, w.residue) for w in wits}
-    wanted = {(l, r) for l in (1, 2, 3) for r in s.holes(l)}
-    ok = covered == wanted
-    return CheckResult("ex3.5-no-isolation-witnesses", ok, {"witnesses": len(wits)})
+def _no_isolation_witnesses(name: str) -> None:
+    check_id = "%s-no-isolation-witnesses" % name
+
+    @check(check_id)
+    def run() -> CheckResult:
+        s = make_gallery(name)
+        wits = boundary.oxtoby_no_isolation_check(s, 3)
+        covered = {(w.level, w.residue) for w in wits}
+        wanted = {(l, r) for l in (1, 2, 3) for r in s.holes(l)}
+        return CheckResult(check_id, covered == wanted, {"witnesses": len(wits)})
 
 
-@check("ex5.7-no-isolation-witnesses")
-def _ex57_witnesses() -> CheckResult:
-    s = make_gallery("ex5.7")
-    wits = boundary.oxtoby_no_isolation_check(s, 3)
-    covered = {(w.level, w.residue) for w in wits}
-    wanted = {(l, r) for l in (1, 2, 3) for r in s.holes(l)}
-    ok = covered == wanted
-    return CheckResult("ex5.7-no-isolation-witnesses", ok, {"witnesses": len(wits)})
+_no_isolation_witnesses("ex3.5")
+_no_isolation_witnesses("ex5.7")
 
 
 @check("ex4.3-isolating-factor")
@@ -381,18 +377,19 @@ def _chain_scale_essentiality(code, schedule, chain, levels, residues_by_level) 
     return True
 
 
-@check("ex4.3-unique-residue")
-def _ex43_unique() -> CheckResult:
-    s = make_gallery("ex4.3")
-    cert = factors.unique_residue_search(s, 5, 5, (0, 2 * s.period(6)))
-    return CheckResult("ex4.3-unique-residue", cert.holds, {"l2": cert.l2, "window": list(cert.window)})
+def _unique_residue(name: str, level: int) -> None:
+    """The level-``level`` residue search, over two periods of the next level."""
+    check_id = "%s-unique-residue" % name
+
+    @check(check_id)
+    def run() -> CheckResult:
+        s = make_gallery(name)
+        cert = factors.unique_residue_search(s, level, level, (0, 2 * s.period(level + 1)))
+        return CheckResult(check_id, cert.holds, {"l2": cert.l2, "window": list(cert.window)})
 
 
-@check("ex4.4-unique-residue")
-def _ex44_unique() -> CheckResult:
-    s = make_gallery("ex4.4")
-    cert = factors.unique_residue_search(s, 1, 1, (0, 2 * s.period(2)))
-    return CheckResult("ex4.4-unique-residue", cert.holds, {"l2": cert.l2, "window": list(cert.window)})
+_unique_residue("ex4.3", 5)
+_unique_residue("ex4.4", 1)
 
 
 @check("ex5.7-factor-hole-bound")

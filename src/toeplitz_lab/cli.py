@@ -330,7 +330,8 @@ def main(argv=None) -> int:
     p = sub.add_parser("build", help="compose seeds into a level pattern")
     p.add_argument("schedule")
     p.add_argument("--level", type=int, default=2)
-    p.add_argument("--window", type=parse_window, help="lo:hi positions to display")
+    p.add_argument("--window", type=parse_window,
+                   help="lo:hi positions to display; write a negative start as --window=-3:6")
     add_common(p)
 
     p = sub.add_parser("eval", help="letter at one position")

@@ -124,17 +124,20 @@ class ProfileEntry:
     ratio: Fraction
 
 
-def complexity_profile(schedule: FillingSchedule, lengths, mode: str, **kwargs) -> list[ProfileEntry]:
-    """Per-length subword counts with exactness flags and count/length ratios."""
+def complexity_profile(schedule: FillingSchedule, lengths, mode: str, max_level: int = 6) -> list[ProfileEntry]:
+    """Per-length subword counts with exactness flags and count/length ratios.
+
+    Window mode scans ``[0, max(4L, 64))`` resolved at ``max_level``;
+    decomposition mode uses the first single-hole level whose period
+    reaches L.
+    """
     if mode not in ("window", "decomposition"):
         raise ValueError("mode must be 'window' or 'decomposition'")
     out = []
     for L in lengths:
         if mode == "window":
-            window = kwargs.get("window", (0, max(4 * L, 64)))
-            fs = factor_set_window(schedule, L, window, kwargs.get("max_level", 6))
+            fs = factor_set_window(schedule, L, (0, max(4 * L, 64)), max_level)
         else:
-            level = kwargs.get("level") or _single_hole_level_for(schedule, L)
-            fs = factor_set_exact_single_hole(schedule, level, L)
+            fs = factor_set_exact_single_hole(schedule, _single_hole_level_for(schedule, L), L)
         out.append(ProfileEntry(L, fs.count, fs.exact, Fraction(fs.count, L)))
     return out

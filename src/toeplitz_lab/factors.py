@@ -192,7 +192,7 @@ def factor_residues(code, schedule: FillingSchedule, levels, depth: int) -> list
     meet few unresolved source classes.
     """
     try:
-        pat = schedule.pattern(min(depth, schedule.available_levels(depth)))
+        pat = schedule.pattern(schedule.available_levels(depth))
     except PatternTooLarge:
         return [_sparse_factor_residues(code, schedule, l, depth) for l in levels]
     factor_pat = apply_code(code, pat)
@@ -309,7 +309,7 @@ def find_unique_residue_level(
     last = None
     for l2 in range(l1, max_l2 + 1):
         try:
-            span = 2 * schedule.period(min(l2 + 1, schedule.available_levels(l2 + 1)))
+            span = 2 * schedule.period(schedule.available_levels(l2 + 1))
             cert = unique_residue_search(schedule, l1, l2, (0, span))
         except (UnresolvedWindow, PatternTooLarge):
             continue
@@ -364,7 +364,7 @@ def build_isolating_code(
 
     marked: set[str] = set()
     saturated = False
-    span = max(1, (3 * schedule.period(min(l2 + 1, schedule.available_levels(l2 + 1)))) // p1)
+    span = max(1, (3 * schedule.period(schedule.available_levels(l2 + 1))) // p1)
     fresh_at = 0
     for m in range(span):
         j = anchor + m * p1

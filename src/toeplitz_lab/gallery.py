@@ -9,7 +9,7 @@ them.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import inf
 
 from .errors import BadParams
@@ -22,23 +22,14 @@ _W3_LITERAL = "aaaaaabaaaabbaaababaaabbbaabaababbaabbabaabbbbabababbbabbabb?bbb"
 
 
 @lru_cache(maxsize=None)
-def de_bruijn(order: int, variant: str = "canonical") -> str:
+def de_bruijn(order: int) -> str:
     """A binary de Bruijn word of the given order, ending in a run of b's.
 
-    The canonical variant concatenates the lexicographically sorted binary
-    necklace representatives, which starts with a^order and ends with
-    b^order.  The "literal" variant returns the fixed order-6 word used by
-    the ex4.4 construction (de Bruijn words are not unique; this one is
-    pinned for reproducibility).
+    It concatenates the lexicographically sorted binary necklace
+    representatives, so it starts with a^order and ends with b^order.
     """
     if order < 1:
         raise BadParams("order must be >= 1")
-    if variant == "literal":
-        if order != 6:
-            raise BadParams("the literal variant is pinned to order 6")
-        return _W3_LITERAL.replace("?", "b")
-    if variant != "canonical":
-        raise BadParams("unknown variant %r" % variant)
     a = [0] * (order + 1)
     seq: list[int] = []
 
@@ -98,7 +89,19 @@ def _ex44_seed(l: int, literal_first: bool) -> SeedWord:
     return SeedWord(punch_trailing_run(de_bruijn(order), order))
 
 
-def _williams_schedule(letters: str, ratios: tuple[int, ...], alphabet: Alphabet) -> FillingSchedule:
+def _williams(params: dict) -> FillingSchedule:
+    if "ratios" in params and "ratio" in params:
+        raise BadParams("give ratios or its alias ratio, not both")
+    alphabet = Alphabet(str(params.get("alphabet", "ab")))
+    letters = str(params.get("letters", alphabet.letters))
+    raw = params.get("ratios", params.get("ratio", 4))
+    try:
+        if isinstance(raw, (int, str)):
+            ratios = tuple(int(x) for x in str(raw).split(","))
+        else:
+            ratios = tuple(int(x) for x in raw)
+    except (TypeError, ValueError):
+        raise BadParams("ratios must be integers, got %r" % (raw,)) from None
     if any(r < 4 for r in ratios):
         raise BadParams("every period ratio must be >= 4")
     if set(letters) - set(alphabet.letters):
@@ -122,7 +125,6 @@ def _williams_schedule(letters: str, ratios: tuple[int, ...], alphabet: Alphabet
     return FillingSchedule(
         alphabet,
         seed,
-        max_levels=None,
         declarations={
             "oxtoby": True,
             "constant_on_aper": True,
@@ -133,68 +135,44 @@ def _williams_schedule(letters: str, ratios: tuple[int, ...], alphabet: Alphabet
     )
 
 
+_WILLIAMS_KEYS = frozenset({"alphabet", "letters", "ratios", "ratio"})
+
+_EX43_DECLARATIONS = {
+    "boundary_singleton": True,
+    "boundary_branch": "ones",  # residues (4^l - 1) / 3
+    "prime_profile": {2: inf},
+}
+_SINGLE_HOLE_DECLARATIONS = {"single_hole": True, "bounded_holes": 1, "prime_profile": {2: inf}}
+
+# name -> (seed rule, declarations), in listing order; williams builds both from its parameters
+_ENTRIES = {
+    "sec2.2": (_ex43_seed, _EX43_DECLARATIONS),
+    "ex3.5": (_ex35_seed, {"oxtoby": True}),
+    "williams": None,
+    "ex4.3": (_ex43_seed, _EX43_DECLARATIONS),
+    "ex4.4": (partial(_ex44_seed, literal_first=True), _SINGLE_HOLE_DECLARATIONS),
+    "ex4.4-mini": (partial(_ex44_seed, literal_first=False), _SINGLE_HOLE_DECLARATIONS),
+    "ex5.7": (_ex57_seed, {"oxtoby": True, "prime_profile": {2: inf}}),
+}
+GALLERY_NAMES = tuple(_ENTRIES)
+
+
 def gallery(name: str, **params) -> FillingSchedule:
-    """A named construction; identical name and params give identical schedules."""
-    if name in ("ex4.3", "sec2.2"):
-        return FillingSchedule(
-            BINARY,
-            _ex43_seed,
-            max_levels=None,
-            declarations={
-                "boundary_singleton": True,
-                "boundary_branch": "ones",  # residues (4^l - 1) / 3
-                "prime_profile": {2: inf},
-            },
-            name=name,
-        )
-    if name == "ex5.7":
-        return FillingSchedule(
-            BINARY,
-            _ex57_seed,
-            max_levels=None,
-            declarations={"oxtoby": True, "prime_profile": {2: inf}},
-            name=name,
-        )
-    if name == "ex3.5":
-        return FillingSchedule(
-            BINARY,
-            _ex35_seed,
-            max_levels=None,
-            declarations={"oxtoby": True},
-            name=name,
-        )
-    if name == "ex4.4":
-        return FillingSchedule(
-            BINARY,
-            lambda l: _ex44_seed(l, literal_first=True),
-            max_levels=None,
-            declarations={"single_hole": True, "bounded_holes": 1, "prime_profile": {2: inf}},
-            name=name,
-        )
-    if name == "ex4.4-mini":
-        return FillingSchedule(
-            BINARY,
-            lambda l: _ex44_seed(l, literal_first=False),
-            max_levels=None,
-            declarations={"single_hole": True, "bounded_holes": 1, "prime_profile": {2: inf}},
-            name=name,
-        )
-    if name == "williams":
-        alphabet = Alphabet(str(params.get("alphabet", "ab")))
-        letters = str(params.get("letters", alphabet.letters))
-        raw = params.get("ratios", params.get("ratio", 4))
-        try:
-            if isinstance(raw, (int, str)):
-                ratios = tuple(int(x) for x in str(raw).split(","))
-            else:
-                ratios = tuple(int(x) for x in raw)
-        except (TypeError, ValueError):
-            raise BadParams("ratios must be integers, got %r" % (raw,)) from None
-        return _williams_schedule(letters, ratios, alphabet)
-    raise BadParams("unknown gallery entry %r" % name)
+    """A named construction; identical name and params give identical schedules.
 
-
-GALLERY_NAMES = ("sec2.2", "ex3.5", "williams", "ex4.3", "ex4.4", "ex4.4-mini", "ex5.7")
+    Only williams takes parameters (``alphabet``, ``letters`` and
+    ``ratios``, alias ``ratio``); any other key is a BadParams.
+    """
+    if name not in _ENTRIES:
+        raise BadParams("unknown gallery entry %r" % name)
+    entry = _ENTRIES[name]
+    unknown = [k for k in params if entry is not None or k not in _WILLIAMS_KEYS]
+    if unknown:
+        raise BadParams("gallery entry %r takes no parameter %s" % (name, ", ".join(map(repr, unknown))))
+    if entry is None:
+        return _williams(params)
+    seed, declarations = entry
+    return FillingSchedule(BINARY, seed, declarations=declarations, name=name)
 
 
 def gallery_code(name: str):

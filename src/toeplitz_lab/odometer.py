@@ -100,7 +100,7 @@ def matching_shift(schedule: FillingSchedule, l: int, element, resolution: int) 
     if not isinstance(element, Shift):
         raise TypeError("matching_shift needs a plain shift element")
     p = schedule.period(l)
-    pat = schedule.pattern(min(resolution, schedule.available_levels(resolution)))
+    pat = schedule.pattern(schedule.available_levels(resolution))
     source = classify_residues(pat, p).periodic
     target = {(r - element.n) % p: letter for r, letter in source.items()}
     matches = [
@@ -229,7 +229,7 @@ def cps_window_member(schedule: FillingSchedule, omega: OdometerPoint, letter: s
     """Whether the point lies in the letter's window at some checked level."""
     if letter not in schedule.alphabet:
         raise ToeplitzError("letter %r not in alphabet" % letter)
-    resolution = min(omega.depth + 1, schedule.available_levels(omega.depth + 1))
+    resolution = schedule.available_levels(omega.depth + 1)
     pat = schedule.pattern(resolution)
     for l in range(1, omega.depth + 1):
         p = schedule.period(l)

@@ -218,7 +218,7 @@ def verify_period_structure(
     if isinstance(source, PeriodicPattern):
         pat = source
     else:
-        pat = source.pattern(min(depth, source.available_levels(depth)))
+        pat = source.pattern(source.available_levels(depth))
     q = _prime_power_scale(scale)
 
     nonempty = []

@@ -105,10 +105,10 @@ class SeedWord:
         return self.symbols[0] == HOLE or self.symbols[-1] == HOLE
 
 
-def parse_seed(text: str, alphabet: Alphabet = BINARY, allow_ragged: bool = False) -> SeedWord:
-    """Parse a seed word from text; rejects ragged words unless allowed."""
+def parse_seed(text: str, alphabet: Alphabet = BINARY) -> SeedWord:
+    """Parse a seed word from text; rejects ragged words."""
     word = SeedWord(text, alphabet)
-    if word.is_ragged and not allow_ragged:
+    if word.is_ragged:
         raise EndsWithHole("seed word %r starts or ends with a hole" % text)
     return word
 
@@ -165,11 +165,11 @@ def fill_holes(text: str, letters: str) -> str:
     return "".join(out)
 
 
-def compose_fill(outer: PeriodicPattern, inner: SeedWord, anchor_offset: int = 0) -> PeriodicPattern:
+def compose_fill(outer: PeriodicPattern, inner: SeedWord) -> PeriodicPattern:
     """Insert the periodic extension of ``inner`` into the holes of ``outer``.
 
     Hole number ``i`` (hole 0 being the first non-negative one) receives
-    ``inner[(i - anchor_offset) mod len(inner)]``.
+    ``inner[i mod len(inner)]``.
     """
     h = outer.hole_count
     if h == 0:
@@ -178,32 +178,30 @@ def compose_fill(outer: PeriodicPattern, inner: SeedWord, anchor_offset: int = 0
     new_period = p * q // gcd(h, q)
     if new_period > PATTERN_CAP:
         raise PatternTooLarge("composed period %d exceeds pattern cap" % new_period)
-    shift = -anchor_offset % q
-    letters = inner.symbols[shift:] + inner.symbols[:shift]
     return PeriodicPattern(
-        fill_holes(outer.symbols * (new_period // p), letters * (h // gcd(h, q))), outer.alphabet
+        fill_holes(outer.symbols * (new_period // p), inner.symbols * (h // gcd(h, q))), outer.alphabet
     )
 
 
 class _LevelInfo:
     """Period and hole positions of a level, without the letter pattern."""
 
-    __slots__ = ("period", "holes", "anchor")
+    __slots__ = ("period", "holes")
 
-    def __init__(self, period: int, holes: tuple[int, ...], anchor: int):
+    def __init__(self, period: int, holes: tuple[int, ...]):
         self.period = period
         self.holes = holes
-        self.anchor = anchor
 
 
 class FillingSchedule:
     """A reproducible sequence of seed words defining a Toeplitz word.
 
-    Seeds may be given literally or through a rule evaluated per level;
-    the rule must be deterministic.  ``declarations`` carries structural
-    facts a construction is known to satisfy (e.g. a bound on holes per
-    period); they are advisory metadata re-checked by the analysis layer,
-    never silently trusted for raw computations.
+    Seeds may be given literally, one level per seed, or through a rule
+    evaluated per level (for at most ``max_levels`` levels); the rule
+    must be deterministic.  ``declarations`` carries structural facts a
+    construction is known to satisfy (e.g. a bound on holes per period);
+    they are advisory metadata re-checked by the analysis layer, never
+    silently trusted for raw computations.
 
     Instances are immutable apart from internal caches and are safe for
     concurrent reads.
@@ -214,7 +212,6 @@ class FillingSchedule:
         alphabet: Alphabet,
         seeds: Sequence[SeedWord] | Callable[[int], SeedWord],
         max_levels: int | None = None,
-        offsets: Callable[[int], int] | Sequence[int] | None = None,
         declarations: dict | None = None,
         name: str = "",
     ):
@@ -223,18 +220,13 @@ class FillingSchedule:
             self._seed_fn = seeds
             self.max_levels = max_levels
         else:
+            if max_levels is not None:
+                raise ToeplitzError("literal seeds give one level each; max_levels applies only to a seed rule")
             literal = tuple(seeds)
             if not literal:
                 raise ToeplitzError("schedule needs at least one seed")
             self._seed_fn = lambda l: literal[l - 1]
-            self.max_levels = len(literal) if max_levels is None else max_levels
-        if offsets is None:
-            self._offset_fn = lambda l: 0
-        elif callable(offsets):
-            self._offset_fn = offsets
-        else:
-            off = tuple(offsets)
-            self._offset_fn = lambda l: off[l - 1] if l <= len(off) else 0
+            self.max_levels = len(literal)
         self.declarations = dict(declarations or {})
         self.name = name
         self._seeds: dict[int, SeedWord] = {}
@@ -254,22 +246,16 @@ class FillingSchedule:
             self._seeds[l] = w
         return self._seeds[l]
 
-    def offset(self, l: int) -> int:
-        return self._offset_fn(l)
-
     def available_levels(self, cap: int = 64) -> int:
         return cap if self.max_levels is None else min(cap, self.max_levels)
 
     def _walk_step(self, l: int) -> tuple[str, int, tuple[int, ...]]:
-        """Seed ``l`` rotated by its offset (letter i is seed letter (i - offset) mod q, the one
-        hole i of the level above receives), its length q, and its holes, which come out sorted."""
+        """Seed ``l``'s text, its length q and its sorted holes: hole i of the level above
+        receives letter i mod q."""
         step = self._walk.get(l)
         if step is None:
             w = self.seed(l).symbols
-            q = len(w)
-            shift = -self.offset(l) % q
-            rotated = w[shift:] + w[:shift]
-            step = (rotated, q, hole_positions(rotated))
+            step = (w, len(w), hole_positions(w))
             self._walk[l] = step
         return step
 
@@ -306,23 +292,22 @@ class FillingSchedule:
         for k in range(first, l + 1):
             if k == 1:
                 _, q, holes = self._walk_step(1)
-                info = _LevelInfo(q, holes, 0)
+                info = _LevelInfo(q, holes)
             elif not self._infos[k - 1].holes:
                 # fully periodic already; deeper levels change nothing
-                info = _LevelInfo(self._infos[k - 1].period, (), 0)
+                info = _LevelInfo(self._infos[k - 1].period, ())
             else:
                 prev = self._infos[k - 1]
-                _, q, rot = self._walk_step(k)
-                off = self.offset(k)
+                _, q, seed_holes = self._walk_step(k)
                 h, p = len(prev.holes), prev.period
                 n = h * q // gcd(h, q)
                 # hole i of the previous level (repeated n // h times) stays a
-                # hole when seed letter (i - off) mod q is one, i.e. when i mod q
-                # is in rot; positions grow with i, so they come out sorted
+                # hole when seed letter i mod q is one; positions grow with i,
+                # so they come out sorted
                 holes = tuple([
-                    ((b + r) // h) * p + prev.holes[(b + r) % h] for b in range(0, n, q) for r in rot
+                    ((b + r) // h) * p + prev.holes[(b + r) % h] for b in range(0, n, q) for r in seed_holes
                 ])
-                info = _LevelInfo(n // h * p, holes, (off // h) * p + prev.holes[off % h])
+                info = _LevelInfo(n // h * p, holes)
             self._infos[k] = info
         return info
 
@@ -342,11 +327,11 @@ class FillingSchedule:
             raise PatternTooLarge(
                 "level %d has period %d, beyond the explicit-pattern cap" % (l, info.period)
             )
-        pat = PeriodicPattern(self._walk_step(1)[0], self.alphabet)
+        pat = PeriodicPattern(self.seed(1).symbols, self.alphabet)
         for k in range(2, l + 1):
             if not pat.holes:
                 break
-            pat = compose_fill(pat, self.seed(k), self.offset(k))
+            pat = compose_fill(pat, self.seed(k))
         self._patterns[l] = pat
         return pat
 
@@ -365,11 +350,11 @@ def evaluate(schedule: FillingSchedule, j: int, max_level: int) -> str | None:
     steps = schedule._walk
     pos = j
     for l in range(1, levels + 1):
-        rotated, q, rot = steps.get(l) or schedule._walk_step(l)
-        c = rotated[pos % q]
+        seed, q, seed_holes = steps.get(l) or schedule._walk_step(l)
+        c = seed[pos % q]
         if c != HOLE:
             return c
-        pos = (pos // q) * len(rot) + bisect_left(rot, pos % q)
+        pos = (pos // q) * len(seed_holes) + bisect_left(seed_holes, pos % q)
     return None
 
 
@@ -390,14 +375,14 @@ def resolve_window(schedule: FillingSchedule, start: int, stop: int, max_level: 
     texts = []
     lo, n = start, stop - start
     for l in range(1, schedule.available_levels(max_level) + 1):
-        rotated, q, rot = steps.get(l) or schedule._walk_step(l)
-        text = _periodic_slice(rotated, lo % q, n)
+        seed, q, seed_holes = steps.get(l) or schedule._walk_step(l)
+        text = _periodic_slice(seed, lo % q, n)
         texts.append(text)
         n = text.count(HOLE)
         if not n:
             break
         j = lo + text.index(HOLE)
-        lo = (j // q) * len(rot) + bisect_left(rot, j % q)
+        lo = (j // q) * len(seed_holes) + bisect_left(seed_holes, j % q)
     word = HOLE * n
     while texts:
         word = fill_holes(texts.pop(), word)
@@ -415,8 +400,6 @@ def derived_tail(schedule: FillingSchedule, l: int) -> FillingSchedule:
         schedule.alphabet,
         lambda k: schedule.seed(k + l),
         max_levels=tail_max,
-        offsets=lambda k: schedule.offset(k + l),
-        declarations={},
         name="%s[tail %d]" % (schedule.name or "schedule", l),
     )
 

@@ -172,6 +172,22 @@ def test_bad_gallery_param_is_an_error(capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv, text", [
+    (["gallery", "ex4.3", "--param", "ratio=5"], None),  # ex4.3 takes no parameters
+    (["gallery", "williams", "--param", "="], None),  # the empty key
+    (["gallery", "williams", "--param", "ratio=4", "--param", "ratios=6"], None),
+    (["build", "{path}"], "@ex4.3 foo=1\n"),
+    (["build", "{path}"], "@williams ratio=4 colour=red\n"),
+])
+def test_gallery_entry_refuses_keys_it_does_not_read(argv, text, tmp_path, capsys):
+    path = tmp_path / "sched.txt"
+    if text is not None:
+        path.write_text(text)
+    assert main([a.replace("{path}", str(path)) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and ("parameter" in err or "ratio" in err), err
+
+
 def test_bad_alphabet_is_an_error(tmp_path, capsys):
     rc = main(["gallery", "williams", "--param", "alphabet=aa"])
     assert rc == 1

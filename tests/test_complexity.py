@@ -72,12 +72,14 @@ def test_length_one_is_letter_set():
 
 def test_profile_modes():
     m = gallery("ex4.4-mini")
-    prof = complexity_profile(m, [8, 16], mode="decomposition", level=1)
+    prof = [factor_set_exact_single_hole(m, 1, L) for L in (8, 16)]
     assert [(e.length, e.count) for e in prof] == [(8, 16), (16, 32)]
     assert all(e.exact for e in prof)
-    scan = complexity_profile(m, [8], mode="window", window=(0, 400), max_level=5)
-    assert scan[0].count == 16 and not scan[0].exact
+    scan = factor_set_window(m, 8, (0, 400), 5)
+    assert scan.count == 16 and not scan.exact
     assert complexity_profile(m, [], mode="window") == []
+    with pytest.raises(TypeError):
+        complexity_profile(m, [8], mode="window", max_levle=2)  # a misspelt key used to be ignored
 
 
 def test_literal_first_seed_variant():

@@ -30,13 +30,9 @@ def test_de_bruijn_words_are_valid():
 
 
 def test_de_bruijn_literal_variant():
-    w = de_bruijn(6, variant="literal")
+    w = gallery("ex4.4").seed(1).symbols.replace("?", "b")
     assert len(w) == 64
     assert len({(w * 2)[i: i + 6] for i in range(64)}) == 64
-    with pytest.raises(BadParams):
-        de_bruijn(5, variant="literal")
-    with pytest.raises(BadParams):
-        de_bruijn(4, variant="nope")
 
 
 def test_punch_trailing_run():
@@ -95,6 +91,16 @@ def test_williams_structure():
         gallery("williams", ratio=3)
     with pytest.raises(BadParams):
         gallery("williams", letters="a")
+
+
+def test_entries_refuse_parameters_they_do_not_read():
+    with pytest.raises(BadParams, match="takes no parameter 'ratio'"):
+        gallery("ex4.3", ratio=5)
+    with pytest.raises(BadParams, match="takes no parameter ''"):
+        gallery("williams", **{"": "4"})
+    with pytest.raises(BadParams, match="not both"):
+        gallery("williams", ratio=4, ratios=6)
+    assert gallery("williams", ratio=5).period(2) == gallery("williams", ratios="5").period(2) == 25
 
 
 def test_sec22_alias_matches_ex43():

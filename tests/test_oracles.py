@@ -341,10 +341,9 @@ def test_hole_tree_value_sets_match_naive_orbits_on_gallery_words():
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(seed_lists(), st.lists(st.integers(-6, 6), min_size=3, max_size=3),
-       st.lists(st.integers(-300, 300), min_size=1, max_size=20))
-def test_evaluate_with_warm_level_cache_matches_pattern(seeds, offsets, warm):
-    s = tl.FillingSchedule(tl.BINARY, [tl.parse_seed(w) for w in seeds], offsets=offsets)
+@given(seed_lists(), st.lists(st.integers(-300, 300), min_size=1, max_size=20))
+def test_evaluate_with_warm_level_cache_matches_pattern(seeds, warm):
+    s = tl.FillingSchedule(tl.BINARY, [tl.parse_seed(w) for w in seeds])
     for j in warm:
         tl.evaluate(s, j, len(seeds))
     for l in range(1, len(seeds) + 1):
@@ -386,17 +385,12 @@ def per_position_window(schedule, lo, hi, max_level):
 
 @st.composite
 def walk_schedules(draw):
-    """Literal seeds, ragged ones included, with literal or callable offsets."""
+    """Literal seeds, ragged ones included."""
     seeds = []
     for _ in range(draw(st.integers(1, 4))):
         word = draw(st.text(alphabet="ab?", min_size=1, max_size=6).filter(lambda w: w.strip("?")))
         seeds.append(tl.SeedWord(word))
-    if draw(st.booleans()):
-        offsets = draw(st.lists(st.integers(-9, 9), min_size=len(seeds), max_size=len(seeds)))
-    else:
-        a, b = draw(st.integers(-5, 5)), draw(st.integers(-5, 5))
-        offsets = lambda l, a=a, b=b: a * l + b  # noqa: E731
-    return tl.FillingSchedule(tl.BINARY, seeds, offsets=offsets)
+    return tl.FillingSchedule(tl.BINARY, seeds)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -533,11 +527,10 @@ def per_hole_compose(outer, inner, anchor):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.text(alphabet="ab?", min_size=1, max_size=12).filter(lambda w: "?" in w),
-       st.text(alphabet="ab?", min_size=1, max_size=7).filter(lambda w: w.strip("?")),
-       st.integers(-40, 40))
-def test_compose_fill_matches_per_hole_loop(outer, inner, anchor):
-    got = tl.compose_fill(tl.PeriodicPattern(outer), tl.SeedWord(inner), anchor)
-    assert got.symbols == per_hole_compose(tl.PeriodicPattern(outer), tl.SeedWord(inner), anchor)
+       st.text(alphabet="ab?", min_size=1, max_size=7).filter(lambda w: w.strip("?")))
+def test_compose_fill_matches_per_hole_loop(outer, inner):
+    got = tl.compose_fill(tl.PeriodicPattern(outer), tl.SeedWord(inner))
+    assert got.symbols == per_hole_compose(tl.PeriodicPattern(outer), tl.SeedWord(inner), 0)
 
 
 def test_window_reads_build_no_pattern(monkeypatch):

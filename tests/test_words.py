@@ -29,7 +29,6 @@ def test_parse_seed_examples():
         parse_seed("axb")
     with pytest.raises(EndsWithHole):
         parse_seed("?ab")
-    assert parse_seed("?ab", allow_ragged=True).symbols == "?ab"
 
 
 def test_compose_fill_displayed_example():
@@ -61,11 +60,6 @@ def test_level_pattern_examples():
     assert pat43.symbols == "aaaba?aba?bbabbb" and pat43.holes == (5, 9)
     assert (pat43.period, pat43.holes) == (info43.period, info43.holes)
     assert s43.pattern(1).symbols == "a??b"
-
-
-def test_level_info_anchor_offsets():
-    s = gallery("ex5.7")
-    assert s.level_info(2).anchor == 1  # first hole of (a??b) filled
 
 
 def test_evaluate_examples():
@@ -126,20 +120,24 @@ def test_derived_tail_identity_and_coherence():
         assert evaluate(s, h, 6) == evaluate(tail2, k, 4)
 
 
-def test_anchor_offset_rotates_fill():
-    outer = PeriodicPattern("a??b")
-    inner = parse_seed("ab")
-    default = compose_fill(outer, inner)
-    shifted = compose_fill(outer, inner, anchor_offset=1)
-    assert default.symbols == "aabb"
-    assert shifted.symbols == "abab"
-
-
 def test_hole_free_levels_saturate():
     s = FillingSchedule(BINARY, [parse_seed("a?b"), parse_seed("ab"), parse_seed("ba")])
     assert s.period(2) == 6 and s.holes(2) == ()
     assert s.period(3) == 6 and s.holes(3) == ()
     assert resolve_window(s, 0, 6, 3) == "aab" + "abb"  # fully periodic word
+
+
+def test_literal_schedules_count_their_own_levels():
+    s = FillingSchedule(BINARY, [parse_seed("a?b")])
+    assert s.max_levels == 1 and s.available_levels(5) == 1
+    assert evaluate(s, 1, 3) is None  # reads the one level there is
+    with pytest.raises(ToeplitzError, match="no seed at level 2"):
+        s.period(2)
+    # a level count beside literal seeds used to leak IndexError or drop seeds
+    for n in (1, 3):
+        with pytest.raises(ToeplitzError, match="max_levels"):
+            FillingSchedule(BINARY, [parse_seed("a?b"), parse_seed("ab")], max_levels=n)
+    assert FillingSchedule(BINARY, lambda l: parse_seed("a?b"), max_levels=3).max_levels == 3
 
 
 def test_schedule_text_roundtrip(tmp_path):
