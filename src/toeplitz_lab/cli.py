@@ -17,8 +17,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import boundary, checks, complexity, elements, factors, periodicity, words
-from .errors import ToeplitzError
-from .gallery import GALLERY_NAMES, gallery as named_gallery, gallery_code
+from .errors import BadParams, ToeplitzError
+from .gallery import GALLERY_NAMES, gallery as named_gallery, gallery_code, parse_params
 from .words import HOLE
 
 SCHEMA = "toeplitz-lab/1"
@@ -281,11 +281,10 @@ def cmd_complexity(args) -> dict:
 
 def cmd_gallery(args) -> dict:
     if not args.name:
+        if args.param:
+            raise BadParams("gallery parameters need an entry name")
         return report("gallery", {}, {"available": list(GALLERY_NAMES)})
-    params = {}
-    for p in args.param or ():
-        key, _, value = p.partition("=")
-        params[key] = value
+    params = parse_params(args.param or ())
     s = named_gallery(args.name, **params)
     return report(
         "gallery",

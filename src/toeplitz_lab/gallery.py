@@ -175,6 +175,17 @@ def gallery(name: str, **params) -> FillingSchedule:
     return FillingSchedule(BINARY, seed, declarations=declarations, name=name)
 
 
+def parse_params(pairs) -> dict[str, str]:
+    """``key=value`` strings as a dict; a key given twice is a BadParams."""
+    params: dict[str, str] = {}
+    for pair in pairs:
+        key, _, value = pair.partition("=")
+        if key in params:
+            raise BadParams("gallery parameter %r given twice" % key)
+        params[key] = value
+    return params
+
+
 def gallery_code(name: str):
     """The sliding block code attached to a gallery construction."""
     if name == "ex5.7":

@@ -12,24 +12,45 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from .errors import DivisibilityViolation, NoHoles, ToeplitzError
-from .words import HOLE, FillingSchedule, PeriodicPattern
+from .words import HOLE, FillingSchedule, PeriodicPattern, hole_positions
 
 
 @dataclass(frozen=True)
 class ResidueClasses:
     """The residues mod ``modulus`` split into the three certified-at-depth sets.
 
-    ``periodic`` maps each periodic residue to its letter;
-    ``nonperiodic`` and ``undetermined`` list the others, ascending.
+    ``letters`` gives each residue's letter, or ``HOLE`` where it is
+    exceptional: ``nonperiodic`` and ``undetermined`` list those residues,
+    ascending.  ``periodic`` maps each periodic residue to its letter,
+    built on first use.
     """
 
     modulus: int
-    periodic: dict[int, str]
+    letters: str
     nonperiodic: tuple[int, ...]
     undetermined: tuple[int, ...]
+
+    @cached_property
+    def periodic(self) -> dict[int, str]:
+        return {r: c for r, c in enumerate(self.letters) if c != HOLE}
+
+
+def _mismatches(s: str, shift: int):
+    """Ascending indices j with s[j] != s[j + shift], found by halving slice
+    comparisons, so each run of agreement costs one C-level compare."""
+    stack = [(0, len(s) - shift)]
+    while stack:
+        lo, hi = stack.pop()
+        if s[lo:hi] != s[lo + shift:hi + shift]:
+            if hi - lo == 1:
+                yield lo
+            else:
+                mid = (lo + hi) // 2
+                stack += [(mid, hi), (lo, mid)]
 
 
 def classify_residues(pat: PeriodicPattern, p: int) -> ResidueClasses:
@@ -37,32 +58,38 @@ def classify_residues(pat: PeriodicPattern, p: int) -> ResidueClasses:
 
     By the Chinese remainder theorem the positions congruent to ``r``
     mod ``p`` meet exactly the pattern cells congruent to ``r`` mod
-    g = gcd(p, period), so each residue is read off the slice
-    ``symbols[r % g::g]``; no lcm(p, period) span is built.  This is
-    exact relative to the pattern: whatever the pattern leaves
+    g = gcd(p, period), so each residue is read off the column
+    ``symbols[r % g::g]`` of m = period / g cells; no lcm(p, period)
+    span is built.  When g <= m every column is read.  Otherwise, read
+    as m rows of length g, a column can be exceptional only where it
+    holds a hole in row 0 or changes between rows, which halving compares
+    of the pattern with itself shifted by g find; only those are read.
+    This is exact relative to the pattern: whatever the pattern leaves
     unresolved stays undetermined.
     """
     if not isinstance(pat, PeriodicPattern):
         raise TypeError("expected a pattern, got %r" % (pat,))
     if p < 1:
         raise ValueError("period must be positive")
+    symbols = pat.symbols
     g = gcd(p, pat.period)
-    kinds = []  # per residue mod g: its letter, HOLE if undetermined, None if nonperiodic
-    for r in range(g):
-        cells = pat.symbols[r::g]
-        if cells.count(cells[0]) == len(cells):  # one letter, or all holes
-            kinds.append(cells[0])
-            continue
-        letters = set(cells)
-        holey = HOLE in letters
-        letters.discard(HOLE)
-        kinds.append(None if len(letters) > 1 else HOLE if holey else letters.pop())
-    kinds *= p // g
+    if g <= pat.period // g:
+        columns = range(g)
+    else:
+        columns = sorted({j % g for j in _mismatches(symbols, g)}.union(hole_positions(symbols[:g])))
+    row = list(symbols[:g])  # each column's letter, HOLE once it proves exceptional
+    nonperiodic, undetermined = [], []
+    for c in columns:
+        cells = symbols[c::g]
+        if cells[0] == HOLE or cells.count(cells[0]) < len(cells):  # not one letter throughout
+            row[c] = HOLE
+            (nonperiodic if len(set(cells) - {HOLE}) > 1 else undetermined).append(c)
+    copies = range(0, p, g)
     return ResidueClasses(
         p,
-        {r: k for r, k in enumerate(kinds) if k is not None and k != HOLE},
-        tuple(r for r, k in enumerate(kinds) if k is None),
-        tuple(r for r, k in enumerate(kinds) if k == HOLE),
+        "".join(row) * len(copies),
+        tuple(k + c for k in copies for c in nonperiodic),
+        tuple(k + c for k in copies for c in undetermined),
     )
 
 
@@ -172,6 +199,24 @@ def _per_sets_differ(small: ResidueClasses, large: ResidueClasses) -> bool | Non
     return None if small.undetermined or large.undetermined else False
 
 
+def _lifts_differ(symbols: str, row: str, g: int) -> bool:
+    """Whether Per(g) differs from the Per set whose classes mod len(row), a
+    multiple of g, carry the letters ``row`` (``HOLE`` where exceptional).
+
+    By ``_per_sets_differ``, exactly when some column mod g has a periodic
+    lift mod len(row) and two letters among its lifts' cells: (A) two
+    periodic lifts g apart differ, or (B) an exceptional lift's cells and
+    the periodic lifts of its column show two letters.
+    """
+    if any(HOLE not in (row[j], row[j + g]) for j in _mismatches(row, g)):  # (A)
+        return True
+    cells: dict[int, set[str]] = {}  # column mod g -> the cells of its exceptional lifts
+    for e in hole_positions(row):
+        cells.setdefault(e % g, set()).update(symbols[e::len(row)])
+    # (B): row[c::g] holds HOLE, so a periodic lift shows as a second symbol
+    return any(len(set(row[c::g])) > 1 and len(seen.union(row[c::g]) - {HOLE}) > 1 for c, seen in cells.items())
+
+
 def prime_exponents(n: int) -> dict[int, int]:
     """prime -> exponent in the factorisation of ``n`` >= 1, primes ascending."""
     if n < 1:
@@ -207,10 +252,11 @@ def verify_period_structure(
     smaller candidate periods; when every entry of the scale is a power
     of one prime q, only powers of q can yield an equal Per set (every
     resolved position has a q-power minimal period), so the scan is
-    reduced accordingly.  The classes mod p are read off those mod g = gcd(p, period),
-    and a class mod g meets one mod ``p_l`` exactly when they agree mod gcd(g, p_l)
-    (Chinese remainder theorem), so every candidate gets the verdict of its g,
-    worked out once per g; a ``_per_witness`` for p is only its fast path.
+    reduced accordingly.  The classes mod p are those mod g = gcd(p, period)
+    (Chinese remainder theorem), so each g is judged once: when g divides
+    gcd(p_l, period), as on every prime-power scale, ``_lifts_differ``
+    reads the verdict off the letters of the classes mod ``p_l``; otherwise
+    ``_per_witness`` tries a quick witness before the exact ``_per_sets_differ``.
     """
     scale = tuple(scale)
     if any(b % a for a, b in zip(scale, scale[1:])):
@@ -225,23 +271,19 @@ def verify_period_structure(
     reports = []
     for p_l in scale:
         large = classify_residues(pat, p_l)
-        nonempty.append(bool(large.periodic))
-        if q is not None:
-            candidates = []
-            qq = q
-            while qq < p_l:
-                candidates.append(qq)
-                qq *= q
-            candidates.insert(0, 1)
-        else:
+        nonempty.append(len(large.nonperiodic) + len(large.undetermined) < p_l)
+        row = large.letters[:gcd(p_l, pat.period)]
+        if q is None:
             candidates = range(1, p_l)
+        else:  # 1 and the powers of q below p_l
+            candidates = [1] + [q ** e for e in range(1, p_l.bit_length()) if q ** e < p_l]
         differs: dict[int, bool] = {}  # gcd(p, period) -> whether Per(p) provably differs from Per(p_l)
         unresolved = []
         for p in candidates:
             g = gcd(p, pat.period)
             if g not in differs:
-                differs[g] = _per_witness(pat, p, large.periodic) or (
-                    _per_sets_differ(classify_residues(pat, g), large) is True)
+                differs[g] = _lifts_differ(pat.symbols, row, g) if len(row) % g == 0 else (
+                    _per_witness(pat, p, large.periodic) or _per_sets_differ(classify_residues(pat, g), large) is True)
             if not differs[g]:
                 unresolved.append(p)
         reports.append(EssentialityReport(p_l, certified=not unresolved, unresolved_periods=tuple(unresolved)))

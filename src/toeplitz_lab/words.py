@@ -417,18 +417,14 @@ def schedule_from_text(text: str, name: str = "") -> FillingSchedule:
     if not lines:
         raise ToeplitzError("empty schedule text")
     if lines[0].startswith("@"):
-        from .gallery import gallery as named_gallery  # deferred: gallery imports words
+        from .gallery import gallery as named_gallery, parse_params  # deferred: gallery imports words
 
         parts = lines[0][1:].split()
         if not parts:
             raise ToeplitzError("gallery reference %r names no entry" % lines[0])
         if len(lines) > 1:
             raise ToeplitzError("gallery reference %r is followed by %d more lines" % (lines[0], len(lines) - 1))
-        params = {}
-        for p in parts[1:]:
-            key, _, value = p.partition("=")
-            params[key] = value
-        return named_gallery(parts[0], **params)
+        return named_gallery(parts[0], **parse_params(parts[1:]))
     alphabet = Alphabet(lines[0])
     seeds = [parse_seed(ln, alphabet) for ln in lines[1:]]
     if not seeds:

@@ -188,6 +188,21 @@ def test_gallery_entry_refuses_keys_it_does_not_read(argv, text, tmp_path, capsy
     assert err.startswith("error: ") and ("parameter" in err or "ratio" in err), err
 
 
+@pytest.mark.parametrize("argv, text", [
+    (["gallery", "williams", "--param", "ratio=4", "--param", "ratio=5", "--levels", "2"], None),
+    (["build", "{path}", "--level", "1"], "@williams ratio=4 ratio=5\n"),
+    (["gallery", "--param", "foo=1"], None),  # no entry to take the parameter
+])
+def test_repeated_or_unattached_gallery_params_are_errors(argv, text, tmp_path, capsys):
+    path = tmp_path / "sched.txt"
+    if text is not None:
+        path.write_text(text)
+    assert main([a.replace("{path}", str(path)) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "parameter" in captured.err, captured.err
+    assert captured.out == ""
+
+
 def test_bad_alphabet_is_an_error(tmp_path, capsys):
     rc = main(["gallery", "williams", "--param", "alphabet=aa"])
     assert rc == 1
@@ -292,6 +307,37 @@ def test_factor_builds_one_image(monkeypatch, capsys):
         "pullback_holds": all(r.holds for r in factors.boundary_pullback_check(code, s, 4)),
     }
     assert json.loads(out)["results"]["pullback_holds"] is True
+
+
+def test_prime_power_analyze_reads_essentiality_off_class_letters(monkeypatch, capsys):
+    # every candidate of a prime-power scale divides its scale entry, so the
+    # letters of the entry's own classes decide it: no further classification, no witness scan
+    from toeplitz_lab import periodicity
+
+    calls = []
+
+    def counted(name):
+        original = getattr(periodicity, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+        return wrapper
+
+    for name in ("classify_residues", "_per_witness"):
+        monkeypatch.setattr(periodicity, name, counted(name))
+    rc, out = run(capsys, ["analyze", "ex4.3", "--depth", "8", "--format", "json"])
+    assert rc == 0 and calls == ["classify_residues"] * 8
+    results = json.loads(out)["results"]
+    scale = [4 ** l for l in range(1, 9)]
+    assert results["period_structure"] == {
+        "scale": scale, "depth": 9, "divisible": True, "nonempty": [True] * 8,
+        "essentiality": [{"scale_entry": p, "certified": True, "unresolved_periods": []} for p in scale],
+        "coverage_window": [-16384, 16384], "covered": True,
+    }
+    canonical = json.dumps(results, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == (
+        "8a72b61b71fb6120d22d030be13f1ade7b4e56923aa3f14ac9d788559fd43b90")
 
 
 _SMALL = st.integers(-3, 6).map(str)

@@ -94,6 +94,7 @@ def classes_by_residue(classes):
     assert list(classes.undetermined) == sorted(classes.undetermined)
     assert len(classes.periodic) + len(classes.nonperiodic) + len(classes.undetermined) == p
     assert set(classes.periodic) | set(classes.nonperiodic) | set(classes.undetermined) == set(range(p))
+    assert classes.letters == "".join(classes.periodic.get(r, "?") for r in range(p))
     out = {r: "periodic:" + letter for r, letter in classes.periodic.items()}
     out.update((r, "nonperiodic") for r in classes.nonperiodic)
     out.update((r, "undetermined") for r in classes.undetermined)
@@ -703,6 +704,45 @@ def test_classification_of_hole_and_constant_classes_matches_brute_force(case):
     assert classes_by_residue(tl.classify_residues(pat, p)) == brute_classify(pat, p)
 
 
+@st.composite
+def row_route_patterns(draw):
+    """m rows of g > m columns, each column all holes, one letter, one letter
+    changed in a late row, one letter and holes, or mixed; p = g * k, so
+    gcd(p, period) > period / gcd(p, period), and p exceeds the period when k > m."""
+    m = draw(st.integers(1, 5))
+    g = draw(st.integers(m + 1, 40))
+    columns = []
+    for _ in range(g):
+        kind = draw(st.sampled_from(("holes", "constant", "late", "letter-and-holes", "mixed")))
+        letter = draw(st.sampled_from("abc"))
+        if kind == "holes":
+            column = "?" * m
+        elif kind in ("constant", "late"):
+            column = letter * m
+            if kind == "late" and m > 1:
+                row = draw(st.integers(m // 2, m - 1))
+                column = column[:row] + draw(st.sampled_from("abc?".replace(letter, ""))) + column[row + 1:]
+        else:
+            alphabet = "?" + letter if kind == "letter-and-holes" else "abc?"
+            column = draw(st.text(alphabet=alphabet, min_size=m, max_size=m))
+        columns.append(column)
+    symbols = "".join(columns[r][k] for k in range(m) for r in range(g))
+    return tl.PeriodicPattern(symbols, tl.Alphabet("abc")), g * draw(st.integers(1, 8))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(row_route_patterns())
+@example((tl.PeriodicPattern("ab?c" "ab?a"), 4))  # the last column differs only in the last row
+@example((tl.PeriodicPattern("a?bc" "aabc" "aabc"), 4))  # an undetermined column carrying one letter
+@example((tl.PeriodicPattern("?bc?" "?bca"), 12))  # an all-hole column, p beyond the period
+@example((tl.PeriodicPattern("abc?a"), 10))  # one row, p beyond the period
+def test_row_route_classification_matches_brute_force(case):
+    pat, p = case
+    g = gcd(p, pat.period)
+    assert g > pat.period // g
+    assert classes_by_residue(tl.classify_residues(pat, p)) == brute_classify(pat, p)
+
+
 # -- hole-tree censuses and isolation verdicts from the simulated word ----------
 
 
@@ -856,6 +896,8 @@ def period_structure_cases(draw):
 @example(("ab?" * 100, [4, 12, 36]))  # 4 does not divide the period 300
 @example(("abcab?" * 60, [2, 8, 32, 128, 512]))  # prime-power scale, 512 does not divide 360
 @example(("abac" * 70 + "c", [5, 20, 100, 300]))  # mixed scale, period 281 is prime
+@example(("a?aa" "abaa", [2, 4]))  # Per(2) and Per(4) differ only through the b of the undetermined class 1 mod 4
+@example(("abab?b", [2, 4]))  # 4 does not divide the period 6, and gcd(2, 6) = gcd(4, 6)
 def test_period_structure_matches_per_candidate_loop(case):
     symbols, scale = case
     pat = tl.PeriodicPattern(symbols, tl.Alphabet("abc"))

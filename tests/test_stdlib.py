@@ -1,0 +1,27 @@
+"""The runtime stays pure standard library: no third-party import in ``src/``."""
+
+import ast
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).parents[1] / "src" / "toeplitz_lab"
+
+
+def imported_top_level_modules(path):
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.partition(".")[0]
+
+
+def test_src_imports_only_the_standard_library():
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    foreign = {
+        (path.name, module)
+        for path in paths
+        for module in imported_top_level_modules(path)
+        if module not in sys.stdlib_module_names and module != "toeplitz_lab"
+    }
+    assert not foreign
