@@ -36,18 +36,11 @@ from .periodicity import (
     verify_period_structure,
 )
 from .odometer import (
-    Membership,
     OdometerPoint,
-    OdometerRelation,
-    PrimeProfile,
-    Relation,
     branch_point,
-    cps_window_member,
     embed,
     matching_shift,
-    odometer_relation,
     phi_prefix,
-    prime_profile,
     rotate,
 )
 from .boundary import (

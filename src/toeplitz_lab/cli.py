@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from enum import Enum
 from fractions import Fraction
@@ -394,12 +395,17 @@ def main(argv=None) -> int:
     }
     try:
         rep = handlers[args.command](args)
+        exit_code = rep.pop("exit_code", 0) if rep else 0
+        if rep:
+            emit(rep, getattr(args, "format", "text"))
+        sys.stdout.flush()
     except ToeplitzError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    exit_code = rep.pop("exit_code", 0) if rep else 0
-    if rep:
-        emit(rep, getattr(args, "format", "text"))
+    except BrokenPipeError:
+        # the reader closed stdout; aim it at devnull so the final flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return exit_code
 
 

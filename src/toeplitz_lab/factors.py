@@ -51,14 +51,6 @@ class SlidingBlockCode:
         table = {"".join(w): fn("".join(w)) for w in product(alphabet.letters, repeat=width)}
         return cls(alphabet, radius, table)
 
-    @classmethod
-    def identity(cls, alphabet: Alphabet) -> "SlidingBlockCode":
-        return cls.from_fn(alphabet, 0, lambda w: w)
-
-    @classmethod
-    def constant(cls, alphabet: Alphabet, letter: str) -> "SlidingBlockCode":
-        return cls.from_fn(alphabet, 0, lambda w: letter)
-
 
 class MarkerCode:
     """Radius-J rule sending the members of a finite window set to one letter.

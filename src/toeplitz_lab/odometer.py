@@ -1,4 +1,4 @@
-"""Depth-truncated odometer points, the integer embedding, and scale comparison.
+"""Depth-truncated odometer points, the integer embedding and the position map.
 
 An odometer point is a coherent chain of residues along the level
 periods.  The position map sends a subshift element to the chain of
@@ -10,12 +10,11 @@ is kept as a cross-check of uniqueness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf
 
 from .elements import Shift, ShiftLimit, settled_value
 from .errors import ToeplitzError, UnresolvedElement
-from .periodicity import classify_residues, prime_exponents
-from .words import FillingSchedule, HOLE
+from .periodicity import classify_residues
+from .words import FillingSchedule
 
 
 @dataclass(frozen=True)
@@ -111,134 +110,3 @@ def matching_shift(schedule: FillingSchedule, l: int, element, resolution: int) 
         raise ToeplitzError("expected a unique matching shift mod %d, found %r" % (p, matches))
     return matches[0]
 
-
-# -- prime exponent profiles ---------------------------------------------
-
-def _primes_upto(bound: int) -> tuple[int, ...]:
-    sieve = [True] * (bound + 1)
-    out = []
-    for n in range(2, bound + 1):
-        if sieve[n]:
-            out.append(n)
-            for m in range(n * n, bound + 1, n):
-                sieve[m] = False
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class ExponentRecord:
-    value: int
-    saturated: bool
-
-
-@dataclass(frozen=True)
-class PrimeProfile:
-    """Prime exponents of the deepest checked scale entry, with growth flags.
-
-    ``declared`` optionally maps primes to their true limiting exponent
-    (math.inf for divergent); constructions whose scale follows a known
-    rule may declare it, and only declared profiles support certified
-    factor/isomorphism verdicts.
-    """
-
-    prime_bound: int
-    scale_depth: int
-    exponents: tuple[tuple[int, ExponentRecord], ...]
-    declared: tuple[tuple[int, float], ...] | None = None
-
-    def record(self, q: int) -> ExponentRecord:
-        for prime, rec in self.exponents:
-            if prime == q:
-                return rec
-        return ExponentRecord(0, False)
-
-    def effective(self, q: int) -> float:
-        if self.declared is not None:
-            for prime, e in self.declared:
-                if prime == q:
-                    return e
-            return 0
-        rec = self.record(q)
-        return inf if rec.saturated else rec.value
-
-    @property
-    def is_declared(self) -> bool:
-        return self.declared is not None
-
-
-def prime_profile(scale, prime_bound: int, declared: dict[int, float] | None = None) -> PrimeProfile:
-    """Exponent record of the last scale entry for every prime <= bound."""
-    scale = tuple(scale)
-    if not scale:
-        raise ValueError("scale must be nonempty")
-    last = scale[-1]
-    prev = scale[-2] if len(scale) > 1 else 1
-    last_exps, prev_exps = prime_exponents(last), prime_exponents(prev)
-    exps = []
-    for q in _primes_upto(prime_bound):
-        v = last_exps.get(q, 0)
-        exps.append((q, ExponentRecord(v, v > prev_exps.get(q, 0))))
-    decl = None
-    if declared is not None:
-        decl = tuple(sorted((int(q), float(e)) for q, e in declared.items()))
-    return PrimeProfile(prime_bound, len(scale), tuple(exps), decl)
-
-
-class Relation:
-    FACTOR_OF_CERTIFIED = "factor-of-certified"
-    ISOMORPHIC_CERTIFIED = "isomorphic-certified"
-    NOT_FACTOR = "not-factor"
-    UNKNOWN = "unknown"
-
-
-@dataclass(frozen=True)
-class OdometerRelation:
-    kind: str
-    witness_prime: int | None = None
-
-
-def odometer_relation(a: PrimeProfile, b: PrimeProfile) -> OdometerRelation:
-    """Compare two scales: is the first a factor of (isomorphic to) the second?
-
-    A saturated exponent is treated as still growing; that suffices to
-    refute, but certifying a factor or isomorphism additionally requires
-    both profiles to carry declared limits.
-    """
-    if a.prime_bound != b.prime_bound:
-        raise ValueError("profiles must share a prime bound")
-    for q in _primes_upto(a.prime_bound):
-        if a.effective(q) > b.effective(q):
-            return OdometerRelation(Relation.NOT_FACTOR, witness_prime=q)
-    if not (a.is_declared and b.is_declared):
-        return OdometerRelation(Relation.UNKNOWN)
-    if all(a.effective(q) == b.effective(q) for q in _primes_upto(a.prime_bound)):
-        return OdometerRelation(Relation.ISOMORPHIC_CERTIFIED)
-    return OdometerRelation(Relation.FACTOR_OF_CERTIFIED)
-
-
-# -- membership in the level windows of the internal space ----------------
-
-
-class Membership:
-    IN_WINDOW = "in-window"
-    NOT_IN_WINDOW = "not-in-window"
-    UNDETERMINED = "undetermined"
-
-
-def cps_window_member(schedule: FillingSchedule, omega: OdometerPoint, letter: str) -> str:
-    """Whether the point lies in the letter's window at some checked level."""
-    if letter not in schedule.alphabet:
-        raise ToeplitzError("letter %r not in alphabet" % letter)
-    resolution = schedule.available_levels(omega.depth + 1)
-    pat = schedule.pattern(resolution)
-    for l in range(1, omega.depth + 1):
-        p = schedule.period(l)
-        # p divides the pattern period, so the class of omega(l) is one slice
-        seen = set(pat.symbols[omega(l) % p::p])
-        if HOLE in seen:
-            continue
-        if seen == {letter}:
-            return Membership.IN_WINDOW
-        if len(seen) == 1:
-            return Membership.NOT_IN_WINDOW
-    return Membership.UNDETERMINED

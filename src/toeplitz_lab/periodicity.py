@@ -161,52 +161,19 @@ class PeriodStructureCertificate:
         )
 
 
-def _per_witness(pat: PeriodicPattern, p_small: int, assignment: dict[int, str]) -> bool:
-    """True when Per(p_small) provably differs from the assignment's Per set.
-
-    Looks for a position certified periodic at the large scale whose
-    class mod ``p_small`` carries two distinct resolved letters, probing
-    at most 256 steps of ``p_small`` from each assigned residue.
-    """
-    symbols, period = pat.symbols, pat.period
-    steps = min(256, period // gcd(p_small, period))
-    for r, letter in assignment.items():
-        # scan r + t * p_small for 0 < t < steps (mod period) for a resolved
-        # letter != letter, one slice per pass through the period
-        pos, end = r + p_small, r + steps * p_small
-        while pos < end:
-            base = pos - pos % period
-            orbit = symbols[pos - base: min(end, base + period) - base: p_small]
-            if set(orbit) - {HOLE, letter}:
-                return True
-            pos += len(orbit) * p_small
-    return False
-
-
-def _per_sets_differ(small: ResidueClasses, large: ResidueClasses) -> bool | None:
-    """Exact three-valued comparison of the two classifications' Per sets.
-
-    Returns True (differ), False (equal as far as certified), or None
-    when undetermined residues block the comparison.  By the Chinese
-    remainder theorem a mod p and b mod p_l share a position exactly when
-    a = b mod gcd(p, p_l), so the sets differ iff a periodic class of one
-    side meets a nonperiodic class of the other modulo that gcd.
-    """
-    d = gcd(small.modulus, large.modulus)
-    for one, other in ((small, large), (large, small)):
-        if {a % d for a in one.periodic}.intersection(b % d for b in other.nonperiodic):
-            return True
-    return None if small.undetermined or large.undetermined else False
-
-
 def _lifts_differ(symbols: str, row: str, g: int) -> bool:
-    """Whether Per(g) differs from the Per set whose classes mod len(row), a
-    multiple of g, carry the letters ``row`` (``HOLE`` where exceptional).
+    """Whether Per(g) provably differs from the Per set whose classes mod
+    len(row), a multiple of g, carry the letters ``row`` (``HOLE`` where
+    exceptional): whether a periodic class of one side meets a nonperiodic
+    class of the other.
 
-    By ``_per_sets_differ``, exactly when some column mod g has a periodic
-    lift mod len(row) and two letters among its lifts' cells: (A) two
-    periodic lifts g apart differ, or (B) an exceptional lift's cells and
-    the periodic lifts of its column show two letters.
+    A periodic column mod g has only periodic lifts, so this happens
+    exactly when some column mod g has a periodic lift mod len(row) and two
+    letters among its lifts' cells: (A) two periodic lifts g apart differ,
+    or (B) an exceptional lift's cells and the periodic lifts of its column
+    show two letters.  Moduli that do not divide one another reduce to this
+    case by the gcd identity: with d = gcd(g, h), Per(g) and Per(h) provably
+    differ exactly when Per(d) provably differs from one of them.
     """
     if any(HOLE not in (row[j], row[j + g]) for j in _mismatches(row, g)):  # (A)
         return True
@@ -253,10 +220,15 @@ def verify_period_structure(
     of one prime q, only powers of q can yield an equal Per set (every
     resolved position has a q-power minimal period), so the scan is
     reduced accordingly.  The classes mod p are those mod g = gcd(p, period)
-    (Chinese remainder theorem), so each g is judged once: when g divides
-    gcd(p_l, period), as on every prime-power scale, ``_lifts_differ``
-    reads the verdict off the letters of the classes mod ``p_l``; otherwise
-    ``_per_witness`` tries a quick witness before the exact ``_per_sets_differ``.
+    (Chinese remainder theorem), so each g is judged once against
+    g_l = gcd(p_l, period), by the gcd identity: with d = gcd(g, g_l),
+    Per(g) and Per(g_l) provably differ exactly when Per(d) provably
+    differs from one of them.  A class mod g meets every class mod g_l that
+    agrees with it mod d, so a class mod d with two letters under a
+    periodic class of one side has a nonperiodic lift on the other side.
+    ``_lifts_differ`` reads both comparisons off class letters, those mod
+    ``p_l`` and, only when d < g, those mod g; on a prime-power scale g
+    divides g_l, so d = g and nothing more is classified.
     """
     scale = tuple(scale)
     if any(b % a for a, b in zip(scale, scale[1:])):
@@ -282,8 +254,9 @@ def verify_period_structure(
         for p in candidates:
             g = gcd(p, pat.period)
             if g not in differs:
-                differs[g] = _lifts_differ(pat.symbols, row, g) if len(row) % g == 0 else (
-                    _per_witness(pat, p, large.periodic) or _per_sets_differ(classify_residues(pat, g), large) is True)
+                d = gcd(g, len(row))
+                differs[g] = _lifts_differ(pat.symbols, row, d) or (
+                    d < g and _lifts_differ(pat.symbols, classify_residues(pat, g).letters, d))
             if not differs[g]:
                 unresolved.append(p)
         reports.append(EssentialityReport(p_l, certified=not unresolved, unresolved_periods=tuple(unresolved)))

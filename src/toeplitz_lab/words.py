@@ -140,10 +140,6 @@ class PeriodicPattern:
             return ""
         return _periodic_slice(self.symbols, start % self.period, stop - start)
 
-    def letter_at(self, j: int) -> str | None:
-        c = self.symbols[j % self.period]
-        return None if c == HOLE else c
-
 
 def _periodic_slice(symbols: str, i: int, n: int) -> str:
     """The ``n`` characters of the periodic extension of ``symbols`` from index ``i`` (0 <= i < period)."""

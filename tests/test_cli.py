@@ -1,12 +1,16 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import toeplitz_lab
 from toeplitz_lab import BINARY, code_from_text, schedule_from_text
 from toeplitz_lab.cli import main, to_jsonable
 from toeplitz_lab.errors import ToeplitzError
@@ -65,6 +69,24 @@ def test_verify_subset_passes(capsys):
 def test_verify_unknown_check_fails(capsys):
     rc = main(["verify", "not-a-check"])
     assert rc == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--format", "json"],
+    ["gallery", "ex4.3", "--levels", "3"],
+])
+def test_closed_stdout_is_a_quiet_exit(argv):
+    # the read end is closed before the child starts, so its first write to stdout fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(toeplitz_lab.__file__).parents[1]))
+    try:
+        done = subprocess.run([sys.executable, "-m", "toeplitz_lab.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr == b""
 
 
 def test_usage_error_exits_2():
@@ -309,25 +331,25 @@ def test_factor_builds_one_image(monkeypatch, capsys):
     assert json.loads(out)["results"]["pullback_holds"] is True
 
 
-def test_prime_power_analyze_reads_essentiality_off_class_letters(monkeypatch, capsys):
-    # every candidate of a prime-power scale divides its scale entry, so the
-    # letters of the entry's own classes decide it: no further classification, no witness scan
+def count_classifications(monkeypatch):
+    """The moduli ``classify_residues`` is called with, collected from now on."""
     from toeplitz_lab import periodicity
 
-    calls = []
+    calls, original = [], periodicity.classify_residues
 
-    def counted(name):
-        original = getattr(periodicity, name)
+    def counted(pat, p):
+        calls.append(p)
+        return original(pat, p)
+    monkeypatch.setattr(periodicity, "classify_residues", counted)
+    return calls
 
-        def wrapper(*args):
-            calls.append(name)
-            return original(*args)
-        return wrapper
 
-    for name in ("classify_residues", "_per_witness"):
-        monkeypatch.setattr(periodicity, name, counted(name))
+def test_prime_power_analyze_reads_essentiality_off_class_letters(monkeypatch, capsys):
+    # every candidate of a prime-power scale divides its scale entry, so the
+    # letters of the entry's own classes decide it: no further classification
+    calls = count_classifications(monkeypatch)
     rc, out = run(capsys, ["analyze", "ex4.3", "--depth", "8", "--format", "json"])
-    assert rc == 0 and calls == ["classify_residues"] * 8
+    assert rc == 0 and len(calls) == 8
     results = json.loads(out)["results"]
     scale = [4 ** l for l in range(1, 9)]
     assert results["period_structure"] == {
@@ -338,6 +360,24 @@ def test_prime_power_analyze_reads_essentiality_off_class_letters(monkeypatch, c
     canonical = json.dumps(results, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(canonical.encode()).hexdigest() == (
         "8a72b61b71fb6120d22d030be13f1ade7b4e56923aa3f14ac9d788559fd43b90")
+
+
+def test_mixed_scale_analyze_classifies_only_the_scale_entries(monkeypatch, capsys):
+    # the ex3.5 scale mixes the primes 2, 3 and 5, so most candidates do not
+    # divide their entry; the classes mod p_l settle every one of them here
+    calls = count_classifications(monkeypatch)
+    rc, out = run(capsys, ["analyze", "ex3.5", "--depth", "4", "--format", "json"])
+    scale = [8, 48, 480, 8640]
+    assert rc == 0 and calls == scale
+    results = json.loads(out)["results"]
+    assert results["period_structure"] == {
+        "scale": scale, "depth": 5, "divisible": True, "nonempty": [True] * 4,
+        "essentiality": [{"scale_entry": p, "certified": True, "unresolved_periods": []} for p in scale],
+        "coverage_window": [-480, 480], "covered": True,
+    }
+    canonical = json.dumps(results, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == (
+        "a2d7fa24e2681ef6eb5e6ec01b2352d6e099f30885c48043d6b6641ee7e7b5d2")
 
 
 _SMALL = st.integers(-3, 6).map(str)

@@ -25,13 +25,14 @@ from toeplitz_lab import (
 from toeplitz_lab.errors import NotIsolated, ToeplitzError
 
 EX43_BRANCH = tuple((4 ** l - 1) // 3 for l in range(1, 9))
+IDENTITY = SlidingBlockCode.from_fn(BINARY, 0, lambda w: w)
 
 
 def test_apply_identity_and_constant():
     s = gallery("ex5.7")
     pat = s.pattern(3)
-    assert apply_code(SlidingBlockCode.identity(BINARY), pat).symbols == pat.symbols
-    out = apply_code(SlidingBlockCode.constant(BINARY, "a"), pat)
+    assert apply_code(IDENTITY, pat).symbols == pat.symbols
+    out = apply_code(SlidingBlockCode.from_fn(BINARY, 0, lambda w: "a"), pat)
     assert set(out.symbols) == {"a"}
 
 
@@ -59,8 +60,7 @@ def test_factor_residues_gallery_code():
     assert factor_aperiodic_residues(code, s, 1, 6).nonperiodic == (1,)
     fr = factor_aperiodic_residues(code, s, 2, 6)
     assert fr.nonperiodic == (5,) and fr.undetermined == (9,)
-    ident = SlidingBlockCode.identity(BINARY)
-    assert factor_aperiodic_residues(ident, gallery("ex4.3"), 2, 5).nonperiodic == (5, 9)
+    assert factor_aperiodic_residues(IDENTITY, gallery("ex4.3"), 2, 5).nonperiodic == (5, 9)
 
 
 def test_sparse_route_matches_pattern_route():
@@ -133,14 +133,14 @@ def test_pullback_reports():
     s = gallery("ex5.7")
     reports = boundary_pullback_check(gallery_code("ex5.7"), s, 3)
     assert all(r.holds for r in reports)
-    assert all(r.holds for r in boundary_pullback_check(SlidingBlockCode.identity(BINARY), s, 3))
-    const = SlidingBlockCode.constant(BINARY, "b")
+    assert all(r.holds for r in boundary_pullback_check(IDENTITY, s, 3))
+    const = SlidingBlockCode.from_fn(BINARY, 0, lambda w: "b")
     assert all(not r.checked for r in boundary_pullback_check(const, s, 2))
 
 
 def test_obstruction_growth_on_block_filler():
     s = gallery("ex3.5")
-    for code in (SlidingBlockCode.identity(BINARY), gallery_code("ex5.7")):
+    for code in (IDENTITY, gallery_code("ex5.7")):
         growth = factor_obstruction_check(code, s, 3, l0=1)
         for l, count in growth:
             assert count >= 2 ** (l - 1)
@@ -202,7 +202,7 @@ def test_factor_isolation_implies_source_isolation_on_separated_holes():
     chain = tuple(s.holes(l)[0] for l in range(1, 4))
     tree = hole_tree(s, 3, 4)
     source_iso = isolated_value_pair(tree, chain, "a", "b")
-    for code in (SlidingBlockCode.identity(BINARY), gallery_code("ex5.7")):
+    for code in (IDENTITY, gallery_code("ex5.7")):
         factor_chain = all(
             len(factor_aperiodic_residues(code, s, l, l + 2).nonperiodic) <= 1
             for l in (1, 2, 3)

@@ -247,6 +247,18 @@ def lcm_walk_per_sets_differ(pattern, p, p_l):
     return None if undetermined else False
 
 
+def per_sets_differ(small, large):
+    """Two classifications' Per sets compared modulo d = gcd of their moduli:
+    a mod p and b mod p_l share a position exactly when a = b mod d (Chinese
+    remainder theorem).  True (differ), False (equal as far as certified),
+    or None when undetermined residues block the comparison."""
+    d = gcd(small.modulus, large.modulus)
+    for one, other in ((small, large), (large, small)):
+        if {a % d for a in one.periodic}.intersection(b % d for b in other.nonperiodic):
+            return True
+    return None if small.undetermined or large.undetermined else False
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.text(alphabet="abc?", min_size=1, max_size=24), st.integers(1, 20), st.integers(1, 40))
 @example("cb", 5, 4)  # differ
@@ -254,11 +266,40 @@ def lcm_walk_per_sets_differ(pattern, p, p_l):
 @example("aa", 9, 2)  # equal
 def test_per_sets_differ_matches_lcm_walk(symbols, p, p_l):
     # arbitrary patterns and moduli: p need not divide p_l nor the period
-    from toeplitz_lab.periodicity import _per_sets_differ
+    pat = tl.PeriodicPattern(symbols, tl.Alphabet("abc"))
+    got = per_sets_differ(tl.classify_residues(pat, p), tl.classify_residues(pat, p_l))
+    assert got is lcm_walk_per_sets_differ(pat, p, p_l)
+
+
+@st.composite
+def near_periodic_patterns(draw):
+    """A short block over abc? repeated, with a few cells changed, so classes of every kind occur."""
+    block = draw(st.text(alphabet="abc?", min_size=1, max_size=6))
+    cells = list(block * draw(st.integers(1, 8)))
+    for i in draw(st.lists(st.integers(0, len(cells) - 1), max_size=3)):
+        cells[i] = draw(st.sampled_from("abc?"))
+    return "".join(cells)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(st.text(alphabet="abc?", min_size=1, max_size=36), near_periodic_patterns()))
+@example("abab?b")  # Per(2) and Per(3) differ only through Per(1)
+@example("a?aa" "abaa")  # only the b of an undetermined class tells Per(2) from Per(4)
+@example("aabbab")  # the classes mod 2 and mod 3 are all nonperiodic: equal
+def test_gcd_identity_matches_lcm_walk(symbols):
+    # for every pair of divisors g, g_l of the period, with d = gcd(g, g_l):
+    # Per(g) and Per(g_l) provably differ exactly when Per(d) provably
+    # differs from one of them, the rule verify_period_structure applies
+    from toeplitz_lab.periodicity import _lifts_differ
 
     pat = tl.PeriodicPattern(symbols, tl.Alphabet("abc"))
-    got = _per_sets_differ(tl.classify_residues(pat, p), tl.classify_residues(pat, p_l))
-    assert got is lcm_walk_per_sets_differ(pat, p, p_l)
+    divisors = [g for g in range(1, pat.period + 1) if pat.period % g == 0]
+    letters = {g: tl.classify_residues(pat, g).letters for g in divisors}
+    for g in divisors:
+        for g_l in divisors:
+            d = gcd(g, g_l)
+            got = _lifts_differ(symbols, letters[g_l], d) or (d < g and _lifts_differ(symbols, letters[g], d))
+            assert got == (lcm_walk_per_sets_differ(pat, g, g_l) is True), (g, g_l)
 
 
 def per_window_marker_image(code, pattern):
@@ -848,7 +889,7 @@ def test_census_and_isolation_match_naive_fill_on_gallery_words():
 
 def per_candidate_unresolved(pat, scale):
     """Each scale entry's unresolved candidates, every candidate period judged on its own."""
-    from toeplitz_lab.periodicity import _per_sets_differ, _per_witness, prime_exponents
+    from toeplitz_lab.periodicity import prime_exponents
 
     primes = {q for s in scale for q in prime_exponents(s)}
     out = []
@@ -859,14 +900,7 @@ def per_candidate_unresolved(pat, scale):
             candidates = [1] + [q ** e for e in range(1, p_l.bit_length()) if q ** e < p_l]
         else:
             candidates = range(1, p_l)
-        unresolved = []
-        for p in candidates:
-            if _per_witness(pat, p, large.periodic):
-                continue
-            if _per_sets_differ(tl.classify_residues(pat, p), large) is True:
-                continue
-            unresolved.append(p)
-        out.append(tuple(unresolved))
+        out.append(tuple(p for p in candidates if per_sets_differ(tl.classify_residues(pat, p), large) is not True))
     return out
 
 
@@ -892,7 +926,7 @@ def period_structure_cases(draw):
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(period_structure_cases())
-@example(("a" * 520 + "b", [6, 30, 210]))  # period 521 is prime, so the 256-step witness cap binds
+@example(("a" * 520 + "b", [6, 30, 210]))  # period 521 is prime, so gcd(p, period) = 1 for every candidate p
 @example(("ab?" * 100, [4, 12, 36]))  # 4 does not divide the period 300
 @example(("abcab?" * 60, [2, 8, 32, 128, 512]))  # prime-power scale, 512 does not divide 360
 @example(("abac" * 70 + "c", [5, 20, 100, 300]))  # mixed scale, period 281 is prime
