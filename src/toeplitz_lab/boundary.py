@@ -11,10 +11,11 @@ proven at depth from what a construction declares structurally.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 
 from .errors import NotOxtoby, PatternTooLarge, ToeplitzError, UnknownLetters
-from .periodicity import check_oxtoby, min_hole_gap
-from .words import HOLE, FillingSchedule
+from .periodicity import VerdictKind, check_oxtoby, min_hole_gap
+from .words import HOLE, PATTERN_CAP, FillingSchedule
 
 
 @dataclass(frozen=True)
@@ -69,8 +70,6 @@ def hole_tree(schedule: FillingSchedule, depth: int, resolution_depth: int | Non
     if resolution_depth < depth:
         raise ToeplitzError("resolution depth %d is below the tree depth %d" % (resolution_depth, depth))
     resolution_depth = schedule.available_levels(resolution_depth)
-    from .words import PATTERN_CAP
-
     while resolution_depth > depth and schedule.period(resolution_depth) > PATTERN_CAP:
         resolution_depth -= 1
     pat = schedule.pattern(resolution_depth)
@@ -99,16 +98,9 @@ def pruned_branch_census(tree: HoleTree) -> list[int]:
 # -- finiteness verdicts ---------------------------------------------------
 
 
-class VerdictKind:
-    CERTIFIED_TO_DEPTH = "certified-to-depth"
-    CERTIFIED_STRUCTURALLY = "certified-structurally"
-    REFUTED = "refuted"
-    UNKNOWN = "unknown"
-
-
 @dataclass(frozen=True)
 class Verdict:
-    kind: str
+    kind: VerdictKind
     reason: str = ""
     depth: int | None = None
 
@@ -194,7 +186,7 @@ def property_verdicts(schedule: FillingSchedule, depth: int, census_depth: int |
 # -- isolated value pairs ---------------------------------------------------
 
 
-class IsolationKind:
+class IsolationKind(Enum):
     CERTIFIED = "certified-at-level"
     REFUTED = "refuted-to-depth"
     UNKNOWN = "unknown"
@@ -202,7 +194,7 @@ class IsolationKind:
 
 @dataclass(frozen=True)
 class IsolationVerdict:
-    kind: str
+    kind: IsolationKind
     level: int | None = None
     settled_depth: int | None = None
     rival: tuple[int, int] | None = None  # (level, residue)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -18,8 +19,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import boundary, checks, complexity, elements, factors, periodicity, words
-from .errors import BadParams, ToeplitzError
+from .errors import BadParams, NoHoles, ToeplitzError
 from .gallery import GALLERY_NAMES, gallery as named_gallery, gallery_code, parse_params
+from .odometer import phi_prefix
 from .words import HOLE
 
 SCHEMA = "toeplitz-lab/1"
@@ -179,7 +181,7 @@ def cmd_analyze(args) -> dict:
     for l in range(1, depth + 1):
         try:
             gaps[l] = periodicity.min_hole_gap(s, l)
-        except ToeplitzError:
+        except NoHoles:
             gaps[l] = None
     oxt = periodicity.check_oxtoby(s, depth)
     scale = [s.period(l) for l in range(1, depth + 1)]
@@ -243,8 +245,6 @@ def cmd_factor(args) -> dict:
 
 
 def cmd_pair(args) -> dict:
-    from .odometer import phi_prefix
-
     s = load_schedule(args.schedule)
     n1, n2 = args.shifts
     half = args.window_half
@@ -317,87 +317,71 @@ def cmd_verify(args) -> dict:
     return rep
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+@functools.cache
+def parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every later call."""
+    root = argparse.ArgumentParser(
         prog="toeplitz-lab",
         description="Construct and analyse Toeplitz-type words generated by hole filling.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = root.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--format", choices=("json", "text"), default="text")
+    def command(name, run, help, positional="schedule", **kwargs):
+        p = sub.add_parser(name, help=help)
+        p.add_argument(positional, **kwargs)
+        p.set_defaults(run=run)
+        return p
 
-    p = sub.add_parser("build", help="compose seeds into a level pattern")
-    p.add_argument("schedule")
+    p = command("build", cmd_build, "compose seeds into a level pattern")
     p.add_argument("--level", type=int, default=2)
     p.add_argument("--window", type=parse_window,
                    help="lo:hi positions to display; write a negative start as --window=-3:6")
-    add_common(p)
 
-    p = sub.add_parser("eval", help="letter at one position")
-    p.add_argument("schedule")
+    p = command("eval", cmd_eval, "letter at one position")
     p.add_argument("position", type=int)
     p.add_argument("--depth", type=parse_at_least(1), default=4)
-    add_common(p)
 
-    p = sub.add_parser("analyze", help="periodicity verdicts")
-    p.add_argument("schedule")
+    p = command("analyze", cmd_analyze, "periodicity verdicts")
     p.add_argument("--depth", type=parse_at_least(1), default=3)
-    add_common(p)
 
-    p = sub.add_parser("boundary", help="hole tree and finiteness verdicts")
-    p.add_argument("schedule")
+    p = command("boundary", cmd_boundary, "hole tree and finiteness verdicts")
     p.add_argument("--depth", type=parse_at_least(1), default=3)
     p.add_argument("--resolution", type=parse_at_least(1), default=None)
-    add_common(p)
 
-    p = sub.add_parser("factor", help="apply a sliding block code and classify the image")
-    p.add_argument("schedule")
+    p = command("factor", cmd_factor, "apply a sliding block code and classify the image")
     p.add_argument("--code", required=True, help="gallery code name or code file")
     p.add_argument("--depth", type=parse_at_least(1), default=3)
-    add_common(p)
 
-    p = sub.add_parser("pair", help="difference census of two shifted copies")
-    p.add_argument("schedule")
+    p = command("pair", cmd_pair, "difference census of two shifted copies")
     p.add_argument("--shifts", type=int, nargs=2, required=True)
     p.add_argument("--depth", type=parse_at_least(1), default=4)
     p.add_argument("--window-half", type=parse_at_least(0), default=64)
-    add_common(p)
 
-    p = sub.add_parser("complexity", help="subword counts")
-    p.add_argument("schedule")
+    p = command("complexity", cmd_complexity, "subword counts")
     p.add_argument("--lengths", type=parse_lengths, default="4,8")
     p.add_argument("--mode", choices=("window", "decomposition"), default="window")
     p.add_argument("--depth", type=parse_at_least(1), default=5)
-    p.add_argument("--format", choices=("json", "text", "csv"), default="text")
 
-    p = sub.add_parser("gallery", help="list or export built-in schedules")
-    p.add_argument("name", nargs="?")
+    p = command("gallery", cmd_gallery, "list or export built-in schedules", "name", nargs="?")
     p.add_argument("--levels", type=parse_at_least(1), default=4)
     p.add_argument("--param", action="append", help="key=value, may repeat")
-    add_common(p)
 
-    p = sub.add_parser("verify", help="run named verification checks")
-    p.add_argument("checks", nargs="*")
-    add_common(p)
+    command("verify", cmd_verify, "run named verification checks", "checks", nargs="*")
 
-    args = parser.parse_args(argv)
-    handlers = {
-        "build": cmd_build,
-        "eval": cmd_eval,
-        "analyze": cmd_analyze,
-        "boundary": cmd_boundary,
-        "factor": cmd_factor,
-        "pair": cmd_pair,
-        "complexity": cmd_complexity,
-        "gallery": cmd_gallery,
-        "verify": cmd_verify,
-    }
+    # added last, so that every help lists it last
+    for name, p in sub.choices.items():
+        formats = ("json", "text", "csv") if name == "complexity" else ("json", "text")
+        p.add_argument("--format", choices=formats, default="text")
+    return root
+
+
+def main(argv=None) -> int:
+    args = parser().parse_args(argv)
     try:
-        rep = handlers[args.command](args)
+        rep = args.run(args)
         exit_code = rep.pop("exit_code", 0) if rep else 0
         if rep:
-            emit(rep, getattr(args, "format", "text"))
+            emit(rep, args.format)
         sys.stdout.flush()
     except ToeplitzError as exc:
         print("error: %s" % exc, file=sys.stderr)

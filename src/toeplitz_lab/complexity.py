@@ -31,6 +31,10 @@ class FactorSet:
 def factor_set_window(schedule: FillingSchedule, length: int, window: tuple[int, int], max_level: int) -> FactorSet:
     """Distinct length-``length`` subwords of a fully resolved window (lower bound)."""
     lo, hi = window
+    if (hi - lo - length + 1) * length > 16 * PATTERN_CAP:
+        # every start position may hold a distinct word of this length
+        raise PatternTooLarge(
+            "window [%d, %d) of length-%d words exceeds the assembly bound %d" % (lo, hi, length, 16 * PATTERN_CAP))
     text = resolve_window(schedule, lo, hi, max_level)
     if HOLE in text:
         raise UnresolvedWindow("window [%d, %d) not fully resolved at level %d" % (lo, hi, max_level))

@@ -280,15 +280,16 @@ def verify_period_structure(
 # -- generalised block-filling (all-or-nothing) check -------------------
 
 
-class OxtobyKind(Enum):
-    CERTIFIED = "certified-to-depth"
+class VerdictKind(Enum):
+    CERTIFIED_TO_DEPTH = "certified-to-depth"
+    CERTIFIED_STRUCTURALLY = "certified-structurally"
     REFUTED = "refuted"
     UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True)
 class OxtobyVerdict:
-    kind: OxtobyKind
+    kind: VerdictKind
     depth: int
     scale: tuple[int, ...]
     level: int | None = None
@@ -297,7 +298,7 @@ class OxtobyVerdict:
 
     @property
     def certified(self) -> bool:
-        return self.kind is OxtobyKind.CERTIFIED
+        return self.kind is VerdictKind.CERTIFIED_TO_DEPTH
 
 
 def check_oxtoby(schedule: FillingSchedule, depth: int) -> OxtobyVerdict:
@@ -323,16 +324,16 @@ def check_oxtoby(schedule: FillingSchedule, depth: int) -> OxtobyVerdict:
                 continue
             if got != lo_holes:
                 return OxtobyVerdict(
-                    OxtobyKind.REFUTED, depth, scale, level=l, witness_block=k,
+                    VerdictKind.REFUTED, depth, scale, level=l, witness_block=k,
                     reason="block filled partially",
                 )
             unfilled_blocks += 1
         if unfilled_blocks < 2:
             return OxtobyVerdict(
-                OxtobyKind.REFUTED, depth, scale, level=l,
+                VerdictKind.REFUTED, depth, scale, level=l,
                 reason="fewer than two unfilled blocks",
             )
-    return OxtobyVerdict(OxtobyKind.CERTIFIED, depth, scale)
+    return OxtobyVerdict(VerdictKind.CERTIFIED_TO_DEPTH, depth, scale)
 
 
 def hole_block_counts(schedule: FillingSchedule, t: int, l: int) -> list[int]:

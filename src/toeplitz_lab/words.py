@@ -32,7 +32,8 @@ from .errors import (
 HOLE = "?"
 
 #: Largest period for which an explicit one-period pattern is materialised,
-#: and the most holes per period or seed letters ``level_info`` lists for a level.
+#: the most holes per period or seed letters ``level_info`` lists for a level,
+#: and the longest window ``resolve_window`` reads.
 PATTERN_CAP = 1 << 22
 
 
@@ -363,10 +364,13 @@ def resolve_window(schedule: FillingSchedule, start: int, stop: int, max_level: 
     The walk stops at the first window without holes or after
     ``max_level`` levels, and each level's holes are then filled from
     the window below.  No pattern is built, so it works at any period
-    scale, and its work is the sum of the window lengths it reads.
+    scale, and its work is the sum of the window lengths it reads.  A
+    window longer than ``PATTERN_CAP`` raises PatternTooLarge.
     """
     if stop <= start:
         return ""
+    if stop - start > PATTERN_CAP:
+        raise PatternTooLarge("window [%d, %d) is longer than the cap %d" % (start, stop, PATTERN_CAP))
     steps = schedule._walk
     texts = []
     lo, n = start, stop - start

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -128,6 +129,11 @@ def test_bad_flag_value_is_a_usage_error(argv, capsys):
     ["boundary", "ex4.3", "--depth", "3", "--resolution", "1"],
     # a period of 2^18 times this length exceeds the word-assembly bound
     ["complexity", "ex4.4-mini", "--mode", "decomposition", "--lengths", "100000"],
+    # windows, shifted windows and the L-word set of a window scan, all past the cap
+    ["build", "ex4.3", "--level", "2", "--window", "0:1000000000"],
+    ["pair", "ex5.7", "--shifts", "38", "230", "--depth", "3", "--window-half", "100000000"],
+    ["complexity", "ex4.4-mini", "--lengths", "100000000"],
+    ["complexity", "ex4.4-mini", "--lengths", "100000"],
 ])
 def test_unservable_request_is_an_error(argv, capsys):
     assert main(argv) == 1
@@ -270,10 +276,12 @@ def test_complexity_csv(capsys):
 def test_to_jsonable_fractions_and_enums():
     from fractions import Fraction
 
-    from toeplitz_lab.periodicity import OxtobyKind
+    from toeplitz_lab.boundary import IsolationKind
+    from toeplitz_lab.periodicity import VerdictKind
 
     assert to_jsonable(Fraction(7, 8)) == {"numerator": 7, "denominator": 8}
-    assert to_jsonable(OxtobyKind.CERTIFIED) == "certified-to-depth"
+    assert to_jsonable(VerdictKind.CERTIFIED_TO_DEPTH) == "certified-to-depth"
+    assert to_jsonable(IsolationKind.CERTIFIED) == "certified-at-level"
     assert to_jsonable(float("inf")) == "inf"
     assert to_jsonable({1: (2, 3)}) == {"1": [2, 3]}
 
@@ -381,11 +389,13 @@ def test_mixed_scale_analyze_classifies_only_the_scale_entries(monkeypatch, caps
 
 
 _SMALL = st.integers(-3, 6).map(str)
+# window and length flags may also ask for more than any pattern holds
+_SIZE = _SMALL | st.sampled_from(("1000000000", "1000000000000000000"))
 # every flag of each subcommand, with values of the kind it takes
 _FLAG_VALUES = {
-    "--level": _SMALL, "--depth": _SMALL, "--resolution": _SMALL, "--window-half": _SMALL, "--levels": _SMALL,
-    "--window": st.tuples(_SMALL, _SMALL).map(":".join),
-    "--lengths": st.lists(_SMALL, min_size=1, max_size=3).map(",".join),
+    "--level": _SMALL, "--depth": _SMALL, "--resolution": _SMALL, "--window-half": _SIZE, "--levels": _SMALL,
+    "--window": st.tuples(_SIZE, _SIZE).map(":".join),
+    "--lengths": st.lists(_SIZE, min_size=1, max_size=3).map(",".join),
     "--shifts": st.tuples(_SMALL, _SMALL).map(" ".join),
     "--mode": st.sampled_from(("window", "decomposition")),
     "--format": st.sampled_from(("json", "text", "csv")),
@@ -439,3 +449,45 @@ def test_cli_arguments_end_in_an_exit_code(command, data):
         rc = exc.code
     assert rc in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue()
+
+
+def test_parser_is_built_once(monkeypatch, capsys):
+    from toeplitz_lab import cli
+
+    added = []
+    add_argument = argparse.ArgumentParser.add_argument
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument",
+                        lambda self, *a, **kw: added.append(a) or add_argument(self, *a, **kw))
+    cli.parser.cache_clear()
+    assert main(["gallery"]) == 0
+    assert added
+    added.clear()
+    assert main(["gallery"]) == 0
+    assert added == []
+
+
+def test_no_parser_state_leaks_between_calls(capsys):
+    fresh = subprocess.run([sys.executable, "-m", "toeplitz_lab.cli", "gallery", "williams"],
+                           capture_output=True, text=True, timeout=120,
+                           env=dict(os.environ, PYTHONPATH=str(Path(toeplitz_lab.__file__).parents[1])))
+    main(["gallery", "williams", "--param", "ratios=5"])
+    capsys.readouterr()
+    assert main(["gallery", "williams"]) == fresh.returncode
+    assert capsys.readouterr().out == fresh.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "ex4.3"], ["eval", "ex4.3", "3"], ["analyze", "ex4.3"], ["boundary", "ex4.3"],
+    ["factor", "ex5.7", "--code", "ex5.7"], ["pair", "ex5.7", "--shifts", "1", "2"],
+    ["complexity", "ex4.3"], ["gallery"], ["verify"],
+])
+def test_defaults_parse_alike_on_every_call(argv):
+    from toeplitz_lab.cli import parser
+
+    first, second = vars(parser().parse_args(argv)), vars(parser().parse_args(argv))
+    assert first == second and first["format"] == "text"
+    for key in ("lengths", "checks", "param"):
+        if first.get(key) is not None:
+            assert first[key] is not second[key], key
+    if argv[0] == "complexity":
+        assert first["lengths"] == [4, 8]

@@ -1022,10 +1022,10 @@ class Box:
 def jsonable_values():
     from fractions import Fraction
 
-    from toeplitz_lab.periodicity import EssentialityReport, OxtobyKind
+    from toeplitz_lab.periodicity import EssentialityReport, VerdictKind
 
     scalars = (st.none() | st.booleans() | st.integers(-10 ** 20, 10 ** 20) | st.text(max_size=4)
-               | st.fractions() | st.sampled_from(list(OxtobyKind)) | st.floats(allow_nan=False)
+               | st.fractions() | st.sampled_from(list(VerdictKind)) | st.floats(allow_nan=False)
                | st.just(float("inf")) | st.just(Fraction(3, 1)))
     reports = st.builds(EssentialityReport, st.integers(1, 50), st.booleans(),
                         st.lists(st.integers(1, 50)).map(tuple))
