@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import NotOxtoby, PatternTooLarge, ToeplitzError, UnknownLetters
-from .periodicity import VerdictKind, check_oxtoby, min_hole_gap
+from .errors import NotOxtoby, ToeplitzError, UnknownLetters
+from .periodicity import VerdictKind, check_oxtoby
 from .words import HOLE, PATTERN_CAP, FillingSchedule
 
 
@@ -38,29 +38,35 @@ class HoleTree:
 
     def survivors(self) -> tuple[frozenset[int], ...]:
         """Per level, the residues with a descendant at the deepest level."""
-        alive = frozenset(self.levels[-1])
-        out = [alive]
-        for l in range(self.depth - 1, 0, -1):
-            p = self.schedule.period(l)
-            parents = frozenset(r % p for r in alive)
-            alive = frozenset(r for r in self.levels[l - 1] if r in parents)
-            out.append(alive)
-        return tuple(reversed(out))
+        return survivors(self.schedule, self.depth)
 
     def branches(self, limit: int | None = None) -> list[tuple[int, ...]]:
         """Full-depth residue chains, lexicographically by level residues."""
         chains: list[tuple[int, ...]] = [()]
-        for l in range(1, self.depth + 1):
-            p_prev = self.schedule.period(l - 1) if l > 1 else None
-            nxt = []
-            for chain in chains:
-                for r in sorted(self.levels[l - 1]):
-                    if l == 1 or r % p_prev == chain[-1]:
-                        nxt.append(chain + (r,))
-            chains = nxt
+        for nodes in self.levels:
+            children: dict[int | None, list[int]] = {}  # parent residue -> its children, ascending
+            for r, node in nodes.items():
+                children.setdefault(node.parent, []).append(r)
+            chains = [chain + (r,) for chain in chains for r in children.get(chain[-1] if chain else None, ())]
             if limit is not None and len(chains) > 4 * limit:
                 chains = chains[: 4 * limit]
         return chains if limit is None else chains[:limit]
+
+
+def survivors(schedule: FillingSchedule, depth: int) -> tuple[frozenset[int], ...]:
+    """Per level up to ``depth``, the holes with a level-``depth`` hole in their class.
+
+    Every level-(l+1) hole lies in the class of a level-l hole, so the
+    level-l survivors are the level-(l+1) survivors mod p_l; no pattern
+    is built.
+    """
+    alive = frozenset(schedule.holes(depth))
+    out = [alive]
+    for l in range(depth - 1, 0, -1):
+        p = schedule.period(l)
+        alive = frozenset(r % p for r in alive)
+        out.append(alive)
+    return tuple(reversed(out))
 
 
 def hole_tree(schedule: FillingSchedule, depth: int, resolution_depth: int | None = None) -> HoleTree:
@@ -125,11 +131,7 @@ def property_verdicts(schedule: FillingSchedule, depth: int, census_depth: int |
     decl = schedule.declarations
     counts = tuple(len(schedule.holes(l)) for l in range(1, depth + 1))
     census_depth = census_depth if census_depth is not None else depth
-    try:
-        tree = hole_tree(schedule, census_depth, census_depth + 2)
-        census = tuple(pruned_branch_census(tree))
-    except PatternTooLarge:
-        census = ()
+    census = tuple(len(alive) for alive in survivors(schedule, census_depth))
 
     unknown = Verdict(VerdictKind.UNKNOWN, "no structural declaration", depth)
     fpc = hs = fb = unknown
@@ -147,20 +149,10 @@ def property_verdicts(schedule: FillingSchedule, depth: int, census_depth: int |
 
     if decl.get("boundary_singleton") and fb.kind is VerdictKind.UNKNOWN:
         half = max(1, census_depth // 2)
-        ok = bool(census) and census[:half] == (1,) * half
-        if ok:
+        if census[:half] == (1,) * half:
             fb = Verdict(
                 VerdictKind.CERTIFIED_STRUCTURALLY,
                 "declared singleton boundary; pruned census stabilises at 1",
-                depth,
-            )
-
-    if decl.get("separated_holes"):
-        gaps = [min_hole_gap(schedule, l) for l in range(1, depth + 1)]
-        if all(b >= a for a, b in zip(gaps, gaps[1:])):
-            hs = Verdict(
-                VerdictKind.CERTIFIED_STRUCTURALLY,
-                "declared separated holes; gaps nondecreasing to depth",
                 depth,
             )
 
@@ -239,32 +231,26 @@ def isolated_value_pair(
     def branch_carries_pair(horizon: int) -> bool:
         return all(pair <= tree.nodes(d)[branch[d - 1]].value_set for d in range(1, horizon + 1))
 
-    # strong certification: no surviving rival anywhere, to full depth;
-    # the bottom level is excluded since its cylinder has nothing below it
-    if branch_carries_pair(tree.depth):
-        for l1 in range(1, tree.depth):
-            if next(rivals(l1, tree.depth), None) is None:
-                return IsolationVerdict(IsolationKind.CERTIFIED, level=l1, settled_depth=tree.depth)
-    # settled certification: rivals may linger near the frontier, but at the
-    # settled levels (which had room to die out) the branch stands alone;
-    # requires at least one settled level of look-ahead below the cylinder
-    if branch_carries_pair(settled_depth):
-        for l1 in range(1, settled_depth):
-            if next(rivals(l1, settled_depth), None) is None:
-                return IsolationVerdict(IsolationKind.CERTIFIED, level=l1, settled_depth=settled_depth)
+    # strong certification: no surviving rival anywhere, to full depth (the
+    # bottom level is excluded since its cylinder has nothing below it);
+    # then settled certification: rivals may linger near the frontier, but
+    # at the settled levels (which had room to die out) the branch stands
+    # alone, with at least one settled level of look-ahead below the cylinder
+    for horizon in (tree.depth, settled_depth):
+        if branch_carries_pair(horizon):
+            for l1 in range(1, horizon):
+                if next(rivals(l1, horizon), None) is None:
+                    return IsolationVerdict(IsolationKind.CERTIFIED, level=l1, settled_depth=horizon)
 
     # refutation: every cylinder level with room below shows a rival
-    refuting = []
+    rival = None
     for l1 in range(1, tree.depth):
-        rv = next(rivals(l1, tree.depth), None)
-        if rv is None:
-            return IsolationVerdict(IsolationKind.UNKNOWN, settled_depth=settled_depth)
-        refuting.append(rv)
-    if not refuting:
+        rival = next(rivals(l1, tree.depth), None)
+        if rival is None:
+            break
+    if rival is None:
         return IsolationVerdict(IsolationKind.UNKNOWN, settled_depth=settled_depth)
-    return IsolationVerdict(
-        IsolationKind.REFUTED, settled_depth=settled_depth, rival=refuting[-1]
-    )
+    return IsolationVerdict(IsolationKind.REFUTED, settled_depth=settled_depth, rival=rival)
 
 
 @dataclass(frozen=True)
@@ -278,23 +264,16 @@ class SiblingWitness:
 def oxtoby_no_isolation_check(schedule: FillingSchedule, depth: int) -> list[SiblingWitness]:
     """For each node, a distinct deeper hole in the same cylinder a block multiple away.
 
-    Requires the block-filling certificate; under it every node keeps at
-    least two children, and the pair of children is exactly the wanted
-    witness.
+    Requires the block-filling certificate; under it a level-l hole r has
+    the child r + k * p_l in each unfilled block k of level l, so its two
+    lowest children, in the two lowest unfilled blocks k1 < k2, are the
+    wanted witness.
     """
     verdict = check_oxtoby(schedule, depth + 1)
     if not verdict.certified:
         raise NotOxtoby("block-filling check failed: %s" % (verdict.reason or verdict.kind))
     witnesses = []
-    for l in range(1, depth + 1):
+    for l, (k1, k2, *_) in enumerate(verdict.unfilled_blocks, 1):
         p = schedule.period(l)
-        children: dict[int, list[int]] = {}
-        for r in schedule.holes(l + 1):
-            children.setdefault(r % p, []).append(r)
-        for r in schedule.holes(l):
-            kids = sorted(children.get(r, []))
-            if len(kids) < 2:
-                raise NotOxtoby("node %d at level %d has fewer than two children" % (r, l))
-            c1, c2 = kids[0], kids[1]
-            witnesses.append(SiblingWitness(l, r, c2, (c2 - c1) // p))
+        witnesses += [SiblingWitness(l, r, r + k2 * p, k2 - k1) for r in schedule.holes(l)]
     return witnesses

@@ -235,6 +235,7 @@ def cmd_boundary(args) -> dict:
 def cmd_factor(args) -> dict:
     s = load_schedule(args.schedule)
     code = load_code(args.code, s.alphabet)
+    s.level_info(args.depth)  # the deepest level first, so a huge request is refused before any work
     res = factors.factor_residues(code, s, range(1, args.depth + 1), args.depth + 2)
     results = {
         "radius": code.radius,
@@ -287,6 +288,7 @@ def cmd_gallery(args) -> dict:
         return report("gallery", {}, {"available": list(GALLERY_NAMES)})
     params = parse_params(args.param or ())
     s = named_gallery(args.name, **params)
+    s.level_info(args.levels)  # the deepest level first, so a huge request is refused before any is listed
     return report(
         "gallery",
         {"name": args.name, "levels": args.levels, "params": params},

@@ -1,10 +1,9 @@
 """Built-in schedule constructions with their structural declarations.
 
 Each entry regenerates deterministically from its parameters.  The
-declarations (single hole per period, block-filling structure, separated
-holes, a closed-form boundary) are facts the construction is designed to
-satisfy; the analysis layer re-checks them at depth before leaning on
-them.
+declarations (single hole per period, block-filling structure, a
+closed-form boundary) are facts the construction is designed to satisfy;
+the analysis layer re-checks them at depth before leaning on them.
 """
 
 from __future__ import annotations

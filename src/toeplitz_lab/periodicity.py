@@ -295,6 +295,9 @@ class OxtobyVerdict:
     level: int | None = None
     witness_block: int | None = None
     reason: str = ""
+    # per checked level l, ascending: the blocks k of the level-(l+1) period
+    # whose cells k * p_l + r are holes for every level-l hole r
+    unfilled_blocks: tuple[tuple[int, ...], ...] = ()
 
     @property
     def certified(self) -> bool:
@@ -305,35 +308,32 @@ def check_oxtoby(schedule: FillingSchedule, depth: int) -> OxtobyVerdict:
     """Blockwise all-or-nothing filling with >= 2 unfilled blocks per level.
 
     The check runs against the schedule's own level scale, which is
-    divisible by construction; the verdict records that scale.
+    divisible by construction; the verdict records that scale.  Each
+    level's deeper holes are grouped once by block, in hole order, so the
+    blocks come in ascending order and the first partly filled one is the
+    witness.
     """
     scale = tuple(schedule.period(l) for l in range(1, depth + 1))
+    unfilled: list[tuple[int, ...]] = []
     for l in range(1, depth):
-        lo_info = schedule.level_info(l)
-        hi_info = schedule.level_info(l + 1)
-        p, P = lo_info.period, hi_info.period
-        copies = P // p
-        lo_holes = set(lo_info.holes)
-        hi_by_block: dict[int, set[int]] = {k: set() for k in range(copies)}
-        for h in hi_info.holes:
-            hi_by_block[h // p].add(h % p)
-        unfilled_blocks = 0
-        for k in range(copies):
-            got = hi_by_block[k]
-            if not got:
-                continue
+        p = scale[l - 1]
+        lo_holes = list(schedule.holes(l))
+        blocks: dict[int, list[int]] = {}  # block -> residues mod p of its deeper holes, ascending
+        for h in schedule.holes(l + 1):
+            blocks.setdefault(h // p, []).append(h % p)
+        for k, got in blocks.items():
             if got != lo_holes:
                 return OxtobyVerdict(
                     VerdictKind.REFUTED, depth, scale, level=l, witness_block=k,
-                    reason="block filled partially",
+                    reason="block filled partially", unfilled_blocks=tuple(unfilled),
                 )
-            unfilled_blocks += 1
-        if unfilled_blocks < 2:
+        if len(blocks) < 2:
             return OxtobyVerdict(
                 VerdictKind.REFUTED, depth, scale, level=l,
-                reason="fewer than two unfilled blocks",
+                reason="fewer than two unfilled blocks", unfilled_blocks=tuple(unfilled),
             )
-    return OxtobyVerdict(VerdictKind.CERTIFIED_TO_DEPTH, depth, scale)
+        unfilled.append(tuple(blocks))
+    return OxtobyVerdict(VerdictKind.CERTIFIED_TO_DEPTH, depth, scale, unfilled_blocks=tuple(unfilled))
 
 
 def hole_block_counts(schedule: FillingSchedule, t: int, l: int) -> list[int]:

@@ -271,9 +271,9 @@ class FillingSchedule:
             return info
         if l < 1:
             raise ToeplitzError("level must be >= 1")
-        first = l
-        while first > 1 and first - 1 not in self._infos:
-            first -= 1
+        # levels are cached from 1 upward with no gaps, so the first
+        # uncached level follows the cached ones
+        first = len(self._infos) + 1
         h = len(self._infos[first - 1].holes) if first > 1 else self.seed(1).hole_count
         for k in range(max(first, 2), l + 1):
             if not h:

@@ -87,6 +87,13 @@ def test_property_verdicts_declared_singleton():
     assert pv.census[:3] == (1, 1, 1)
 
 
+def test_property_verdicts_census_past_the_pattern_cap():
+    # the level-12 period 4^12 is past the pattern cap; the census needs only the hole sets
+    pv = property_verdicts(gallery("ex4.3"), 12)
+    assert pv.census == (1, 1, 1, 1, 1, 1, 2, 4, 8, 16, 32, 64)
+    assert pv.fb.kind == VerdictKind.CERTIFIED_STRUCTURALLY
+
+
 def test_property_verdicts_plain_schedule_unknown():
     s = FillingSchedule(BINARY, [parse_seed("a??b"), parse_seed("aa?a?bbb"), parse_seed("aa????bb")])
     pv = property_verdicts(s, 2, census_depth=2)

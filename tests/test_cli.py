@@ -134,6 +134,11 @@ def test_bad_flag_value_is_a_usage_error(argv, capsys):
     ["pair", "ex5.7", "--shifts", "38", "230", "--depth", "3", "--window-half", "100000000"],
     ["complexity", "ex4.4-mini", "--lengths", "100000000"],
     ["complexity", "ex4.4-mini", "--lengths", "100000"],
+    # levels and depths whose seeds or hole lists pass the cap long before the level is reached
+    ["build", "ex4.3", "--level", "1000000000"],
+    ["boundary", "ex3.5", "--depth", "1000000000"],
+    ["gallery", "ex4.3", "--levels", "1000000000"],
+    ["factor", "ex5.7", "--code", "ex5.7", "--depth", "1000000000"],
 ])
 def test_unservable_request_is_an_error(argv, capsys):
     assert main(argv) == 1

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import toeplitz_lab as tl
-from toeplitz_lab.errors import PatternTooLarge
+from toeplitz_lab.errors import NotOxtoby, PatternTooLarge
 
 
 def naive_fill(seeds, lo, hi, margin=None):
@@ -882,6 +882,128 @@ def test_census_and_isolation_match_naive_fill_on_gallery_words():
             assert (got.kind, got.level, got.settled_depth) == naive_isolation(s, levels, branch, "a", "b")
             kinds.add(got.kind)
     assert kinds == {tl.IsolationKind.CERTIFIED, tl.IsolationKind.REFUTED}
+
+
+# -- the hole nesting read by its definition: block filling, branches, census ----
+
+
+def naive_block_filling(s, depth):
+    """``check_oxtoby`` by its definition: each length-p_l block of pattern(l + 1)
+    leaves open all of pattern(l)'s holes or none, and at least two leave them open.
+
+    Returns (certified, level, witness block, unfilled blocks of the levels before).
+    """
+    unfilled = []
+    for l in range(1, depth):
+        lo, hi = s.pattern(l).symbols, s.pattern(l + 1).symbols
+        p = len(lo)
+        holes = [j for j in range(p) if lo[j] == "?"]
+        open_blocks = []
+        for k in range(len(hi) // p):
+            opened = [j for j in range(p) if hi[k * p + j] == "?"]
+            if opened and opened != holes:
+                return False, l, k, unfilled
+            if opened:
+                open_blocks.append(k)
+        if len(open_blocks) < 2:
+            return False, l, None, unfilled
+        unfilled.append(tuple(open_blocks))
+    return True, None, None, unfilled
+
+
+def naive_sibling_witnesses(s, depth):
+    """Per level-l hole r (l <= depth), its two lowest holes of pattern(l + 1) in the class of r."""
+    out = []
+    for l in range(1, depth + 1):
+        p = s.period(l)
+        deeper = s.pattern(l + 1).symbols
+        for r in range(p):
+            if s.pattern(l).symbols[r] == "?":
+                c1, c2 = [j for j in range(r, len(deeper), p) if deeper[j] == "?"][:2]
+                out.append((l, r, c2, (c2 - c1) // p))
+    return out
+
+
+def assert_block_filling_matches_definition(s, depth):
+    v = tl.check_oxtoby(s, depth)
+    certified, level, block, unfilled = naive_block_filling(s, depth)
+    assert (v.certified, v.level, v.witness_block, list(v.unfilled_blocks)) == (certified, level, block, unfilled)
+    if depth < 2:
+        return
+    if certified:
+        wits = tl.oxtoby_no_isolation_check(s, depth - 1)
+        assert [dataclasses.astuple(w) for w in wits] == naive_sibling_witnesses(s, depth - 1)
+    else:
+        with pytest.raises(NotOxtoby):
+            tl.oxtoby_no_isolation_check(s, depth - 1)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed_lists())
+def test_block_filling_matches_its_definition(seeds):
+    s = tl.FillingSchedule(tl.BINARY, [tl.parse_seed(w) for w in seeds])
+    for depth in range(1, len(seeds) + 1):
+        assert_block_filling_matches_definition(s, depth)
+
+
+def test_block_filling_matches_its_definition_on_gallery_words():
+    kinds = set()
+    for name, depth in (("ex3.5", 4), ("ex5.7", 4), ("williams", 4), ("ex4.3", 4)):
+        s = tl.gallery(name)
+        assert_block_filling_matches_definition(s, depth)
+        kinds.add(tl.check_oxtoby(s, depth).kind)
+    assert kinds == {tl.VerdictKind.CERTIFIED_TO_DEPTH, tl.VerdictKind.REFUTED}
+
+
+def naive_chains(s, depth):
+    """Every chain of holes, one per level, each in the class of the one above, lexicographically."""
+    return [c for c in product(*(s.holes(l) for l in range(1, depth + 1)))
+            if all(c[l] % s.period(l) == c[l - 1] for l in range(1, depth))]
+
+
+def naive_limited_chains(s, depth, limit):
+    """The chains ``branches(limit)`` promises: after each level only the first
+    4 * limit partial chains are kept, and the first ``limit`` full ones returned."""
+    kept = [()]
+    for l in range(1, depth + 1):
+        kept = [c for c in naive_chains(s, l) if c[:-1] in kept][: 4 * limit]
+    return kept[:limit]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(tree_schedules(), st.integers(1, 6))
+def test_branches_match_filtered_product(case, limit):
+    seeds, depth, _ = case
+    s = tl.FillingSchedule(tl.BINARY, [tl.parse_seed(w) for w in seeds])
+    tree = tl.hole_tree(s, depth)
+    every, limited = tree.branches(), tree.branches(limit)
+    assert every == naive_chains(s, depth)
+    assert limited == naive_limited_chains(s, depth, limit) == every[: len(limited)]
+
+
+def test_branches_match_filtered_product_on_gallery_words():
+    for name, depth in (("ex4.3", 4), ("ex5.7", 3), ("ex3.5", 3)):
+        tree = tl.hole_tree(tl.gallery(name), depth)
+        assert tree.branches() == naive_chains(tree.schedule, depth)
+        for limit in (1, 4, 6):
+            assert tree.branches(limit) == naive_limited_chains(tree.schedule, depth, limit)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(tree_schedules())
+def test_property_verdicts_census_matches_naive_survivors(case):
+    seeds, depth, _ = case
+    s = tl.FillingSchedule(tl.BINARY, [tl.parse_seed(w) for w in seeds])
+    levels = naive_hole_tree(seeds, s, depth, depth)
+    assert tl.property_verdicts(s, depth).census == tuple(len(level) for level in naive_survivors(s, levels))
+
+
+def test_property_verdicts_census_matches_naive_survivors_on_gallery_words():
+    for name, depth in (("ex4.3", 4), ("ex5.7", 3)):
+        s = tl.gallery(name)
+        seeds = [s.seed(l).symbols for l in range(1, depth + 1)]
+        levels = naive_hole_tree(seeds, s, depth, depth)
+        assert tl.property_verdicts(s, depth).census == tuple(len(level) for level in naive_survivors(s, levels))
 
 
 # -- essentiality once per gcd class, reports without deep copies ------------
