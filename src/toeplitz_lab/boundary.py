@@ -1,10 +1,12 @@
 """Finite-depth approximation of the separating-cover boundary.
 
-The hole tree has one node per aperiodic residue and level; a node's
-value set collects the letters actually observed in its residue class up
-to a resolution strictly deeper than the tree.  A cylinder certifiably
-contains no boundary point exactly when its subtree dies out, so pruning
-against the deepest level is sound.  Certificates distinguish what was
+Each level of the hole tree maps its hole residues to their value sets,
+the letters actually observed in each residue class up to a resolution
+strictly deeper than the tree; a level-l residue r hangs below
+r mod p_(l-1).  A cylinder certifiably contains no boundary point
+exactly when its subtree dies out, so pruning against the deepest level
+is sound; the survivors are read off the hole sets alone, and full-depth
+branches are walked through them.  Certificates distinguish what was
 proven at depth from what a construction declares structurally.
 """
 
@@ -18,22 +20,14 @@ from .periodicity import VerdictKind, check_oxtoby
 from .words import HOLE, PATTERN_CAP, FillingSchedule
 
 
-@dataclass(frozen=True)
-class HoleNode:
-    level: int
-    residue: int
-    parent: int | None
-    value_set: frozenset[str]
-
-
 @dataclass
 class HoleTree:
     schedule: FillingSchedule
     depth: int
     resolution_depth: int
-    levels: tuple[dict[int, HoleNode], ...]  # levels[l-1]: residue -> node
+    levels: tuple[dict[int, frozenset[str]], ...]  # levels[l-1]: hole residue -> value set
 
-    def nodes(self, l: int) -> dict[int, HoleNode]:
+    def nodes(self, l: int) -> dict[int, frozenset[str]]:
         return self.levels[l - 1]
 
     def survivors(self) -> tuple[frozenset[int], ...]:
@@ -41,16 +35,21 @@ class HoleTree:
         return survivors(self.schedule, self.depth)
 
     def branches(self, limit: int | None = None) -> list[tuple[int, ...]]:
-        """Full-depth residue chains, lexicographically by level residues."""
-        chains: list[tuple[int, ...]] = [()]
-        for nodes in self.levels:
-            children: dict[int | None, list[int]] = {}  # parent residue -> its children, ascending
-            for r, node in nodes.items():
-                children.setdefault(node.parent, []).append(r)
-            chains = [chain + (r,) for chain in chains for r in children.get(chain[-1] if chain else None, ())]
-            if limit is not None and len(chains) > 4 * limit:
-                chains = chains[: 4 * limit]
-        return chains if limit is None else chains[:limit]
+        """Full-depth residue chains, lexicographically by level residues; the first ``limit`` if given.
+
+        Only survivors are walked, and every surviving partial chain
+        reaches the deepest level, so the cut at ``limit`` after each
+        level is exact.
+        """
+        alive = self.survivors()
+        chains = [(r,) for r in sorted(alive[0])][:limit]
+        for l in range(2, self.depth + 1):
+            p = self.schedule.period(l - 1)
+            children: dict[int, list[int]] = {}  # parent residue -> its surviving children, ascending
+            for r in sorted(alive[l - 1]):
+                children.setdefault(r % p, []).append(r)
+            chains = [chain + (r,) for chain in chains for r in children[chain[-1]]][:limit]
+        return chains
 
 
 def survivors(schedule: FillingSchedule, depth: int) -> tuple[frozenset[int], ...]:
@@ -71,6 +70,8 @@ def survivors(schedule: FillingSchedule, depth: int) -> tuple[frozenset[int], ..
 
 def hole_tree(schedule: FillingSchedule, depth: int, resolution_depth: int | None = None) -> HoleTree:
     """Build the hole tree to ``depth`` with value sets from a deeper pattern."""
+    if depth < 1:
+        raise ToeplitzError("tree depth must be >= 1, got %d" % depth)
     if resolution_depth is None:
         resolution_depth = depth + 2
     if resolution_depth < depth:
@@ -81,18 +82,8 @@ def hole_tree(schedule: FillingSchedule, depth: int, resolution_depth: int | Non
     pat = schedule.pattern(resolution_depth)
     levels = []
     for l in range(1, depth + 1):
-        p = schedule.period(l)
-        p_prev = schedule.period(l - 1) if l > 1 else None
-        nodes = {}
-        for r in schedule.holes(l):
-            # p divides the pattern period, so the class of r is one slice
-            observed = set(pat.symbols[r::p])
-            observed.discard(HOLE)
-            parent = r % p_prev if l > 1 else None
-            if l > 1 and parent not in levels[-1]:
-                raise ToeplitzError("hole nesting violated at level %d residue %d" % (l, r))
-            nodes[r] = HoleNode(l, r, parent, frozenset(observed))
-        levels.append(nodes)
+        p = schedule.period(l)  # divides the pattern period, so the class of r is one slice
+        levels.append({r: frozenset(pat.symbols[r::p]).difference(HOLE) for r in schedule.holes(l)})
     return HoleTree(schedule, depth, resolution_depth, tuple(levels))
 
 
@@ -225,11 +216,11 @@ def isolated_value_pair(
         for d in range(l1, horizon + 1):
             for r in survivors[d - 1]:
                 if r % p == anchor and r != branch[d - 1]:
-                    if pair <= tree.nodes(d)[r].value_set:
+                    if pair <= tree.nodes(d)[r]:
                         yield (d, r)
 
     def branch_carries_pair(horizon: int) -> bool:
-        return all(pair <= tree.nodes(d)[branch[d - 1]].value_set for d in range(1, horizon + 1))
+        return all(pair <= tree.nodes(d)[branch[d - 1]] for d in range(1, horizon + 1))
 
     # strong certification: no surviving rival anywhere, to full depth (the
     # bottom level is excluded since its cylinder has nothing below it);

@@ -204,13 +204,13 @@ def cmd_boundary(args) -> dict:
     verdicts = boundary.property_verdicts(s, args.depth)
     nodes = [
         {
-            "level": n.level,
-            "residue": n.residue,
-            "parent": n.parent,
-            "values": sorted(n.value_set),
+            "level": l,
+            "residue": r,
+            "parent": r % s.period(l - 1) if l > 1 else None,
+            "values": sorted(values),
         }
         for l in range(1, tree.depth + 1)
-        for n in tree.nodes(l).values()
+        for r, values in tree.nodes(l).items()
     ]
     # the per-level cylinder labelling: which cover set each residue class
     # belongs to, holes marking the undetermined cylinders

@@ -136,7 +136,7 @@ def complexity_profile(schedule: FillingSchedule, lengths, mode: str, max_level:
     reaches L.
     """
     if mode not in ("window", "decomposition"):
-        raise ValueError("mode must be 'window' or 'decomposition'")
+        raise ToeplitzError("mode must be 'window' or 'decomposition'")
     out = []
     for L in lengths:
         if mode == "window":

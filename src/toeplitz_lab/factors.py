@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+from .boundary import IsolationKind, IsolationVerdict
 from .errors import (
     NotIsolated,
     NotOxtoby,
@@ -294,9 +295,7 @@ def unique_residue_search(
     return ResidueSearchCertificate(l1, l2, window, True)
 
 
-def find_unique_residue_level(
-    schedule: FillingSchedule, l1: int, max_l2: int = 8
-) -> ResidueSearchCertificate:
+def find_unique_residue_level(schedule: FillingSchedule, l1: int, max_l2: int) -> ResidueSearchCertificate:
     """Smallest l2 whose windows (two periods of level l2 + 1) pin residues mod p_l1, with its certificate."""
     last = None
     for l2 in range(l1, max_l2 + 1):
@@ -321,8 +320,8 @@ def build_isolating_code(
     branch,
     letter: str,
     l1: int,
-    l2: int | None = None,
-    certificate=None,
+    l2: int,
+    certificate: IsolationVerdict,
 ) -> MarkerCode:
     """Marker code isolating one boundary cylinder.
 
@@ -330,32 +329,21 @@ def build_isolating_code(
     branch's level-``l1`` class, over three periods of level l2 + 1 and
     resolved at depth l2 + 3, where the word shows ``letter``; other
     letters map to the first alphabet letter different from ``letter``.
-    The isolation certificate for the branch must be supplied or
-    computable, and ``l1`` must lie in the certified cylinder.
+    ``certificate``, the branch's ``isolated_value_pair`` verdict, must
+    be certified, and ``l1`` must lie in the certified cylinder.
     """
-    from .boundary import IsolationKind, hole_tree, isolated_value_pair
-
     branch = tuple(branch)
     other = next(c for c in schedule.alphabet if c != letter)
-    if certificate is None:
-        tree = hole_tree(schedule, min(len(branch), l1 + 1))
-        certificate = isolated_value_pair(tree, branch[: tree.depth], letter, other)
     if certificate.kind is not IsolationKind.CERTIFIED:
         raise NotIsolated("no isolation certificate for the branch: %r" % (certificate,))
     if certificate.level > l1:
         raise NotIsolated("certificate holds at level %d, cannot build at %d" % (certificate.level, l1))
 
-    if l2 is None:
-        cert = find_unique_residue_level(schedule, l1)
-        if not cert.holds:
-            raise ToeplitzError("no unique-residue level found for l1=%d" % l1)
-        l2 = cert.l2
     p1, p2 = schedule.period(l1), schedule.period(l2)
     anchor = branch[l1 - 1]
     depth = l2 + 3
 
     marked: set[str] = set()
-    saturated = False
     span = max(1, (3 * schedule.period(schedule.available_levels(l2 + 1))) // p1)
     fresh_at = 0
     for m in range(span):

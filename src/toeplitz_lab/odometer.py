@@ -24,13 +24,13 @@ class OdometerPoint:
 
     def __post_init__(self):
         if len(self.scale) != len(self.residues):
-            raise ValueError("scale and residues must have equal length")
+            raise ToeplitzError("scale and residues must have equal length")
         for p, r in zip(self.scale, self.residues):
             if not 0 <= r < p:
-                raise ValueError("residue %d out of range for period %d" % (r, p))
+                raise ToeplitzError("residue %d out of range for period %d" % (r, p))
         for (p, r), r2 in zip(zip(self.scale, self.residues), self.residues[1:]):
             if r2 % p != r:
-                raise ValueError("incoherent residue chain %r for scale %r" % (self.residues, self.scale))
+                raise ToeplitzError("incoherent residue chain %r for scale %r" % (self.residues, self.scale))
 
     @property
     def depth(self) -> int:
@@ -67,12 +67,10 @@ def branch_point(schedule: FillingSchedule, residues, depth: int | None = None) 
 def phi_prefix(schedule: FillingSchedule, element, depth: int) -> OdometerPoint:
     """Position of an element under the factor map, truncated to ``depth``.
 
-    ``element`` is an ElementSpec from the elements module, or a plain
-    integer meaning the shift by that amount.  A shift limit's residue
-    mod each scale entry is the value its shifts' residues settle on.
+    ``element`` is an ElementSpec from the elements module.  A shift
+    limit's residue mod each scale entry is the value its shifts'
+    residues settle on.
     """
-    if isinstance(element, int):
-        return embed(schedule, element, depth)
     if isinstance(element, Shift):
         return embed(schedule, element.n, depth)
     if isinstance(element, ShiftLimit):
@@ -85,7 +83,7 @@ def phi_prefix(schedule: FillingSchedule, element, depth: int) -> OdometerPoint:
                 raise UnresolvedElement("shift rule does not settle mod %d" % p)
             residues.append(r)
         return OdometerPoint(scale, tuple(residues))
-    raise TypeError("cannot map %r to the odometer" % (element,))
+    raise ToeplitzError("cannot map %r to the odometer" % (element,))
 
 
 def matching_shift(schedule: FillingSchedule, l: int, element, resolution: int) -> int:
@@ -94,10 +92,8 @@ def matching_shift(schedule: FillingSchedule, l: int, element, resolution: int) 
     Searches all candidates and asserts uniqueness; used as the slow
     cross-check of the residue arithmetic in :func:`phi_prefix`.
     """
-    if isinstance(element, int):
-        element = Shift(element)
     if not isinstance(element, Shift):
-        raise TypeError("matching_shift needs a plain shift element")
+        raise ToeplitzError("matching_shift needs a plain shift element")
     p = schedule.period(l)
     pat = schedule.pattern(schedule.available_levels(resolution))
     source = classify_residues(pat, p).periodic

@@ -68,9 +68,9 @@ def classify_residues(pat: PeriodicPattern, p: int) -> ResidueClasses:
     unresolved stays undetermined.
     """
     if not isinstance(pat, PeriodicPattern):
-        raise TypeError("expected a pattern, got %r" % (pat,))
+        raise ToeplitzError("expected a pattern, got %r" % (pat,))
     if p < 1:
-        raise ValueError("period must be positive")
+        raise ToeplitzError("period must be positive")
     symbols = pat.symbols
     g = gcd(p, pat.period)
     if g <= pat.period // g:
@@ -101,7 +101,7 @@ def aperiodic_residues(schedule: FillingSchedule, l: int, depth: int) -> tuple[i
     hole class was silently completed with a single letter.
     """
     if depth < l:
-        raise ValueError("resolution depth must be >= level")
+        raise ToeplitzError("resolution depth must be >= level")
     p = schedule.period(l)
     classes = classify_residues(schedule.pattern(depth), p)
     aper = tuple(sorted(classes.nonperiodic + classes.undetermined))
@@ -187,7 +187,7 @@ def _lifts_differ(symbols: str, row: str, g: int) -> bool:
 def prime_exponents(n: int) -> dict[int, int]:
     """prime -> exponent in the factorisation of ``n`` >= 1, primes ascending."""
     if n < 1:
-        raise ValueError("can only factorise positive integers, got %r" % (n,))
+        raise ToeplitzError("can only factorise positive integers, got %r" % (n,))
     out: dict[int, int] = {}
     q = 2
     while q * q <= n:
@@ -339,7 +339,7 @@ def check_oxtoby(schedule: FillingSchedule, depth: int) -> OxtobyVerdict:
 def hole_block_counts(schedule: FillingSchedule, t: int, l: int) -> list[int]:
     """Counts of level-``l`` holes in the aligned length-p_t blocks that contain any."""
     if t > l:
-        raise ValueError("t must be <= l")
+        raise ToeplitzError("t must be <= l")
     p_t = schedule.period(t)
     counts: dict[int, int] = {}
     for h in schedule.holes(l):

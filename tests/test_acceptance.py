@@ -244,8 +244,8 @@ def test_invariants_value_set_monotone(s):
     depth = min(2, s.max_levels)
     tree = tl.hole_tree(s, depth, depth + 1)
     for l in range(2, depth + 1):
-        for node in tree.nodes(l).values():
-            assert node.value_set <= tree.nodes(l - 1)[node.parent].value_set
+        for r, values in tree.nodes(l).items():
+            assert values <= tree.nodes(l - 1)[r % s.period(l - 1)]
 
 
 @SUITE

@@ -13,7 +13,7 @@ from toeplitz_lab import (
     property_verdicts,
     pruned_branch_census,
 )
-from toeplitz_lab.errors import NotOxtoby, UnknownLetters
+from toeplitz_lab.errors import NotOxtoby, ToeplitzError, UnknownLetters
 
 EX43_BRANCH = tuple((4 ** l - 1) // 3 for l in range(1, 9))
 
@@ -40,9 +40,9 @@ def test_value_sets_shrink_along_branches():
     for name in ("ex4.3", "ex5.7", "ex3.5"):
         tree = hole_tree(gallery(name), 4, 6)
         for l in range(2, 5):
-            for node in tree.nodes(l).values():
-                parent = tree.nodes(l - 1)[node.parent]
-                assert node.value_set <= parent.value_set
+            p = tree.schedule.period(l - 1)
+            for r, values in tree.nodes(l).items():
+                assert values <= tree.nodes(l - 1)[r % p]
 
 
 def test_surviving_branches_carry_two_letters():
@@ -50,7 +50,7 @@ def test_surviving_branches_carry_two_letters():
     surv = tree.survivors()
     for l in (1, 2, 3):
         for r in surv[l - 1]:
-            assert len(tree.nodes(l)[r].value_set) == 2
+            assert len(tree.nodes(l)[r]) == 2
 
 
 def test_census_ex43_depth8():
@@ -58,6 +58,14 @@ def test_census_ex43_depth8():
     census = pruned_branch_census(tree)
     assert census[:4] == [1, 1, 1, 1]
     assert sorted(tree.survivors()[3]) == [85]
+
+
+def test_branches_limit_skips_dead_partial_chains():
+    # the four lowest level-2 chains, (2, 16), (2, 23), (2, 30) and (3, 3), have no level-3 hole below
+    s = FillingSchedule(BINARY, [parse_seed("ba????b"), parse_seed("a???a"), parse_seed("bb?a")])
+    tree = hole_tree(s, 3)
+    assert tree.branches(limit=1) == [(3, 31, 31)]
+    assert tree.branches() == [(3, 31, 31), (5, 5, 5), (5, 19, 19)]
 
 
 def test_census_ex57_no_pruning():
@@ -157,6 +165,11 @@ def test_no_isolation_witnesses():
 def test_no_isolation_requires_block_filling():
     with pytest.raises(NotOxtoby):
         oxtoby_no_isolation_check(gallery("ex4.4-mini"), 3)
+
+
+def test_hole_tree_refuses_depth_below_one():
+    with pytest.raises(ToeplitzError, match="tree depth"):
+        hole_tree(gallery("ex4.3"), 0)
 
 
 def test_depth_one_tree_is_inconclusive():

@@ -100,8 +100,9 @@ def test_build_isolating_code_rejects_block_fillers():
     s = gallery("ex3.5")
     tree = hole_tree(s, 4, 5)
     branch = tree.branches(limit=1)[0]
+    iso = isolated_value_pair(hole_tree(s, 3), branch[:3], "a", "b")
     with pytest.raises(NotIsolated):
-        build_isolating_code(s, branch, "a", l1=2, l2=2)
+        build_isolating_code(s, branch, "a", l1=2, l2=2, certificate=iso)
 
 
 def test_isolating_code_ex43_chain():

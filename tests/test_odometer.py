@@ -12,7 +12,7 @@ from toeplitz_lab import (
     phi_prefix,
     rotate,
 )
-from toeplitz_lab.errors import UnresolvedElement
+from toeplitz_lab.errors import ToeplitzError, UnresolvedElement
 
 
 def test_embed_examples():
@@ -23,9 +23,9 @@ def test_embed_examples():
 
 
 def test_coherence_enforced():
-    with pytest.raises(ValueError):
+    with pytest.raises(ToeplitzError):
         OdometerPoint((4, 16), (1, 6))
-    with pytest.raises(ValueError):
+    with pytest.raises(ToeplitzError):
         OdometerPoint((4, 16), (1, 17))
 
 
