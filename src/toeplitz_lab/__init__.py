@@ -58,11 +58,9 @@ from .boundary import (
 )
 from .factors import (
     FactorResidues,
-    MarkerCode,
     ResidueSearchCertificate,
     SlidingBlockCode,
     apply_code,
-    boundary_pullback_check,
     build_isolating_code,
     code_from_text,
     code_to_text,

@@ -1,12 +1,13 @@
 """Sliding block codes and factor-word analysis.
 
-A code maps every window of width 2J+1 to a letter.  Applying it to a
-partially resolved pattern outputs a letter only when every completion of
-the window agrees; otherwise the output is a hole, so factor analysis
-composes with the three-valued periodicity machinery.  Residue
-classification of a factor word distinguishes certified-nonperiodic
-residues (two differing resolved outputs) from the permanently
-undetermined shadows that a code's holes cast.
+A code is a table from windows of width 2J+1 to letters, with an
+optional default letter for the windows it does not list.  Applying it
+to a partially resolved pattern outputs a letter only when every
+completion of the window agrees; otherwise the output is a hole, so
+factor analysis composes with the three-valued periodicity machinery.
+Residue classification of a factor word distinguishes
+certified-nonperiodic residues (two differing resolved outputs) from the
+permanently undetermined shadows that a code's holes cast.
 """
 
 from __future__ import annotations
@@ -23,28 +24,35 @@ from .errors import (
     UnresolvedWindow,
 )
 from .periodicity import check_oxtoby, classify_residues
-from .words import HOLE, Alphabet, FillingSchedule, PeriodicPattern, evaluate, hole_positions, resolve_window
-
-MAX_COMPLETION_HOLES = 16
+from .words import HOLE, PATTERN_CAP, Alphabet, FillingSchedule, PeriodicPattern, evaluate, fill_holes, resolve_window
 
 
 class SlidingBlockCode:
-    """A total local rule of radius J given by an explicit table."""
+    """A local rule of radius J: a window table, and ``default`` for the windows it does not list.
 
-    def __init__(self, alphabet: Alphabet, radius: int, table: dict[str, str]):
+    Without a default the table must list every window of width 2J+1.
+    """
+
+    def __init__(self, alphabet: Alphabet, radius: int, table: dict[str, str], default: str | None = None):
+        width = 2 * radius + 1
+        if radius < 0 or width > PATTERN_CAP:
+            raise ToeplitzError("radius %d: the window width 2 * radius + 1 must lie in 1..%d" % (radius, PATTERN_CAP))
+        letters = set(alphabet.letters)
+        for k, v in table.items():
+            if len(k) != width or not letters.issuperset(k) or v not in alphabet:
+                raise ToeplitzError("bad table entry %r -> %r" % (k, v))
+        if default is not None and default not in alphabet:
+            raise ToeplitzError("default %r must be a letter of the alphabet" % (default,))
+        # a nonempty table's keys now bound the width, so the power below stays small
+        if default is None and (not table or len(table) != len(alphabet) ** width):
+            raise ToeplitzError("table has %d entries, needs one per window of width %d" % (len(table), width))
         self.alphabet = alphabet
         self.radius = radius
-        width = 2 * radius + 1
-        for k, v in table.items():
-            if len(k) != width or any(c not in alphabet for c in k) or v not in alphabet:
-                raise ToeplitzError("bad table entry %r -> %r" % (k, v))
-        # a nonempty table's keys now bound the width, so the power below stays small
-        if not table or len(table) != len(alphabet) ** width:
-            raise ToeplitzError("table has %d entries, needs one per window of width %d" % (len(table), width))
         self.table = dict(table)
+        self.default = default
 
     def __call__(self, window: str) -> str:
-        return self.table[window]
+        return self.table.get(window, self.default)
 
     @classmethod
     def from_fn(cls, alphabet: Alphabet, radius: int, fn) -> "SlidingBlockCode":
@@ -53,104 +61,72 @@ class SlidingBlockCode:
         return cls(alphabet, radius, table)
 
 
-class MarkerCode:
-    """Radius-J rule sending the members of a finite window set to one letter.
+def code_output(code: SlidingBlockCode, window: str) -> str:
+    """The letter all completions of ``window`` give under the code, or the hole marker.
 
-    Used for codes whose radius makes an explicit table impossible; the
-    rule is membership in ``marked`` (mapped to ``mark``), everything
-    else maps to ``other``.
-    """
-
-    def __init__(self, alphabet: Alphabet, radius: int, marked: frozenset[str], mark: str, other: str,
-                 metadata: dict | None = None):
-        width = 2 * radius + 1
-        for u in marked:
-            if len(u) != width:
-                raise ToeplitzError("marked window of width %d, expected %d" % (len(u), width))
-            if not set(u) <= set(alphabet.letters):
-                raise ToeplitzError("marked window %r uses letters outside the alphabet" % (u,))
-        if mark not in alphabet or other not in alphabet:
-            raise ToeplitzError("marker letters %r, %r must be in the alphabet" % (mark, other))
-        self.alphabet = alphabet
-        self.radius = radius
-        self.marked = frozenset(marked)
-        self.mark = mark
-        self.other = other
-        self.metadata = dict(metadata or {})
-
-    def __call__(self, window: str) -> str:
-        return self.mark if window in self.marked else self.other
-
-
-def code_output(code, window: str) -> str:
-    """Letter the code outputs on a window with holes, or the hole marker.
-
-    For a table code all completions are enumerated; for a marker code
-    the agreeing-completions test reduces to counting the marked windows
-    compatible with the resolved part, the runs between the holes.
+    The outputs over all completions form one set.  When the completions
+    number no more than the table's entries, each one is looked up; so a
+    full table, which lists every completion, always enumerates.
+    Otherwise the set is read off the table entries compatible with the
+    resolved part, the runs between the holes, plus ``default``: those
+    entries are fewer than the completions, so some completion is unlisted.
     """
     if HOLE not in window:
         return code(window)
-    if isinstance(code, MarkerCode):
-        runs = []
-        pos = 0
-        for run in window.split(HOLE):
-            if run:
-                runs.append((run, pos))
-            pos += len(run) + 1
-        compatible = sum(1 for u in code.marked if all(u.startswith(run, i) for run, i in runs))
-        total = len(code.alphabet) ** window.count(HOLE)
-        if compatible == total:
-            return code.mark
-        if compatible == 0:
-            return code.other
-        return HOLE
-    holes = hole_positions(window)
-    if len(holes) > MAX_COMPLETION_HOLES:
-        return HOLE
-    chars = list(window)
-    seen = set()
-    for fill in product(code.alphabet.letters, repeat=len(holes)):
-        for i, c in zip(holes, fill):
-            chars[i] = c
-        seen.add(code("".join(chars)))
-        if len(seen) > 1:
+    letters = code.alphabet.letters
+    holes = window.count(HOLE)
+    if len(letters) ** holes <= len(code.table):
+        seen = set()
+        for fill in product(letters, repeat=holes):
+            seen.add(code(fill_holes(window, fill)))
+            if len(seen) > 1:
+                return HOLE
+        return seen.pop()
+    runs = []
+    pos = 0
+    for run in window.split(HOLE):
+        if run:
+            runs.append((run, pos))
+        pos += len(run) + 1
+    for u, v in code.table.items():
+        if v != code.default and all(u.startswith(run, i) for run, i in runs):
             return HOLE
-    return seen.pop()
+    return code.default
 
 
-def apply_code(code, pat: PeriodicPattern) -> PeriodicPattern:
+def apply_code(code: SlidingBlockCode, pat: PeriodicPattern) -> PeriodicPattern:
     """Image of a level pattern under the code, holes where completions disagree."""
     J = code.radius
     width = 2 * J + 1
     doubled = pat.symbols * 2 if J == 0 else (pat.symbols * (2 + (2 * J) // pat.period + 1))
     p = pat.period
-    if isinstance(code, MarkerCode):
-        image = _marker_image(code, doubled, p)
-    else:
-        # a table code's output depends on the window text alone: look each distinct one up once
+    if code.default is None:
+        # a full table's output depends on the window text alone: look each distinct one up once
         outputs: dict[str, str] = {}
         windows = (doubled[s: s + width] for s in range(p))
         image = "".join([outputs.get(w) or outputs.setdefault(w, code_output(code, w)) for w in windows])
+    else:
+        image = _default_image(code, doubled, p)
     # the window centred on j starts at (j - J) mod p
     k = p - J % p
     return PeriodicPattern(image[k:] + image[:k], pat.alphabet)
 
 
-def _marker_image(code: MarkerCode, doubled: str, p: int) -> str:
-    """Marker-code outputs of the windows of ``doubled`` starting at 0, ..., p - 1.
+def _default_image(code: SlidingBlockCode, doubled: str, p: int) -> str:
+    """Outputs of a code with a default on the windows of ``doubled`` starting at 0, ..., p - 1.
 
-    A hole-free window maps to ``mark`` exactly where a marked word
-    occurs, so those are found with ``str.find``; only windows reaching
-    a hole need :func:`code_output`.  Every other window maps to ``other``.
+    A hole-free window maps to ``table[u]`` exactly where a listed word
+    ``u`` occurs, so those are found with ``str.find``; only windows
+    reaching a hole need :func:`code_output`.  Every other window maps to
+    ``default``.
     """
     width = 2 * code.radius + 1
     end = p + width - 1  # the window starting at p - 1 ends here
-    special = {}  # window start -> output, where it may differ from ``other``
-    for u in code.marked:
+    special = {}  # window start -> output, where it may differ from ``default``
+    for u, v in code.table.items():
         s = doubled.find(u, 0, end)
         while s >= 0:
-            special[s] = code.mark
+            special[s] = v
             s = doubled.find(u, s + 1, end)
     done = 0  # windows starting below this are settled
     h = doubled.find(HOLE, 0, end)
@@ -161,9 +137,9 @@ def _marker_image(code: MarkerCode, doubled: str, p: int) -> str:
         h = doubled.find(HOLE, h + 1, end)
     pieces, prev = [], 0
     for s in sorted(special):
-        pieces += (code.other * (s - prev), special[s])
+        pieces += (code.default * (s - prev), special[s])
         prev = s + 1
-    pieces.append(code.other * (p - prev))
+    pieces.append(code.default * (p - prev))
     return "".join(pieces)
 
 
@@ -322,13 +298,14 @@ def build_isolating_code(
     l1: int,
     l2: int,
     certificate: IsolationVerdict,
-) -> MarkerCode:
-    """Marker code isolating one boundary cylinder.
+) -> SlidingBlockCode:
+    """Code isolating one boundary cylinder.
 
-    Marks every resolved window of radius p_l2 centred on positions of the
-    branch's level-``l1`` class, over three periods of level l2 + 1 and
-    resolved at depth l2 + 3, where the word shows ``letter``; other
-    letters map to the first alphabet letter different from ``letter``.
+    Maps to ``letter`` every resolved window of radius p_l2 centred on
+    positions of the branch's level-``l1`` class, over three periods of
+    level l2 + 1 and resolved at depth l2 + 3, where the word shows
+    ``letter``; its default, for every other window, is the first
+    alphabet letter different from ``letter``.
     ``certificate``, the branch's ``isolated_value_pair`` verdict, must
     be certified, and ``l1`` must lie in the certified cylinder.
     """
@@ -343,37 +320,18 @@ def build_isolating_code(
     anchor = branch[l1 - 1]
     depth = l2 + 3
 
-    marked: set[str] = set()
+    table: dict[str, str] = {}
     span = max(1, (3 * schedule.period(schedule.available_levels(l2 + 1))) // p1)
-    fresh_at = 0
     for m in range(span):
         j = anchor + m * p1
         if evaluate(schedule, j, depth) != letter:
             continue
         window = resolve_window(schedule, j - p2, j + p2 + 1, depth)
-        if HOLE in window:
-            continue
-        if window not in marked:
-            marked.add(window)
-            fresh_at = m
-    saturated = fresh_at < span // 2
-    if not marked:
+        if HOLE not in window:
+            table[window] = letter
+    if not table:
         raise UnresolvedWindow("no resolvable marked window found")
-    return MarkerCode(
-        schedule.alphabet,
-        p2,
-        frozenset(marked),
-        letter,
-        other,
-        metadata={
-            "l1": l1,
-            "l2": l2,
-            "anchor": anchor,
-            "collected_span": span,
-            "saturated": saturated,
-            "window_count": len(marked),
-        },
-    )
+    return SlidingBlockCode(schedule.alphabet, p2, table, default=other)
 
 
 @dataclass(frozen=True)
@@ -387,13 +345,11 @@ class PullbackReport:
         return not self.uncovered
 
 
-def boundary_pullback_check(code, schedule: FillingSchedule, depth: int) -> list[PullbackReport]:
-    """Every factor hole residue must sit within the code radius of a source hole."""
-    return pullback_reports(code, schedule, factor_residues(code, schedule, range(1, depth + 1), depth + 2))
-
-
 def pullback_reports(code, schedule: FillingSchedule, residues) -> list[PullbackReport]:
-    """:func:`boundary_pullback_check` read off ``residues``, the factor residues of levels 1, 2, ..."""
+    """Does every factor hole residue sit within the code radius of a source hole?
+
+    One report per level of ``residues``, the factor residues of levels 1, 2, ...
+    """
     J = code.radius
     reports = []
     for l, res in enumerate(residues, 1):
@@ -432,19 +388,15 @@ def factor_obstruction_check(code, schedule: FillingSchedule, depth: int, l0: in
 # -- code table file format -------------------------------------------------
 
 
-def code_to_text(code) -> str:
+def code_to_text(code: SlidingBlockCode) -> str:
     lines = ["radius %d" % code.radius]
-    if isinstance(code, MarkerCode):
-        for u in sorted(code.marked):
-            lines.append("%s %s" % (u, code.mark))
-        lines.append("* %s" % code.other)
-    else:
-        for k in sorted(code.table):
-            lines.append("%s %s" % (k, code.table[k]))
+    lines += ["%s %s" % (k, code.table[k]) for k in sorted(code.table)]
+    if code.default is not None:
+        lines.append("* %s" % code.default)
     return "\n".join(lines) + "\n"
 
 
-def code_from_text(text: str, alphabet: Alphabet):
+def code_from_text(text: str, alphabet: Alphabet) -> SlidingBlockCode:
     entries = {}
     default = None
     radius = None
@@ -469,9 +421,4 @@ def code_from_text(text: str, alphabet: Alphabet):
             entries[key] = value
     if radius is None:
         raise ToeplitzError("code text must declare a radius")
-    if default is not None:
-        marks = {v for v in entries.values()}
-        if len(marks) != 1:
-            raise ToeplitzError("marker code must map all listed windows to one letter")
-        return MarkerCode(alphabet, radius, frozenset(entries), marks.pop(), default)
-    return SlidingBlockCode(alphabet, radius, entries)
+    return SlidingBlockCode(alphabet, radius, entries, default)

@@ -153,6 +153,9 @@ def test_unservable_request_is_an_error(argv, capsys):
     # a window given twice, and seeds after a gallery reference
     ("radius 0\na a\na b\nb a\n", ["factor", "ex5.7", "--code", "{path}"]),
     ("@ex4.3\nab\naa?b\n", ["build", "{path}"]),
+    # a code radius below 0, or whose window is wider than the pattern cap
+    ("radius -1\n* a\n", ["factor", "ex5.7", "--code", "{path}", "--depth", "2"]),
+    ("radius 1000000000\n* a\n", ["factor", "ex5.7", "--code", "{path}", "--depth", "2"]),
 ])
 def test_bad_input_file_is_an_error(text, argv, tmp_path, capsys):
     path = tmp_path / "input.txt"
@@ -302,6 +305,18 @@ def test_code_file_input(tmp_path, capsys):
     assert rep["results"]["residues"]["2"]["nonperiodic"] == [5]
 
 
+def test_code_file_with_a_default_maps_windows_to_either_letter(tmp_path, capsys):
+    path = tmp_path / "code.txt"
+    path.write_text("radius 1\naaa a\nbab b\nabb b\n* a\n")
+    rc, out = run(capsys, ["factor", "ex5.7", "--code", str(path), "--depth", "2", "--format", "json"])
+    assert rc == 0
+    # the residues a brute-force completion of every window of the depth-4 pattern gives
+    assert json.loads(out)["results"]["residues"] == {
+        "1": {"nonperiodic": [0, 1, 2], "undetermined": []},
+        "2": {"nonperiodic": [4, 5, 6, 8], "undetermined": [9, 10]},
+    }
+
+
 def test_gallery_params(capsys):
     rc, out = run(capsys, ["gallery", "williams", "--param", "ratio=5", "--levels", "2", "--format", "json"])
     assert rc == 0
@@ -339,7 +354,7 @@ def test_factor_builds_one_image(monkeypatch, capsys):
         "radius": 1,
         "residues": {str(l): {"nonperiodic": list(fr.nonperiodic), "undetermined": list(fr.undetermined)}
                      for l, fr in enumerate(residues, 1)},
-        "pullback_holds": all(r.holds for r in factors.boundary_pullback_check(code, s, 4)),
+        "pullback_holds": all(r.holds for r in factors.pullback_reports(code, s, residues)),
     }
     assert json.loads(out)["results"]["pullback_holds"] is True
 

@@ -5,15 +5,15 @@ from toeplitz_lab import (
     FillingSchedule,
     HOLE,
     IsolationKind,
-    MarkerCode,
+    PeriodicPattern,
     SlidingBlockCode,
     apply_code,
-    boundary_pullback_check,
     build_isolating_code,
     code_from_text,
     code_to_text,
     factor_aperiodic_residues,
     factor_obstruction_check,
+    factor_residues,
     find_unique_residue_level,
     gallery,
     gallery_code,
@@ -23,6 +23,7 @@ from toeplitz_lab import (
     unique_residue_search,
 )
 from toeplitz_lab.errors import NotIsolated, ToeplitzError
+from toeplitz_lab.factors import code_output, pullback_reports
 
 EX43_BRANCH = tuple((4 ** l - 1) // 3 for l in range(1, 9))
 IDENTITY = SlidingBlockCode.from_fn(BINARY, 0, lambda w: w)
@@ -34,6 +35,10 @@ def test_apply_identity_and_constant():
     assert apply_code(IDENTITY, pat).symbols == pat.symbols
     out = apply_code(SlidingBlockCode.from_fn(BINARY, 0, lambda w: "a"), pat)
     assert set(out.symbols) == {"a"}
+    # all 2^17 completions of the window give "a"
+    const = SlidingBlockCode.from_fn(BINARY, 8, lambda w: "a")
+    assert code_output(const, HOLE * 17) == "a"
+    assert apply_code(const, PeriodicPattern(HOLE)).symbols == "a"
 
 
 def test_apply_gallery_code_positions():
@@ -112,7 +117,6 @@ def test_isolating_code_ex43_chain():
     assert iso.kind == IsolationKind.CERTIFIED
     code = build_isolating_code(s, EX43_BRANCH, "a", l1=5, l2=5, certificate=iso)
     assert code.radius == s.period(5)
-    assert code.metadata["saturated"]
     for l in range(1, 6):
         fr = factor_aperiodic_residues(code, s, l, 7)
         assert fr.nonperiodic == (EX43_BRANCH[l - 1],)
@@ -132,11 +136,14 @@ def test_isolating_code_ex44_chain_large_scale():
 
 def test_pullback_reports():
     s = gallery("ex5.7")
-    reports = boundary_pullback_check(gallery_code("ex5.7"), s, 3)
-    assert all(r.holds for r in reports)
-    assert all(r.holds for r in boundary_pullback_check(IDENTITY, s, 3))
+
+    def reports(code, d):
+        return pullback_reports(code, s, factor_residues(code, s, range(1, d + 1), d + 2))
+
+    assert all(r.holds for r in reports(gallery_code("ex5.7"), 3))
+    assert all(r.holds for r in reports(IDENTITY, 3))
     const = SlidingBlockCode.from_fn(BINARY, 0, lambda w: "b")
-    assert all(not r.checked for r in boundary_pullback_check(const, s, 2))
+    assert all(not r.checked for r in reports(const, 2))
 
 
 def test_obstruction_growth_on_block_filler():
@@ -161,24 +168,26 @@ def test_factor_hole_bound_under_codes():
 
 
 def test_code_text_roundtrip():
-    table_code = gallery_code("ex5.7")
-    back = code_from_text(code_to_text(table_code), BINARY)
-    assert all(back(w) == table_code(w) for w in table_code.table)
-    marker = MarkerCode(BINARY, 1, frozenset(["aaa", "aba"]), "a", "b")
-    back2 = code_from_text(code_to_text(marker), BINARY)
-    assert isinstance(back2, MarkerCode)
-    assert back2.marked == marker.marked and back2.radius == 1
+    full = gallery_code("ex5.7")
+    with_default = SlidingBlockCode(BINARY, 1, {"aaa": "a", "aba": "b", "bbb": "b"}, default="a")
+    for code in (full, with_default):
+        back = code_from_text(code_to_text(code), BINARY)
+        assert (back.radius, back.table, back.default) == (code.radius, code.table, code.default)
 
 
 def test_marker_code_rejects_letters_outside_alphabet():
     with pytest.raises(ToeplitzError):
-        MarkerCode(BINARY, 0, frozenset(["c", "a"]), "a", "b")
+        SlidingBlockCode(BINARY, 0, {"c": "a", "a": "a"}, default="b")
     with pytest.raises(ToeplitzError):
-        MarkerCode(BINARY, 0, frozenset(["a"]), "c", "b")
+        SlidingBlockCode(BINARY, 0, {"a": "c"}, default="b")
     with pytest.raises(ToeplitzError):
-        MarkerCode(BINARY, 0, frozenset(["a"]), "a", "c")
+        SlidingBlockCode(BINARY, 0, {"a": "a"}, default="c")
     with pytest.raises(ToeplitzError):
         code_from_text("radius 0\nc a\na a\n* b\n", BINARY)
+    # the window width 2 * radius + 1 lies between 1 and the pattern cap
+    for radius in (-1, 1000000000):
+        with pytest.raises(ToeplitzError, match="radius"):
+            SlidingBlockCode(BINARY, radius, {}, default="a")
     # an output is one letter, neither empty nor two letters
     for text in ("radius 0\na\nb a\n", "radius 0\na ab\nb a\n", "radius 1\naaa\n* b\n"):
         with pytest.raises(ToeplitzError):

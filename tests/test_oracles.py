@@ -136,10 +136,10 @@ def brute_apply(code, pattern, j):
     window = pattern.window(j - J, j + J + 1)
     holes = [i for i, c in enumerate(window) if c == "?"]
     outs = set()
-    for mask in range(2 ** len(holes)):
+    for fill in product(code.alphabet.letters, repeat=len(holes)):
         chars = list(window)
-        for bit, i in enumerate(holes):
-            chars[i] = "ab"[(mask >> bit) & 1]
+        for i, c in zip(holes, fill):
+            chars[i] = c
         outs.add(code("".join(chars)))
     return outs.pop() if len(outs) == 1 else "?"
 
@@ -158,7 +158,7 @@ def test_apply_code_matches_brute_completion():
 
 @st.composite
 def short_period_cases(draw):
-    """A pattern of period at most 6 with a table code of radius <= 3 or a marker code of radius <= 4."""
+    """A pattern of period at most 6 with a full table of radius <= 3 or a table with a default of radius <= 4."""
     symbols = draw(st.text(alphabet="ab?", min_size=1, max_size=6))
     if draw(st.booleans()):
         width = 2 * draw(st.integers(0, 3)) + 1
@@ -167,22 +167,29 @@ def short_period_cases(draw):
         return tl.SlidingBlockCode(tl.BINARY, width // 2, dict(zip(windows, outputs))), tl.PeriodicPattern(symbols)
     width = 2 * draw(st.integers(0, 4)) + 1
     cyclic = symbols * (2 * width)
-    marked = set()
+    table = {}
     for start in draw(st.lists(st.integers(0, len(symbols) - 1), max_size=4)):
-        # mark windows the extension shows, with all or one of their completions
+        # list windows the extension shows, with all or one of their completions, under one letter
         window = cyclic[start: start + width]
         fills = list(product("ab", repeat=window.count("?")))
         if len(fills) > 8 or draw(st.booleans()):
             fills = fills[:1]
+        out = draw(st.sampled_from("ab"))
         for fill in fills:
             letters = iter(fill)
-            marked.add("".join(next(letters) if c == "?" else c for c in window))
-    return tl.MarkerCode(tl.BINARY, width // 2, frozenset(marked), "a", "b"), tl.PeriodicPattern(symbols)
+            table["".join(next(letters) if c == "?" else c for c in window)] = out
+    code = tl.SlidingBlockCode(tl.BINARY, width // 2, table, default=draw(st.sampled_from("ab")))
+    return code, tl.PeriodicPattern(symbols)
+
+
+ABC = tl.Alphabet("abc")
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(short_period_cases())
 @example((tl.SlidingBlockCode.from_fn(tl.BINARY, 2, lambda w: "a"), tl.PeriodicPattern("a??b")))
+@example((tl.SlidingBlockCode(ABC, 1, {"abc": "c", "aac": "b", "bcc": "c", "cab": "a"}, default="a"),
+          tl.PeriodicPattern("ab?c??", ABC)))
 def test_apply_code_on_periods_within_the_window_matches_brute_completion(case):
     # a window wider than the period meets copies of the same hole class,
     # which are distinct positions of the word and are completed independently
@@ -195,7 +202,7 @@ def test_sparse_factor_route_agrees_with_pattern_route():
     from toeplitz_lab.factors import _sparse_factor_residues
 
     rng = random.Random(5)
-    marker = tl.MarkerCode(tl.BINARY, 1, frozenset(["aab", "bab", "abb"]), "a", "b")
+    marker = tl.SlidingBlockCode(tl.BINARY, 1, dict.fromkeys(["aab", "bab", "abb"], "a"), default="b")
     for name in ("ex4.4", "ex4.4-mini", "ex5.7", "ex3.5", "ex4.3"):
         s = tl.gallery(name)
         codes = [tl.SlidingBlockCode.from_fn(tl.BINARY, rng.choice((1, 2)), lambda w: rng.choice("ab"))
@@ -303,14 +310,18 @@ def test_gcd_identity_matches_lcm_walk(symbols):
 
 
 def per_window_marker_image(code, pattern):
-    """A marker code's image, window by window: count the compatible marked words."""
+    """The image of a table with a default, window by window: the compatible listed
+    words give their letters, and the default joins them unless they count as many
+    as the window's completions."""
     J, period = code.radius, pattern.period
     out = []
     for j in range(period):
         window = "".join(pattern.symbols[k % period] for k in range(j - J, j + J + 1))
-        compatible = sum(1 for u in code.marked if all(b in ("?", a) for a, b in zip(u, window)))
-        total = 2 ** window.count("?")
-        out.append(code.mark if compatible == total else code.other if compatible == 0 else "?")
+        compatible = [v for u, v in code.table.items() if all(b in ("?", a) for a, b in zip(u, window))]
+        outputs = set(compatible)
+        if len(compatible) < len(code.alphabet) ** window.count("?"):
+            outputs.add(code.default)
+        out.append(outputs.pop() if len(outputs) == 1 else "?")
     return "".join(out)
 
 
@@ -321,19 +332,20 @@ def marker_cases(draw):
     period = draw(st.integers(width + 1, width + 10))
     symbols = draw(st.text(alphabet="ab?", min_size=period, max_size=period))
     cyclic = symbols * 3
-    marked = set(draw(st.lists(st.text(alphabet="ab", min_size=width, max_size=width), max_size=3)))
+    words = draw(st.lists(st.text(alphabet="ab", min_size=width, max_size=width), max_size=3))
+    table = {u: draw(st.sampled_from("ab")) for u in words}
     for s in draw(st.lists(st.integers(0, period - 1), max_size=4)):
         window = cyclic[s: s + width]
         holes = window.count("?")
+        out = draw(st.sampled_from("ab"))
         if holes <= 3 and draw(st.booleans()):
-            # every completion marked: the window maps to the mark
+            # every completion listed under one letter: the window maps to it
             for fill in product("ab", repeat=holes):
                 letters = iter(fill)
-                marked.add("".join(next(letters) if c == "?" else c for c in window))
+                table["".join(next(letters) if c == "?" else c for c in window)] = out
         else:
-            marked.add("".join(draw(st.sampled_from("ab")) if c == "?" else c for c in window))
-    mark = draw(st.sampled_from("ab"))
-    code = tl.MarkerCode(tl.BINARY, radius, frozenset(marked), mark, "b" if mark == "a" else "a")
+            table["".join(draw(st.sampled_from("ab")) if c == "?" else c for c in window)] = out
+    code = tl.SlidingBlockCode(tl.BINARY, radius, table, default=draw(st.sampled_from("ab")))
     return code, tl.PeriodicPattern(symbols)
 
 
@@ -346,13 +358,13 @@ def test_marker_code_image_matches_per_window_count(case):
 
 def test_marker_code_image_fixed_cases():
     pat = tl.PeriodicPattern("ab?babaa")
-    # both completions of the hole window "b?b" are marked; windows at 0 and 7 wrap
-    code = tl.MarkerCode(tl.BINARY, 1, frozenset(["bab", "bbb", "aab"]), "a", "b")
+    # both completions of the hole window "b?b" are listed; windows at 0 and 7 wrap
+    code = tl.SlidingBlockCode(tl.BINARY, 1, dict.fromkeys(["bab", "bbb", "aab"], "a"), default="b")
     image = tl.apply_code(code, pat)
     assert image.symbols == per_window_marker_image(code, pat)
     assert image.at(2) == "a" and image.at(0) == "a"
     # radius 3 on period 8: the window is almost the whole period
-    code = tl.MarkerCode(tl.BINARY, 3, frozenset(["aab?bab".replace("?", c) for c in "ab"]), "a", "b")
+    code = tl.SlidingBlockCode(tl.BINARY, 3, dict.fromkeys(["aab?bab".replace("?", c) for c in "ab"], "a"), default="b")
     assert tl.apply_code(code, pat).symbols == per_window_marker_image(code, pat)
 
 
@@ -611,7 +623,7 @@ def per_level_image_classes(code, schedule, levels, depth):
 
 def test_factor_residues_over_levels_match_per_level_images():
     rng = random.Random(17)
-    marker = tl.MarkerCode(tl.BINARY, 1, frozenset(["aab", "bab", "abb"]), "a", "b")
+    marker = tl.SlidingBlockCode(tl.BINARY, 1, dict.fromkeys(["aab", "bab", "abb"], "a"), default="b")
     for name, depth in (("ex5.7", 6), ("ex4.3", 5), ("ex3.5", 4), ("ex4.4-mini", 3)):
         s = tl.gallery(name)
         codes = [tl.SlidingBlockCode.from_fn(tl.BINARY, rng.choice((0, 1, 2)), lambda w: rng.choice("ab"))
@@ -629,7 +641,7 @@ def test_factor_residues_past_the_cap_match_per_level_sparse_calls(monkeypatch):
     rng = random.Random(23)
     codes = [tl.SlidingBlockCode.from_fn(tl.BINARY, rng.choice((1, 2)), lambda w: rng.choice("ab"))
              for _ in range(3)]
-    codes.append(tl.MarkerCode(tl.BINARY, 1, frozenset(["aab", "bab", "abb"]), "a", "b"))
+    codes.append(tl.SlidingBlockCode(tl.BINARY, 1, dict.fromkeys(["aab", "bab", "abb"], "a"), default="b"))
     # period 1024 at depth 5 is past this cap, while every level's hole list is not
     monkeypatch.setattr(words, "PATTERN_CAP", 512)
     for name in ("ex5.7", "ex4.3"):
