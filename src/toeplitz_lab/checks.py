@@ -9,10 +9,11 @@ independent oracles of its own.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from . import boundary, complexity, elements, factors, odometer, periodicity, words
+from .errors import ToeplitzError
 from .gallery import gallery as make_gallery, gallery_code, proximal_shift_pair
 
 
@@ -20,16 +21,16 @@ from .gallery import gallery as make_gallery, gallery_code, proximal_shift_pair
 class CheckResult:
     check_id: str
     passed: bool
-    details: dict = field(default_factory=dict)
+    details: dict
 
 
-_REGISTRY: dict[str, Callable[[], CheckResult]] = {}
+# check id -> function returning (passed, details); the registry key is the result's id
+_REGISTRY: dict[str, Callable[[], tuple[bool, dict]]] = {}
 
 
 def check(check_id: str):
     def wrap(fn):
         _REGISTRY[check_id] = fn
-        fn.check_id = check_id
         return fn
 
     return wrap
@@ -40,12 +41,16 @@ def available_checks() -> list[str]:
 
 
 def run_check(check_id: str) -> CheckResult:
-    return _REGISTRY[check_id]()
+    return run_all([check_id])[0]
 
 
 def run_all(ids=None) -> list[CheckResult]:
-    ids = sorted(ids) if ids else available_checks()
-    return [run_check(i) for i in ids]
+    """The named checks (all when ``ids`` is empty) in id order; an unknown id is a ToeplitzError."""
+    ids = ids or available_checks()
+    unknown = [i for i in ids if i not in _REGISTRY]
+    if unknown:
+        raise ToeplitzError("unknown checks: %s" % ", ".join(unknown))
+    return [CheckResult(i, *_REGISTRY[i]()) for i in sorted(ids)]
 
 
 # -- pinned display constants ------------------------------------------------
@@ -62,16 +67,16 @@ EX57_PAIR_CENSUSES = (7, 14, 27, 54)
 
 
 @check("sec2.2-compose")
-def _sec22_compose() -> CheckResult:
+def _sec22_compose() -> tuple[bool, dict]:
     outer = words.PeriodicPattern("a??b")
     inner = words.parse_seed("aa?a?bbb")
     got = words.compose_fill(outer, inner)
     ok = got.symbols == SEC22_COMPOSITION and got.period == 16 and got.holes == (5, 9)
-    return CheckResult("sec2.2-compose", ok, {"pattern": got.symbols, "holes": list(got.holes)})
+    return ok, {"pattern": got.symbols, "holes": list(got.holes)}
 
 
 @check("ex4.3-aper-counts")
-def _ex43_aper_counts() -> CheckResult:
+def _ex43_aper_counts() -> tuple[bool, dict]:
     s = make_gallery("ex4.3")
     counts = {}
     ok = True
@@ -79,29 +84,29 @@ def _ex43_aper_counts() -> CheckResult:
         res = periodicity.aperiodic_residues(s, 2 * l, 2 * l + 2)
         counts[2 * l] = len(res)
         ok = ok and len(res) == 2 ** l
-    return CheckResult("ex4.3-aper-counts", ok, {"counts": counts})
+    return ok, {"counts": counts}
 
 
 @check("ex4.3-level2-pattern")
-def _ex43_level2() -> CheckResult:
+def _ex43_level2() -> tuple[bool, dict]:
     s = make_gallery("ex4.3")
     pat = s.pattern(2)
     ok = pat.symbols == SEC22_COMPOSITION and pat.holes == (5, 9)
-    return CheckResult("ex4.3-level2-pattern", ok, {"pattern": pat.symbols})
+    return ok, {"pattern": pat.symbols}
 
 
 @check("ex4.3-boundary-singleton")
-def _ex43_boundary() -> CheckResult:
+def _ex43_boundary() -> tuple[bool, dict]:
     s = make_gallery("ex4.3")
     tree = boundary.hole_tree(s, 8, 10)
     census = boundary.pruned_branch_census(tree)
     survivors_l4 = sorted(tree.survivors()[3])
     ok = census[3] == 1 and survivors_l4 == [85]
-    return CheckResult("ex4.3-boundary-singleton", ok, {"census": census, "level4": survivors_l4})
+    return ok, {"census": census, "level4": survivors_l4}
 
 
 @check("ex4.4-single-hole")
-def _ex44_single_hole() -> CheckResult:
+def _ex44_single_hole() -> tuple[bool, dict]:
     s = make_gallery("ex4.4")
     per_level = {}
     ok = True
@@ -111,11 +116,11 @@ def _ex44_single_hole() -> CheckResult:
         ok = ok and len(res) == 1 and res == s.holes(l)
     w3 = s.seed(1).symbols
     ok = ok and len(w3) == 64 and w3.endswith("abbabb?bbb")
-    return CheckResult("ex4.4-single-hole", ok, {"holes": per_level})
+    return ok, {"holes": per_level}
 
 
 @check("ex4.4-mini-complexity-bound")
-def _ex44_mini_bound() -> CheckResult:
+def _ex44_mini_bound() -> tuple[bool, dict]:
     s = make_gallery("ex4.4-mini")
     rows = []
     ok = True
@@ -124,11 +129,11 @@ def _ex44_mini_bound() -> CheckResult:
         fs = complexity.factor_set_exact_single_hole(s, l, p)
         rows.append((p, fs.count, fs.exact))
         ok = ok and fs.exact and fs.count <= p * len(s.alphabet)
-    return CheckResult("ex4.4-mini-complexity-bound", ok, {"rows": rows})
+    return ok, {"rows": rows}
 
 
 @check("ex4.4-mini-oracle-equivalence")
-def _ex44_mini_oracle() -> CheckResult:
+def _ex44_mini_oracle() -> tuple[bool, dict]:
     s = make_gallery("ex4.4-mini")
     ok = True
     rows = []
@@ -143,30 +148,30 @@ def _ex44_mini_oracle() -> CheckResult:
         fs = complexity.factor_set_exact_single_hole(s, l, L)
         rows.append((L, fs.count, 2 ** (l + 1) * s.period(l)))
         ok = ok and fs.count == 2 ** (l + 1) * s.period(l)
-    return CheckResult("ex4.4-mini-oracle-equivalence", ok, {"rows": rows})
+    return ok, {"rows": rows}
 
 
 @check("ex5.7-display-lines")
-def _ex57_rows() -> CheckResult:
+def _ex57_rows() -> tuple[bool, dict]:
     s = make_gallery("ex5.7")
     got = [words.resolve_window(s, 0, 64, l) for l in range(1, 5)]
     ok = tuple(got) == EX57_ROWS
-    return CheckResult("ex5.7-display-lines", ok, {"rows": got})
+    return ok, {"rows": got}
 
 
 @check("ex5.7-factor-image")
-def _ex57_factor_image() -> CheckResult:
+def _ex57_factor_image() -> tuple[bool, dict]:
     s = make_gallery("ex5.7")
     code = gallery_code("ex5.7")
     pat = factors.apply_code(code, s.pattern(4))
     a_positions = [j for j in range(1024) if pat.at(j) == "a"]
     expected = sorted(set(range(1, 1024, 16)) | set(range(5, 1024, 64)) | set(range(21, 1024, 256)))
     ok = a_positions == expected
-    return CheckResult("ex5.7-factor-image", ok, {"count": len(a_positions)})
+    return ok, {"count": len(a_positions)}
 
 
 @check("ex5.7-factor-aper")
-def _ex57_factor_aper() -> CheckResult:
+def _ex57_factor_aper() -> tuple[bool, dict]:
     s = make_gallery("ex5.7")
     code = gallery_code("ex5.7")
     got = {}
@@ -174,21 +179,21 @@ def _ex57_factor_aper() -> CheckResult:
     for l, fr in enumerate(factors.factor_residues(code, s, range(1, 5), 7), 1):
         got[l] = list(fr.nonperiodic)
         ok = ok and fr.nonperiodic == ((4 ** l - 1) // 3,)
-    return CheckResult("ex5.7-factor-aper", ok, {"nonperiodic": got})
+    return ok, {"nonperiodic": got}
 
 
 @check("ex5.7-factor-fb")
-def _ex57_factor_fb() -> CheckResult:
+def _ex57_factor_fb() -> tuple[bool, dict]:
     s = make_gallery("ex5.7")
     code = gallery_code("ex5.7")
     counts = [len(fr.nonperiodic) for fr in factors.factor_residues(code, s, range(1, 5), 7)]
     ok = all(c <= 1 for c in counts)
     kind = boundary.VerdictKind.CERTIFIED_STRUCTURALLY if ok else boundary.VerdictKind.UNKNOWN
-    return CheckResult("ex5.7-factor-fb", ok, {"counts": counts, "verdict": kind, "declared_bound": 1})
+    return ok, {"counts": counts, "verdict": kind, "declared_bound": 1}
 
 
 @check("ex5.7-fiber-bound")
-def _ex57_fiber() -> CheckResult:
+def _ex57_fiber() -> tuple[bool, dict]:
     s = make_gallery("ex5.7")
     br = odometer.branch_point(s, tuple((4 ** l - 1) // 3 for l in range(1, 7)))
     counts = {}
@@ -197,19 +202,19 @@ def _ex57_fiber() -> CheckResult:
         n = elements.fiber_prefix_count(s, br.truncate(l), l, depth=l + 3, block_range=40)
         counts[l] = n
         ok = ok and n <= 4
-    return CheckResult("ex5.7-fiber-bound", ok, {"counts": counts})
+    return ok, {"counts": counts}
 
 
 @check("ex5.7-proximal-shifts")
-def _ex57_shifts() -> CheckResult:
+def _ex57_shifts() -> tuple[bool, dict]:
     k1 = proximal_shift_pair(1)[0]
     k3 = proximal_shift_pair(3)[0]
     ok = k1 == 6 and k3 == 102
-    return CheckResult("ex5.7-proximal-shifts", ok, {"k1": k1, "k3": k3})
+    return ok, {"k1": k1, "k3": k3}
 
 
 @check("ex5.7-pair-censuses")
-def _ex57_censuses() -> CheckResult:
+def _ex57_censuses() -> tuple[bool, dict]:
     s = make_gallery("ex5.7")
     counts = []
     agree_ok = True
@@ -223,17 +228,17 @@ def _ex57_censuses() -> CheckResult:
         counts.append(rep.censuses[0].resolved_differences)
     increasing = all(b > a for a, b in zip(counts, counts[1:]))
     ok = agree_ok and increasing and tuple(counts) == EX57_PAIR_CENSUSES
-    return CheckResult("ex5.7-pair-censuses", ok, {"censuses": counts})
+    return ok, {"censuses": counts}
 
 
 @check("ex3.5-oxtoby-certified")
-def _ex35_oxtoby() -> CheckResult:
+def _ex35_oxtoby() -> tuple[bool, dict]:
     v = periodicity.check_oxtoby(make_gallery("ex3.5"), 4)
-    return CheckResult("ex3.5-oxtoby-certified", v.certified, {"kind": v.kind.value, "scale": list(v.scale)})
+    return v.certified, {"kind": v.kind.value, "scale": list(v.scale)}
 
 
 @check("ex3.5-hole-window-counts")
-def _ex35_windows() -> CheckResult:
+def _ex35_windows() -> tuple[bool, dict]:
     s = make_gallery("ex3.5")
     ok = True
     mins = {}
@@ -242,18 +247,18 @@ def _ex35_windows() -> CheckResult:
             counts = periodicity.hole_block_counts(s, t, l)
             mins[(t, l)] = min(counts)
             ok = ok and all(c >= 2 ** (t - 1) for c in counts)
-    return CheckResult("ex3.5-hole-window-counts", ok, {"min_per_block": {str(k): v for k, v in mins.items()}})
+    return ok, {"min_per_block": {str(k): v for k, v in mins.items()}}
 
 
 @check("ex3.5-hs-refuted")
-def _ex35_hs() -> CheckResult:
+def _ex35_hs() -> tuple[bool, dict]:
     pv = boundary.property_verdicts(make_gallery("ex3.5"), 4, census_depth=3)
     ok = pv.hs.kind == boundary.VerdictKind.REFUTED
-    return CheckResult("ex3.5-hs-refuted", ok, {"hs": pv.hs.kind, "fb": pv.fb.kind})
+    return ok, {"hs": pv.hs.kind, "fb": pv.fb.kind}
 
 
 @check("ex3.5-pair-census")
-def _ex35_pairs() -> CheckResult:
+def _ex35_pairs() -> tuple[bool, dict]:
     s = make_gallery("ex3.5")
     tree = boundary.hole_tree(s, 4, 5)
     worst = 0
@@ -266,19 +271,17 @@ def _ex35_pairs() -> CheckResult:
             worst = max(worst, c.resolved_differences)
             total += c.resolved_differences
     ok = worst <= 2 and total > 0
-    return CheckResult("ex3.5-pair-census", ok, {"max_differences": worst, "total": total})
+    return ok, {"max_differences": worst, "total": total}
 
 
 def _no_isolation_witnesses(name: str) -> None:
-    check_id = "%s-no-isolation-witnesses" % name
-
-    @check(check_id)
-    def run() -> CheckResult:
+    @check("%s-no-isolation-witnesses" % name)
+    def run() -> tuple[bool, dict]:
         s = make_gallery(name)
         wits = boundary.oxtoby_no_isolation_check(s, 3)
         covered = {(w.level, w.residue) for w in wits}
         wanted = {(l, r) for l in (1, 2, 3) for r in s.holes(l)}
-        return CheckResult(check_id, covered == wanted, {"witnesses": len(wits)})
+        return covered == wanted, {"witnesses": len(wits)}
 
 
 _no_isolation_witnesses("ex3.5")
@@ -286,13 +289,13 @@ _no_isolation_witnesses("ex5.7")
 
 
 @check("ex4.3-isolating-factor")
-def _ex43_isolating() -> CheckResult:
+def _ex43_isolating() -> tuple[bool, dict]:
     s = make_gallery("ex4.3")
     tree = boundary.hole_tree(s, 8, 10)
     iso = boundary.isolated_value_pair(tree, EX43_BRANCH, "a", "b")
     cert = factors.unique_residue_search(s, 5, 5, (0, 2 * s.period(6)))
     if not (iso.kind == boundary.IsolationKind.CERTIFIED and cert.holds):
-        return CheckResult("ex4.3-isolating-factor", False, {"iso": iso.kind, "search": cert.holds})
+        return False, {"iso": iso.kind, "search": cert.holds}
     code = factors.build_isolating_code(s, EX43_BRANCH, "a", l1=5, l2=5, certificate=iso)
     # the chain and the period structure are both read off the one depth-7 image
     fpat = factors.apply_code(code, s.pattern(7))
@@ -306,21 +309,18 @@ def _ex43_isolating() -> CheckResult:
         fpat, [4 ** l for l in range(1, 6)], 7, coverage_window=(-200, 200)
     )
     ok = chain_ok and struct.all_pass
-    return CheckResult(
-        "ex4.3-isolating-factor", ok,
-        {"chain": got, "period_structure": struct.all_pass, "radius": code.radius},
-    )
+    return ok, {"chain": got, "period_structure": struct.all_pass, "radius": code.radius}
 
 
 @check("ex4.4-isolating-factor")
-def _ex44_isolating() -> CheckResult:
+def _ex44_isolating() -> tuple[bool, dict]:
     s = make_gallery("ex4.4")
     chain = tuple(s.holes(l)[0] for l in range(1, 6))
     cert = factors.find_unique_residue_level(s, 1, max_l2=3)
     tree = boundary.hole_tree(s, 2, 3)
     iso = boundary.isolated_value_pair(tree, chain[:2], "a", "b")
     if not (iso.kind == boundary.IsolationKind.CERTIFIED and cert.holds):
-        return CheckResult("ex4.4-isolating-factor", False, {"iso": iso.kind, "search": cert.holds})
+        return False, {"iso": iso.kind, "search": cert.holds}
     code = factors.build_isolating_code(s, chain, "a", l1=1, l2=cert.l2, certificate=iso)
     # level l is read at depth l + 2; level 2's depth-4 image also gives the
     # period structure below
@@ -338,16 +338,11 @@ def _ex44_isolating() -> CheckResult:
         chain_ok = chain_ok and fr.nonperiodic == (chain[l - 1],) and not fr.undetermined
     # essential periods reach every checked entry: explicit pattern route for
     # the small levels, the chain argument for the two large ones
-    struct = periodicity.verify_period_structure(
-        fpat, [s.period(l) for l in (1, 2, 3)], 4, coverage_window=(-64, 64)
-    )
+    struct = periodicity.verify_period_structure(fpat, s.scale(3), 4, coverage_window=(-64, 64))
     sparse_ok = _chain_scale_essentiality(code, s, chain, (4, 5), residues_by_level)
     ok = chain_ok and struct.all_pass and sparse_ok
-    return CheckResult(
-        "ex4.4-isolating-factor", ok,
-        {"chain": got, "small_scale": struct.all_pass,
-         "large_scale": sparse_ok, "l2": cert.l2, "radius": code.radius},
-    )
+    return ok, {"chain": got, "small_scale": struct.all_pass,
+                "large_scale": sparse_ok, "l2": cert.l2, "radius": code.radius}
 
 
 def _chain_scale_essentiality(code, schedule, chain, levels, residues_by_level) -> bool:
@@ -379,13 +374,11 @@ def _chain_scale_essentiality(code, schedule, chain, levels, residues_by_level) 
 
 def _unique_residue(name: str, level: int) -> None:
     """The level-``level`` residue search, over two periods of the next level."""
-    check_id = "%s-unique-residue" % name
-
-    @check(check_id)
-    def run() -> CheckResult:
+    @check("%s-unique-residue" % name)
+    def run() -> tuple[bool, dict]:
         s = make_gallery(name)
         cert = factors.unique_residue_search(s, level, level, (0, 2 * s.period(level + 1)))
-        return CheckResult(check_id, cert.holds, {"l2": cert.l2, "window": list(cert.window)})
+        return cert.holds, {"l2": cert.l2, "window": list(cert.window)}
 
 
 _unique_residue("ex4.3", 5)
@@ -393,7 +386,7 @@ _unique_residue("ex4.4", 1)
 
 
 @check("ex5.7-factor-hole-bound")
-def _ex57_random_codes() -> CheckResult:
+def _ex57_random_codes() -> tuple[bool, dict]:
     s = make_gallery("ex5.7")
     rng = random.Random(20250808)
     ok = True
@@ -408,4 +401,4 @@ def _ex57_random_codes() -> CheckResult:
             bound = (2 * radius + 1) * len(s.holes(l))
             worst = max(worst, count / bound)
             ok = ok and count <= bound
-    return CheckResult("ex5.7-factor-hole-bound", ok, {"codes": 20, "worst_ratio": round(worst, 3)})
+    return ok, {"codes": 20, "worst_ratio": round(worst, 3)}

@@ -184,7 +184,7 @@ def cmd_analyze(args) -> dict:
         except NoHoles:
             gaps[l] = None
     oxt = periodicity.check_oxtoby(s, depth)
-    scale = [s.period(l) for l in range(1, depth + 1)]
+    scale = s.scale(depth)
     cert = periodicity.verify_period_structure(s, scale, depth + 1)
     verdicts = boundary.property_verdicts(s, depth, census_depth=min(depth, 3))
     results = {
@@ -254,7 +254,7 @@ def cmd_pair(args) -> dict:
         windows=[(-half, half)], eval_level=args.depth + 2,
     )
     positions = {
-        "scale": [s.period(l) for l in range(1, args.depth + 1)],
+        "scale": s.scale(args.depth),
         "first": list(phi_prefix(s, elements.Shift(n1), args.depth).residues),
         "second": list(phi_prefix(s, elements.Shift(n2), args.depth).residues),
     }
@@ -295,16 +295,13 @@ def cmd_gallery(args) -> dict:
         {
             "text": words.schedule_to_text(s, args.levels),
             "declarations": s.declarations,
-            "scale": [s.period(l) for l in range(1, args.levels + 1)],
+            "scale": s.scale(args.levels),
         },
     )
 
 
 def cmd_verify(args) -> dict:
     ids = args.checks or checks.available_checks()
-    unknown = [i for i in ids if i not in checks.available_checks()]
-    if unknown:
-        raise ToeplitzError("unknown checks: %s" % ", ".join(unknown))
     results = checks.run_all(ids)
     for r in results:
         print("%-34s %s" % (r.check_id, "PASS" if r.passed else "FAIL"))

@@ -21,7 +21,6 @@ class FactorSet:
     length: int
     words: frozenset[str]
     exact: bool
-    provenance: str
 
     @property
     def count(self) -> int:
@@ -39,7 +38,7 @@ def factor_set_window(schedule: FillingSchedule, length: int, window: tuple[int,
     if HOLE in text:
         raise UnresolvedWindow("window [%d, %d) not fully resolved at level %d" % (lo, hi, max_level))
     words = frozenset(text[i: i + length] for i in range(len(text) - length + 1))
-    return FactorSet(length, words, False, "window[%d,%d)@%d" % (lo, hi, max_level))
+    return FactorSet(length, words, False)
 
 
 def _letters_of(schedule: FillingSchedule) -> tuple[frozenset[str], bool]:
@@ -117,7 +116,7 @@ def factor_set_exact_single_hole(schedule: FillingSchedule, l: int, length: int)
         first_run, last_run = runs[0], (runs[-1] if m else "")
         words.update([first_run + block.join(u) + last_run for u in fill_cache[m][0]])
     exact = all(flag for _, flag in fill_cache.values())
-    return FactorSet(length, frozenset(words), exact, "decomposition@L%d" % l)
+    return FactorSet(length, frozenset(words), exact)
 
 
 @dataclass(frozen=True)

@@ -214,7 +214,7 @@ def branch_rule(schedule: FillingSchedule, residues, block_offset: int = 0) -> S
     it through different blocks.
     """
     residues = tuple(residues)
-    periods = tuple(schedule.period(l) for l in range(1, len(residues) + 1))
+    periods = schedule.scale(len(residues))
 
     def rule(k: int) -> int:
         i = min(k, len(residues)) - 1

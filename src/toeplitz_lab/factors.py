@@ -82,16 +82,16 @@ def code_output(code: SlidingBlockCode, window: str) -> str:
             if len(seen) > 1:
                 return HOLE
         return seen.pop()
-    runs = []
-    pos = 0
+    differing = [u for u, v in code.table.items() if v != code.default]
+    if not differing:
+        return code.default  # no need to split the window: every completion maps to the default
+    runs, pos = [], 0
     for run in window.split(HOLE):
         if run:
             runs.append((run, pos))
         pos += len(run) + 1
-    for u, v in code.table.items():
-        if v != code.default and all(u.startswith(run, i) for run, i in runs):
-            return HOLE
-    return code.default
+    compatible = any(all(u.startswith(run, i) for run, i in runs) for u in differing)
+    return HOLE if compatible else code.default
 
 
 def apply_code(code: SlidingBlockCode, pat: PeriodicPattern) -> PeriodicPattern:
@@ -130,7 +130,7 @@ def _default_image(code: SlidingBlockCode, doubled: str, p: int) -> str:
             s = doubled.find(u, s + 1, end)
     done = 0  # windows starting below this are settled
     h = doubled.find(HOLE, 0, end)
-    while h >= 0:
+    while h >= 0 and done < p:
         for s in range(max(done, h - width + 1), min(h + 1, p)):
             special[s] = code_output(code, doubled[s: s + width])
         done = max(done, h + 1)

@@ -2,8 +2,10 @@
 
 Each entry regenerates deterministically from its parameters.  The
 declarations (single hole per period, block-filling structure, a
-closed-form boundary) are facts the construction is designed to satisfy;
-the analysis layer re-checks them at depth before leaning on them.
+closed-form boundary) are facts the construction is designed to satisfy.
+``boundary.property_verdicts`` reads ``bounded_holes``,
+``boundary_singleton`` and ``oxtoby`` and re-checks them at depth; the
+rest are descriptive.
 """
 
 from __future__ import annotations

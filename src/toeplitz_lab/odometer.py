@@ -43,13 +43,9 @@ class OdometerPoint:
         return OdometerPoint(self.scale[:depth], self.residues[:depth])
 
 
-def scale_of(schedule: FillingSchedule, depth: int) -> tuple[int, ...]:
-    return tuple(schedule.period(l) for l in range(1, depth + 1))
-
-
 def embed(schedule: FillingSchedule, j: int, depth: int) -> OdometerPoint:
     """The integer ``j`` as an odometer point (residues along the scale)."""
-    scale = scale_of(schedule, depth)
+    scale = schedule.scale(depth)
     return OdometerPoint(scale, tuple(j % p for p in scale))
 
 
@@ -61,7 +57,7 @@ def branch_point(schedule: FillingSchedule, residues, depth: int | None = None) 
     """Wrap a residue chain (e.g. a hole-tree branch) as an odometer point."""
     residues = tuple(residues)
     depth = len(residues) if depth is None else depth
-    return OdometerPoint(scale_of(schedule, depth), residues[:depth])
+    return OdometerPoint(schedule.scale(depth), residues[:depth])
 
 
 def phi_prefix(schedule: FillingSchedule, element, depth: int) -> OdometerPoint:
@@ -74,7 +70,7 @@ def phi_prefix(schedule: FillingSchedule, element, depth: int) -> OdometerPoint:
     if isinstance(element, Shift):
         return embed(schedule, element.n, depth)
     if isinstance(element, ShiftLimit):
-        scale = scale_of(schedule, depth)
+        scale = schedule.scale(depth)
         shifts = element.shifts()
         residues = []
         for p in scale:

@@ -313,7 +313,7 @@ def check_oxtoby(schedule: FillingSchedule, depth: int) -> OxtobyVerdict:
     blocks come in ascending order and the first partly filled one is the
     witness.
     """
-    scale = tuple(schedule.period(l) for l in range(1, depth + 1))
+    scale = schedule.scale(depth)
     unfilled: list[tuple[int, ...]] = []
     for l in range(1, depth):
         p = scale[l - 1]

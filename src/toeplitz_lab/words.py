@@ -17,7 +17,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import (
     AllHoles,
@@ -180,14 +180,11 @@ def compose_fill(outer: PeriodicPattern, inner: SeedWord) -> PeriodicPattern:
     )
 
 
-class _LevelInfo:
+class _LevelInfo(NamedTuple):
     """Period and hole positions of a level, without the letter pattern."""
 
-    __slots__ = ("period", "holes")
-
-    def __init__(self, period: int, holes: tuple[int, ...]):
-        self.period = period
-        self.holes = holes
+    period: int
+    holes: tuple[int, ...]
 
 
 class FillingSchedule:
@@ -196,9 +193,11 @@ class FillingSchedule:
     Seeds may be given literally, one level per seed, or through a rule
     evaluated per level (for at most ``max_levels`` levels); the rule
     must be deterministic.  ``declarations`` carries structural facts a
-    construction is known to satisfy (e.g. a bound on holes per period);
-    they are advisory metadata re-checked by the analysis layer, never
-    silently trusted for raw computations.
+    construction is designed to satisfy; ``boundary.property_verdicts``
+    re-checks ``bounded_holes``, ``boundary_singleton`` and ``oxtoby`` at
+    depth, and the rest are descriptive.  Level 0, the all-hole word of
+    period 1, roots the levels: level l is seed l composed onto level
+    l - 1.  The accessors start at level 1.
 
     Instances are immutable apart from internal caches and are safe for
     concurrent reads.
@@ -227,9 +226,9 @@ class FillingSchedule:
         self.declarations = dict(declarations or {})
         self.name = name
         self._seeds: dict[int, SeedWord] = {}
-        self._infos: dict[int, _LevelInfo] = {}
+        self._infos: dict[int, _LevelInfo] = {0: _LevelInfo(1, (0,))}
         self._walk: dict[int, tuple[str, int, tuple[int, ...]]] = {}
-        self._patterns: dict[int, PeriodicPattern] = {}
+        self._patterns: dict[int, PeriodicPattern] = {0: PeriodicPattern(HOLE, alphabet)}
 
     # -- seeds -----------------------------------------------------------
 
@@ -266,16 +265,16 @@ class FillingSchedule:
         seed length past ``PATTERN_CAP`` raises PatternTooLarge before any
         hole is listed.
         """
+        if l < 1:
+            raise ToeplitzError("level must be >= 1")
         info = self._infos.get(l)
         if info is not None:
             return info
-        if l < 1:
-            raise ToeplitzError("level must be >= 1")
-        # levels are cached from 1 upward with no gaps, so the first
-        # uncached level follows the cached ones
-        first = len(self._infos) + 1
-        h = len(self._infos[first - 1].holes) if first > 1 else self.seed(1).hole_count
-        for k in range(max(first, 2), l + 1):
+        # levels are cached from the root upward with no gaps, up to the first
+        # hole-free one, so the first uncached level follows the cached ones
+        first = len(self._infos)
+        h = len(self._infos[first - 1].holes)
+        for k in range(first, l + 1):
             if not h:
                 break
             w = self.seed(k)
@@ -287,25 +286,20 @@ class FillingSchedule:
                     "level %d has %d holes per period, beyond the explicit-pattern cap" % (k, h)
                 )
         for k in range(first, l + 1):
-            if k == 1:
-                _, q, holes = self._walk_step(1)
-                info = _LevelInfo(q, holes)
-            elif not self._infos[k - 1].holes:
-                # fully periodic already; deeper levels change nothing
-                info = _LevelInfo(self._infos[k - 1].period, ())
-            else:
-                prev = self._infos[k - 1]
-                _, q, seed_holes = self._walk_step(k)
-                h, p = len(prev.holes), prev.period
-                n = h * q // gcd(h, q)
-                # hole i of the previous level (repeated n // h times) stays a
-                # hole when seed letter i mod q is one; positions grow with i,
-                # so they come out sorted
-                holes = tuple([
-                    ((b + r) // h) * p + prev.holes[(b + r) % h] for b in range(0, n, q) for r in seed_holes
-                ])
-                info = _LevelInfo(n // h * p, holes)
-            self._infos[k] = info
+            p, prev_holes = self._infos[k - 1]
+            if not prev_holes:
+                # fully periodic already; deeper levels change nothing, so none is listed
+                return self._infos[k - 1]
+            _, q, seed_holes = self._walk_step(k)
+            h = len(prev_holes)
+            n = h * q // gcd(h, q)
+            # hole i of the previous level (repeated n // h times) stays a
+            # hole when seed letter i mod q is one; positions grow with i,
+            # so they come out sorted
+            holes = tuple([
+                ((b + r) // h) * p + prev_holes[(b + r) % h] for b in range(0, n, q) for r in seed_holes
+            ])
+            info = self._infos[k] = _LevelInfo(n // h * p, holes)
         return info
 
     def period(self, l: int) -> int:
@@ -314,22 +308,28 @@ class FillingSchedule:
     def holes(self, l: int) -> tuple[int, ...]:
         return self.level_info(l).holes
 
+    def scale(self, depth: int) -> tuple[int, ...]:
+        """The level periods p_1, ..., p_depth: the odometer's scale to ``depth``."""
+        self.level_info(depth)  # refuses depth < 1 and lists every level up to it
+        return tuple(self.level_info(l).period for l in range(1, depth + 1))
+
     # -- explicit patterns (desk scale) ------------------------------------
 
     def pattern(self, l: int) -> PeriodicPattern:
+        """One period of level ``l``: seed l composed onto the level below, each level cached."""
+        info = self.level_info(l)
         if l in self._patterns:
             return self._patterns[l]
-        info = self.level_info(l)
         if info.period > PATTERN_CAP:
             raise PatternTooLarge(
                 "level %d has period %d, beyond the explicit-pattern cap" % (l, info.period)
             )
-        pat = PeriodicPattern(self.seed(1).symbols, self.alphabet)
-        for k in range(2, l + 1):
-            if not pat.holes:
+        first = len(self._patterns)  # cached like the level infos
+        pat = self._patterns[first - 1]
+        for k in range(first, l + 1):
+            if not self._infos[k - 1].holes:
                 break
-            pat = compose_fill(pat, self.seed(k))
-        self._patterns[l] = pat
+            pat = self._patterns[k] = compose_fill(pat, self.seed(k))
         return pat
 
     def __repr__(self):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import toeplitz_lab
-from toeplitz_lab import BINARY, code_from_text, schedule_from_text
+from toeplitz_lab import BINARY, checks, code_from_text, schedule_from_text
 from toeplitz_lab.cli import main, to_jsonable
 from toeplitz_lab.errors import ToeplitzError
 from toeplitz_lab.gallery import GALLERY_NAMES
@@ -68,8 +68,15 @@ def test_verify_subset_passes(capsys):
 
 
 def test_verify_unknown_check_fails(capsys):
-    rc = main(["verify", "not-a-check"])
+    rc = main(["verify", "not-a-check", "sec2.2-compose", "zz"])
     assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: unknown checks: not-a-check, zz\n"
+    # the registry refuses them itself, with a typed error, before running any check
+    with pytest.raises(ToeplitzError, match="^unknown checks: not-a-check$"):
+        checks.run_check("not-a-check")
+    with pytest.raises(ToeplitzError, match="^unknown checks: zz$"):
+        checks.run_all(["sec2.2-compose", "zz"])
 
 
 @pytest.mark.parametrize("argv", [

@@ -395,13 +395,16 @@ def test_hole_tree_value_sets_match_naive_orbits_on_gallery_words():
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(seed_lists(), st.lists(st.integers(-300, 300), min_size=1, max_size=20))
-def test_evaluate_with_warm_level_cache_matches_pattern(seeds, warm):
+@given(seed_lists(), st.lists(st.integers(-300, 300), min_size=1, max_size=20), st.data())
+def test_evaluate_with_warm_level_cache_matches_pattern(seeds, warm, data):
     s = tl.FillingSchedule(tl.BINARY, [tl.parse_seed(w) for w in seeds])
     for j in warm:
         tl.evaluate(s, j, len(seeds))
-    for l in range(1, len(seeds) + 1):
+    # levels are requested in a drawn order, so a pattern is composed onto
+    # cached levels below it or cached on the way to a deeper one
+    for l in data.draw(st.permutations(range(1, len(seeds) + 1))):
         pat = s.pattern(l)
+        assert (pat.period, pat.holes) == (s.period(l), s.holes(l))
         for j in range(-2 * pat.period, 2 * pat.period):
             assert (tl.evaluate(s, j, l) or "?") == pat.at(j)
 

@@ -60,6 +60,16 @@ def test_level_pattern_examples():
     assert pat43.symbols == "aaaba?aba?bbabbb" and pat43.holes == (5, 9)
     assert (pat43.period, pat43.holes) == (info43.period, info43.holes)
     assert s43.pattern(1).symbols == "a??b"
+    assert s43.scale(3) == (4, 16, 64)
+
+
+@pytest.mark.parametrize("l", [0, -1])
+@pytest.mark.parametrize("accessor", ["level_info", "period", "holes", "pattern", "scale"])
+def test_level_accessors_refuse_levels_below_one(accessor, l):
+    s = gallery("ex4.3")
+    s.pattern(2)  # level 0, the root of the caches, is never handed out
+    with pytest.raises(ToeplitzError, match=">= 1"):
+        getattr(s, accessor)(l)
 
 
 def test_evaluate_examples():
@@ -126,6 +136,8 @@ def test_hole_free_levels_saturate():
     assert s.period(2) == 6 and s.holes(2) == ()
     assert s.period(3) == 6 and s.holes(3) == ()
     assert resolve_window(s, 0, 6, 3) == "aab" + "abb"  # fully periodic word
+    # a deep level is the first hole-free one, with nothing listed in between
+    assert s.level_info(10 ** 9) is s.level_info(2) and s.pattern(10 ** 9) is s.pattern(2)
 
 
 def test_literal_schedules_count_their_own_levels():
@@ -193,3 +205,5 @@ def test_level_info_refuses_a_seed_longer_than_the_cap(monkeypatch):
     with pytest.raises(PatternTooLarge, match="seed 9 has length 11"):
         s.level_info(12)
     assert s.period(8) > 0
+    with pytest.raises(PatternTooLarge, match="seed 1 has length 11"):
+        FillingSchedule(BINARY, [SeedWord("a" * 9 + "?b")]).level_info(1)
