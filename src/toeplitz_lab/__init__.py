@@ -67,7 +67,6 @@ from .factors import (
     factor_aperiodic_residues,
     factor_obstruction_check,
     factor_residues,
-    find_unique_residue_level,
     unique_residue_search,
 )
 from .elements import (

@@ -178,6 +178,7 @@ class IsolationKind(Enum):
 @dataclass(frozen=True)
 class IsolationVerdict:
     kind: IsolationKind
+    branch: tuple[int, ...]  # the judged branch, to the tree depth
     level: int | None = None
     settled_depth: int | None = None
     rival: tuple[int, int] | None = None  # (level, residue)
@@ -191,36 +192,40 @@ def isolated_value_pair(
 ) -> IsolationVerdict:
     """Is the branch locally the only surviving hole path carrying both letters?
 
-    Rival candidates are surviving nodes in the branch's cylinder whose
-    value set contains both letters.  Nodes deeper than the settled depth
-    (half the tree depth, at least 1) are an unsettled frontier: they may
-    refute isolation at this depth but cannot count towards certifying
-    it, since their subtrees have not been given room to die out.
+    Rivals are surviving off-branch nodes whose value set contains both
+    letters.  The branch must be coherent, each residue below the one
+    above it; then a rival sharing its cylinders down to level k lies in
+    every cylinder above, and the lowest rival-free cylinder is one past
+    the deepest level a rival shares.  Nodes deeper than the settled
+    depth (half the tree depth, at least 1) are an unsettled frontier:
+    they may refute isolation at this depth but cannot count towards
+    certifying it, since their subtrees have not been given room to die out.
     """
     alphabet = tree.schedule.alphabet
     if a == b or a not in alphabet or b not in alphabet:
         raise UnknownLetters("need two distinct alphabet letters, got %r, %r" % (a, b))
-    branch = tuple(branch)
+    branch = tuple(branch)[: tree.depth]
     if len(branch) < tree.depth:
         raise ToeplitzError("branch must reach tree depth")
+    periods = tree.schedule.scale(tree.depth)
     for l in range(1, tree.depth + 1):
         if branch[l - 1] not in tree.nodes(l):
             raise ToeplitzError("branch leaves the tree at level %d" % l)
+        if l > 1 and branch[l - 1] % periods[l - 2] != branch[l - 2]:
+            raise ToeplitzError("branch residue %d at level %d is not below %d" % (branch[l - 1], l, branch[l - 2]))
     settled_depth = max(1, tree.depth // 2)
-    survivors = tree.survivors()
     pair = {a, b}
 
-    def rivals(l1: int, horizon: int):
-        p = tree.schedule.period(l1)
-        anchor = branch[l1 - 1]
-        for d in range(l1, horizon + 1):
-            for r in survivors[d - 1]:
-                if r % p == anchor and r != branch[d - 1]:
-                    if pair <= tree.nodes(d)[r]:
-                        yield (d, r)
-
-    def branch_carries_pair(horizon: int) -> bool:
-        return all(pair <= tree.nodes(d)[branch[d - 1]] for d in range(1, horizon + 1))
+    # (level, residue, deepest shared level) of every rival in the level-1 cylinder
+    rivals = []
+    for d, alive in enumerate(tree.survivors(), 1):
+        for r in sorted(alive):
+            if r != branch[d - 1] and pair <= tree.nodes(d)[r]:
+                shared = 0  # stops below d, since r is off the branch at level d
+                while r % periods[shared] == branch[shared]:
+                    shared += 1
+                if shared:
+                    rivals.append((d, r, shared))
 
     # strong certification: no surviving rival anywhere, to full depth (the
     # bottom level is excluded since its cylinder has nothing below it);
@@ -228,20 +233,17 @@ def isolated_value_pair(
     # at the settled levels (which had room to die out) the branch stands
     # alone, with at least one settled level of look-ahead below the cylinder
     for horizon in (tree.depth, settled_depth):
-        if branch_carries_pair(horizon):
-            for l1 in range(1, horizon):
-                if next(rivals(l1, horizon), None) is None:
-                    return IsolationVerdict(IsolationKind.CERTIFIED, level=l1, settled_depth=horizon)
+        if all(pair <= tree.nodes(d)[branch[d - 1]] for d in range(1, horizon + 1)):
+            level = 1 + max((k for d, _, k in rivals if d <= horizon), default=0)
+            if level < horizon:
+                return IsolationVerdict(IsolationKind.CERTIFIED, branch, level, horizon)
 
-    # refutation: every cylinder level with room below shows a rival
-    rival = None
-    for l1 in range(1, tree.depth):
-        rival = next(rivals(l1, tree.depth), None)
-        if rival is None:
-            break
+    # refutation: every cylinder level with room below shows a rival, which
+    # is to say some rival shares the last such level
+    rival = next(((d, r) for d, r, k in rivals if k == tree.depth - 1), None)
     if rival is None:
-        return IsolationVerdict(IsolationKind.UNKNOWN, settled_depth=settled_depth)
-    return IsolationVerdict(IsolationKind.REFUTED, settled_depth=settled_depth, rival=rival)
+        return IsolationVerdict(IsolationKind.UNKNOWN, branch, settled_depth=settled_depth)
+    return IsolationVerdict(IsolationKind.REFUTED, branch, settled_depth=settled_depth, rival=rival)
 
 
 @dataclass(frozen=True)

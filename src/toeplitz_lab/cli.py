@@ -219,7 +219,7 @@ def cmd_boundary(args) -> dict:
         for l in range(1, tree.depth + 1)
     ]
     results = {
-        "census": boundary.pruned_branch_census(tree),
+        "census": verdicts.census,
         "verdicts": {"fpc": verdicts.fpc, "hs": verdicts.hs, "fb": verdicts.fb},
         "hole_counts": verdicts.hole_counts,
         "cylinders": cylinders,

@@ -271,23 +271,6 @@ def unique_residue_search(
     return ResidueSearchCertificate(l1, l2, window, True)
 
 
-def find_unique_residue_level(schedule: FillingSchedule, l1: int, max_l2: int) -> ResidueSearchCertificate:
-    """Smallest l2 whose windows (two periods of level l2 + 1) pin residues mod p_l1, with its certificate."""
-    last = None
-    for l2 in range(l1, max_l2 + 1):
-        try:
-            span = 2 * schedule.period(schedule.available_levels(l2 + 1))
-            cert = unique_residue_search(schedule, l1, l2, (0, span))
-        except (UnresolvedWindow, PatternTooLarge):
-            continue
-        last = cert
-        if cert.holds:
-            return cert
-    if last is None:
-        raise UnresolvedWindow("no resolvable search window up to level %d" % max_l2)
-    return last
-
-
 # -- the isolating construction -------------------------------------------
 
 
@@ -306,13 +289,16 @@ def build_isolating_code(
     level l2 + 1 and resolved at depth l2 + 3, where the word shows
     ``letter``; its default, for every other window, is the first
     alphabet letter different from ``letter``.
-    ``certificate``, the branch's ``isolated_value_pair`` verdict, must
-    be certified, and ``l1`` must lie in the certified cylinder.
+    ``certificate``, an ``isolated_value_pair`` verdict, must be
+    certified for a branch that ``branch`` extends, and ``l1`` must lie
+    in the certified cylinder.
     """
     branch = tuple(branch)
     other = next(c for c in schedule.alphabet if c != letter)
     if certificate.kind is not IsolationKind.CERTIFIED:
         raise NotIsolated("no isolation certificate for the branch: %r" % (certificate,))
+    if branch[: len(certificate.branch)] != certificate.branch:
+        raise NotIsolated("certificate judged the branch %r, not %r" % (certificate.branch, branch))
     if certificate.level > l1:
         raise NotIsolated("certificate holds at level %d, cannot build at %d" % (certificate.level, l1))
 

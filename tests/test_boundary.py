@@ -143,6 +143,18 @@ def test_binary_isolation_matches_isolated_node():
     assert (verdict.kind == IsolationKind.CERTIFIED) == node_isolated
 
 
+def test_isolated_value_pair_refuses_an_incoherent_branch():
+    # 5 is a level-2 hole and 2 a level-1 hole, but 5 lies below 1, not 2
+    tree = hole_tree(gallery("ex4.3"), 2)
+    with pytest.raises(ToeplitzError, match="not below"):
+        isolated_value_pair(tree, (2, 5), "a", "b")
+
+
+def test_isolated_value_pair_records_the_judged_branch():
+    tree = hole_tree(gallery("ex4.3"), 3, 5)
+    assert isolated_value_pair(tree, EX43_BRANCH, "a", "b").branch == EX43_BRANCH[:3]
+
+
 def test_isolated_value_pair_rejects_bad_letters():
     tree = hole_tree(gallery("ex4.3"), 3, 5)
     with pytest.raises(UnknownLetters):

@@ -14,7 +14,6 @@ from toeplitz_lab import (
     factor_aperiodic_residues,
     factor_obstruction_check,
     factor_residues,
-    find_unique_residue_level,
     gallery,
     gallery_code,
     hole_tree,
@@ -96,11 +95,6 @@ def test_unique_residue_constant_word():
     assert not cert.holds
 
 
-def test_find_unique_residue_level():
-    assert find_unique_residue_level(gallery("ex4.4"), 1, max_l2=3).l2 == 1
-    assert find_unique_residue_level(gallery("ex4.3"), 5, max_l2=7).l2 == 5
-
-
 def test_build_isolating_code_rejects_block_fillers():
     s = gallery("ex3.5")
     tree = hole_tree(s, 4, 5)
@@ -121,6 +115,15 @@ def test_isolating_code_ex43_chain():
         fr = factor_aperiodic_residues(code, s, l, 7)
         assert fr.nonperiodic == (EX43_BRANCH[l - 1],)
         assert not fr.undetermined
+
+
+def test_build_isolating_code_refuses_a_branch_the_certificate_did_not_judge():
+    s = gallery("ex4.3")
+    iso = isolated_value_pair(hole_tree(s, 8, 10), EX43_BRANCH, "a", "b")
+    assert iso.kind == IsolationKind.CERTIFIED
+    foreign = (1, 5, 21, 85, 597, 1621, 5717, 22101)  # a surviving branch that leaves EX43_BRANCH at level 5
+    with pytest.raises(NotIsolated, match="judged the branch"):
+        build_isolating_code(s, foreign, "a", l1=5, l2=5, certificate=iso)
 
 
 def test_isolating_code_ex44_chain_large_scale():
