@@ -5,11 +5,14 @@ refined by inserting the next seed word, letter by letter, into its hole
 positions.  Levels are represented two ways: as explicit character
 patterns (one period) when the period is small enough, and as pure
 arithmetic (period plus sorted hole positions) up to ``PATTERN_CAP``
-holes per period.  Letters of the limit word are read without either:
-``evaluate`` walks the seed stack for one position and
-``resolve_window`` walks it for a whole window at once, so both work at
-any period scale.  Positions are ordinary Python integers, so nothing
-overflows.
+holes per period.  Letters of the limit word are read without a pattern
+of the level read: ``evaluate`` walks the seed stack for one position
+and ``resolve_window`` walks it for a whole window at once, so both work
+at any period scale.  Both walks take their first levels in one step, a
+table of the deepest level they read whose period is at most
+``_TABLE_CAP`` (one period of its letters, cached per schedule), and
+then one seed per level below it.  Positions are ordinary Python
+integers, so nothing overflows.
 """
 
 from __future__ import annotations
@@ -35,6 +38,9 @@ HOLE = "?"
 #: the most holes per period or seed letters ``level_info`` lists for a level,
 #: and the longest window ``resolve_window`` reads.
 PATTERN_CAP = 1 << 22
+
+#: Largest period of the level table that starts every seed walk.
+_TABLE_CAP = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -175,9 +181,14 @@ def compose_fill(outer: PeriodicPattern, inner: SeedWord) -> PeriodicPattern:
     new_period = p * q // gcd(h, q)
     if new_period > PATTERN_CAP:
         raise PatternTooLarge("composed period %d exceeds pattern cap" % new_period)
-    return PeriodicPattern(
-        fill_holes(outer.symbols * (new_period // p), inner.symbols * (h // gcd(h, q))), outer.alphabet
-    )
+    return PeriodicPattern(_compose(outer.symbols, h, inner.symbols), outer.alphabet)
+
+
+def _compose(outer: str, h: int, inner: str) -> str:
+    """One period of the periodic extension of ``inner`` inserted into the
+    ``h`` holes per period of the periodic word ``outer``."""
+    g = gcd(h, len(inner))
+    return fill_holes(outer * (len(inner) // g), inner * (h // g))
 
 
 class _LevelInfo(NamedTuple):
@@ -228,6 +239,7 @@ class FillingSchedule:
         self._seeds: dict[int, SeedWord] = {}
         self._infos: dict[int, _LevelInfo] = {0: _LevelInfo(1, (0,))}
         self._walk: dict[int, tuple[str, int, tuple[int, ...]]] = {}
+        self._tables: dict[int, tuple[int, str, int, tuple[int, ...]]] = {}
         self._patterns: dict[int, PeriodicPattern] = {0: PeriodicPattern(HOLE, alphabet)}
 
     # -- seeds -----------------------------------------------------------
@@ -254,6 +266,32 @@ class FillingSchedule:
             step = (w, len(w), hole_positions(w))
             self._walk[l] = step
         return step
+
+    def _table(self, levels: int) -> tuple[int, str, int, tuple[int, ...]]:
+        """The first step of a walk of ``levels`` levels: (m, level m's letters over one
+        period with holes where it leaves them, p_m, its holes).
+
+        m is the deepest level up to ``levels`` whose period is at most
+        ``_TABLE_CAP``, or level 1, whose table is seed 1 itself.  A level's
+        period is worked out from the seed length and hole count before the
+        level is composed, so no seed past ``levels`` is read and no level
+        past the bound is built.  Tables are cached per call depth, each
+        stored whole in one assignment, so a concurrent reader sees a
+        finished table or none.
+        """
+        if levels < 1:
+            return (0, HOLE, 1, (0,))  # level 0, the all-hole root
+        m, (text, p, holes) = 1, self._walk_step(1)
+        while m < levels and holes:
+            w = self.seed(m + 1).symbols
+            g = gcd(len(holes), len(w))
+            if p * len(w) // g > _TABLE_CAP:
+                break
+            text = _compose(text, len(holes), w)
+            m, p, holes = m + 1, len(text), hole_positions(text)
+        table = self._tables.setdefault(m, (m, text, p, holes))
+        self._tables[levels] = table
+        return table
 
     # -- level arithmetic (any scale) -------------------------------------
 
@@ -341,18 +379,23 @@ def evaluate(schedule: FillingSchedule, j: int, max_level: int) -> str | None:
 
     Walks the seed stack: a hole at one stage is the ``rank``-th hole of
     that stage, and the ranks form the positions of the derived tail word.
-    Never materialises a pattern, so it works at any period scale.
+    The first stage is the schedule's level table (periods up to
+    ``_TABLE_CAP``), then one seed per level, so it works at any period
+    scale.
     """
     levels = schedule.available_levels(max_level)
+    l, seed, q, seed_holes = schedule._tables.get(levels) or schedule._table(levels)
     steps = schedule._walk
     pos = j
-    for l in range(1, levels + 1):
-        seed, q, seed_holes = steps.get(l) or schedule._walk_step(l)
+    while True:
         c = seed[pos % q]
         if c != HOLE:
             return c
+        if l >= levels:
+            return None
         pos = (pos // q) * len(seed_holes) + bisect_left(seed_holes, pos % q)
-    return None
+        l += 1
+        seed, q, seed_holes = steps.get(l) or schedule._walk_step(l)
 
 
 def resolve_window(schedule: FillingSchedule, start: int, stop: int, max_level: int) -> str:
@@ -361,28 +404,33 @@ def resolve_window(schedule: FillingSchedule, start: int, stop: int, max_level: 
     Gives ``evaluate`` position by position, in one walk down the seed
     stack: consecutive holes of a level's window are consecutive holes of
     that level, so the next level needs only the window of their ranks.
-    The walk stops at the first window without holes or after
+    The walk starts from the schedule's level table (periods up to
+    ``_TABLE_CAP``), stops at the first window without holes or after
     ``max_level`` levels, and each level's holes are then filled from
-    the window below.  No pattern is built, so it works at any period
-    scale, and its work is the sum of the window lengths it reads.  A
-    window longer than ``PATTERN_CAP`` raises PatternTooLarge.
+    the window below.  No pattern of the level read is built, so it
+    works at any period scale, and its work is the sum of the window
+    lengths it reads.  A window longer than ``PATTERN_CAP`` raises
+    PatternTooLarge.
     """
     if stop <= start:
         return ""
     if stop - start > PATTERN_CAP:
         raise PatternTooLarge("window [%d, %d) is longer than the cap %d" % (start, stop, PATTERN_CAP))
+    levels = schedule.available_levels(max_level)
+    l, seed, q, seed_holes = schedule._tables.get(levels) or schedule._table(levels)
     steps = schedule._walk
     texts = []
     lo, n = start, stop - start
-    for l in range(1, schedule.available_levels(max_level) + 1):
-        seed, q, seed_holes = steps.get(l) or schedule._walk_step(l)
+    while True:
         text = _periodic_slice(seed, lo % q, n)
         texts.append(text)
         n = text.count(HOLE)
-        if not n:
+        if not n or l >= levels:
             break
         j = lo + text.index(HOLE)
         lo = (j // q) * len(seed_holes) + bisect_left(seed_holes, j % q)
+        l += 1
+        seed, q, seed_holes = steps.get(l) or schedule._walk_step(l)
     word = HOLE * n
     while texts:
         word = fill_holes(texts.pop(), word)

@@ -470,6 +470,69 @@ def test_resolve_window_matches_per_position_evaluate_past_pattern_cap():
             assert tl.resolve_window(s, lo, lo + width, depth) == per_position_window(s, lo, lo + width, depth)
 
 
+def seed_walk(schedule, j, max_level):
+    """The letter at ``j`` read one seed per level from level 1, or None: a hole's
+    rank among its level's holes is its position in the next seed's extension."""
+    levels = max_level if schedule.max_levels is None else min(max_level, schedule.max_levels)
+    pos = j
+    for l in range(1, levels + 1):
+        seed = schedule.seed(l).symbols
+        block, r = divmod(pos, len(seed))
+        if seed[r] != "?":
+            return seed[r]
+        pos = block * seed.count("?") + seed[:r].count("?")
+    return None
+
+
+def assert_reads_match_seed_walk(s, lo, width, max_level):
+    want = "".join(seed_walk(s, j, max_level) or "?" for j in range(lo, lo + width))
+    assert tl.resolve_window(s, lo, lo + width, max_level) == want, (lo, max_level)
+    assert "".join(tl.evaluate(s, j, max_level) or "?" for j in range(lo, lo + width)) == want, (lo, max_level)
+
+
+@pytest.mark.parametrize("name", ["ex4.4", "ex3.5", "ex4.3", "ex5.7", "williams"])
+def test_walk_reads_match_a_plain_seed_walk_around_the_table_level(name):
+    shared = tl.gallery(name)
+    m = 1
+    while shared.period(m + 1) <= tl.words._TABLE_CAP:
+        m += 1
+    rng = random.Random(name)
+    for max_level in (m - 1, m, m + 1, m + 4):
+        # a fresh schedule builds its table at this depth; the shared one has
+        # served the shallower depths first
+        for s in (tl.gallery(name), shared):
+            for sign in (-1, 1):
+                assert_reads_match_seed_walk(s, sign * 10 ** 12 + rng.randint(-10 ** 6, 10 ** 6), 120, max_level)
+
+
+def test_walk_reads_match_a_plain_seed_walk_without_a_table_and_past_a_hole_free_level():
+    wide = tl.FillingSchedule(tl.BINARY, [tl.SeedWord("a" + "?" * tl.words._TABLE_CAP + "b"),
+                                          tl.parse_seed("a?b"), tl.parse_seed("ab?ba")])
+    assert wide.period(1) > tl.words._TABLE_CAP  # the walk starts from seed 1 itself
+    closed = tl.FillingSchedule(tl.BINARY, [tl.parse_seed("a??b"), tl.parse_seed("a?b"), tl.parse_seed("ab")])
+    assert closed.holes(3) == () and closed.period(3) <= tl.words._TABLE_CAP
+    for s in (wide, closed):
+        for max_level in (0, 1, 2, 3, 5):
+            for lo in (-10 ** 12 - 60, -7, 10 ** 12):
+                assert_reads_match_seed_walk(s, lo, 100, max_level)
+
+
+def test_walk_reads_no_seed_past_the_levels_asked_for():
+    read = []
+    ex57 = tl.gallery("ex5.7")
+
+    def rule(l):
+        read.append(l)
+        return ex57.seed(l)
+
+    for max_level in (1, 2, 3):
+        s = tl.FillingSchedule(tl.BINARY, rule)
+        read.clear()
+        tl.evaluate(s, 10 ** 12, max_level)
+        tl.resolve_window(s, -50, 50, max_level)
+        assert read and max(read) <= max_level
+
+
 def per_position_fiber_contents(schedule, omega, l, depth, block_range):
     p = schedule.period(l)
     base, step = omega.residues[-1], schedule.period(omega.depth)
@@ -593,10 +656,12 @@ def test_compose_fill_matches_per_hole_loop(outer, inner):
 def test_window_reads_build_no_pattern(monkeypatch):
     s = tl.gallery("ex5.7")
     omega = tl.branch_point(s, random_branch(s, 3, random.Random(5)))
+    deep = [(-1) ** k * 10 ** 12 + 7919 * k for k in range(200)]
     expected = (
         tl.resolve_window(s, -70, 300, 4),
         tl.fiber_block_contents(s, omega, 3, 5, 16),
         tl.pair_report(s, tl.Shift(38), tl.Shift(230), 3, windows=[(-64, 64)], eval_level=6),
+        [tl.evaluate(s, j, 12) for j in deep],
     )
 
     def refuse(self, l):
@@ -608,6 +673,7 @@ def test_window_reads_build_no_pattern(monkeypatch):
         tl.resolve_window(s, -70, 300, 4),
         tl.fiber_block_contents(s, omega, 3, 5, 16),
         tl.pair_report(s, tl.Shift(38), tl.Shift(230), 3, windows=[(-64, 64)], eval_level=6),
+        [tl.evaluate(s, j, 12) for j in deep],
     ) == expected
 
 

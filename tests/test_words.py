@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import pytest
 
 from toeplitz_lab import (
@@ -207,3 +210,34 @@ def test_level_info_refuses_a_seed_longer_than_the_cap(monkeypatch):
     assert s.period(8) > 0
     with pytest.raises(PatternTooLarge, match="seed 1 has length 11"):
         FillingSchedule(BINARY, [SeedWord("a" * 9 + "?b")]).level_info(1)
+
+
+def test_concurrent_reads_of_a_fresh_schedule_match_serial_ones():
+    positions = [(-1) ** k * 10 ** 12 + 7919 * k for k in range(300)]
+
+    def reads(s):
+        # three depths, so the tables of several depths are built side by side
+        return ([evaluate(s, j, (3, 6, 12)[k % 3]) for k, j in enumerate(positions)],
+                [resolve_window(s, j, j + 64, (12, 6, 3)[k % 3]) for k, j in enumerate(positions[:60])])
+
+    expected = reads(gallery("ex5.7"))
+    s = gallery("ex5.7")
+    results = [None] * 4
+    start = threading.Barrier(4)
+
+    def worker(i):
+        start.wait(timeout=30)
+        results[i] = reads(s)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expected] * 4
