@@ -1,8 +1,8 @@
 """Finite-depth approximation of the separating-cover boundary.
 
 Each level of the hole tree maps its hole residues to their value sets,
-the letters actually observed in each residue class up to a resolution
-strictly deeper than the tree; a level-l residue r hangs below
+the letters observed in each residue class at the resolution depth,
+never below the tree depth; a level-l residue r hangs below
 r mod p_(l-1).  A cylinder certifiably contains no boundary point
 exactly when its subtree dies out, so pruning against the deepest level
 is sound; the survivors are read off the hole sets alone, and full-depth
@@ -69,7 +69,12 @@ def survivors(schedule: FillingSchedule, depth: int) -> tuple[frozenset[int], ..
 
 
 def hole_tree(schedule: FillingSchedule, depth: int, resolution_depth: int | None = None) -> HoleTree:
-    """Build the hole tree to ``depth`` with value sets from a deeper pattern."""
+    """Build the hole tree to ``depth`` with value sets read from the pattern at ``resolution_depth``.
+
+    That depth defaults to ``depth + 2`` and drops, never below
+    ``depth``, while its period exceeds ``PATTERN_CAP``; at ``depth``
+    itself the deepest level's value sets are empty.
+    """
     if depth < 1:
         raise ToeplitzError("tree depth must be >= 1, got %d" % depth)
     if resolution_depth is None:

@@ -333,8 +333,7 @@ def parser() -> argparse.ArgumentParser:
 
     p = command("build", cmd_build, "compose seeds into a level pattern")
     p.add_argument("--level", type=int, default=2)
-    p.add_argument("--window", type=parse_window,
-                   help="lo:hi positions to display; write a negative start as --window=-3:6")
+    p.add_argument("--window", type=parse_window, help="lo:hi positions to display")
 
     p = command("eval", cmd_eval, "letter at one position")
     p.add_argument("position", type=int)
@@ -374,8 +373,19 @@ def parser() -> argparse.ArgumentParser:
     return root
 
 
+def _glue_window(argv: list[str]) -> list[str]:
+    """``--window LO:HI`` as ``--window=LO:HI``, so that argparse never reads a negative start as an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--window":
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = parser().parse_args(argv)
+    args = parser().parse_args(_glue_window(sys.argv[1:] if argv is None else argv))
     try:
         rep = args.run(args)
         exit_code = rep.pop("exit_code", 0) if rep else 0

@@ -1,13 +1,13 @@
 """Sliding block codes and factor-word analysis.
 
-A code is a table from windows of width 2J+1 to letters, with an
-optional default letter for the windows it does not list.  Applying it
-to a partially resolved pattern outputs a letter only when every
-completion of the window agrees; otherwise the output is a hole, so
-factor analysis composes with the three-valued periodicity machinery.
-Residue classification of a factor word distinguishes
-certified-nonperiodic residues (two differing resolved outputs) from the
-permanently undetermined shadows that a code's holes cast.
+A code maps each window of width 2J+1 to a letter: a default letter,
+except for the windows its table lists.  Applying it to a partially
+resolved pattern outputs a letter only when every completion of the
+window agrees; otherwise the output is a hole, so factor analysis
+composes with the three-valued periodicity machinery.  Residue
+classification of a factor word distinguishes certified-nonperiodic
+residues (two differing resolved outputs) from the permanently
+undetermined shadows that a code's holes cast.
 """
 
 from __future__ import annotations
@@ -21,16 +21,20 @@ from .errors import (
     NotOxtoby,
     PatternTooLarge,
     ToeplitzError,
+    UnknownLetters,
     UnresolvedWindow,
 )
 from .periodicity import check_oxtoby, classify_residues
-from .words import HOLE, PATTERN_CAP, Alphabet, FillingSchedule, PeriodicPattern, evaluate, fill_holes, resolve_window
+from .words import HOLE, PATTERN_CAP, Alphabet, FillingSchedule, PeriodicPattern, evaluate, resolve_window
 
 
 class SlidingBlockCode:
-    """A local rule of radius J: a window table, and ``default`` for the windows it does not list.
+    """A local rule of radius J: a ``default`` letter, and a ``table`` of the windows that map elsewhere.
 
-    Without a default the table must list every window of width 2J+1.
+    Without a default the given table must list every window of width
+    2J+1; the default then becomes the letter most of them map to, the
+    first in alphabet order on a tie.  Either way ``table`` keeps only
+    the windows whose letter differs from ``default``.
     """
 
     def __init__(self, alphabet: Alphabet, radius: int, table: dict[str, str], default: str | None = None):
@@ -46,9 +50,12 @@ class SlidingBlockCode:
         # a nonempty table's keys now bound the width, so the power below stays small
         if default is None and (not table or len(table) != len(alphabet) ** width):
             raise ToeplitzError("table has %d entries, needs one per window of width %d" % (len(table), width))
+        if default is None:
+            outputs = list(table.values())
+            default = max(alphabet.letters, key=outputs.count)  # max keeps the first on a tie
         self.alphabet = alphabet
         self.radius = radius
-        self.table = dict(table)
+        self.table = {k: v for k, v in table.items() if v != default}
         self.default = default
 
     def __call__(self, window: str) -> str:
@@ -64,83 +71,58 @@ class SlidingBlockCode:
 def code_output(code: SlidingBlockCode, window: str) -> str:
     """The letter all completions of ``window`` give under the code, or the hole marker.
 
-    The outputs over all completions form one set.  When the completions
-    number no more than the table's entries, each one is looked up; so a
-    full table, which lists every completion, always enumerates.
-    Otherwise the set is read off the table entries compatible with the
-    resolved part, the runs between the holes, plus ``default``: those
-    entries are fewer than the completions, so some completion is unlisted.
+    The listed windows compatible with the resolved part, the runs
+    between the holes, give their letters.  The default joins them
+    unless they are as many as the window's completions, |A|^holes, so
+    that every completion is listed.
     """
     if HOLE not in window:
         return code(window)
-    letters = code.alphabet.letters
-    holes = window.count(HOLE)
-    if len(letters) ** holes <= len(code.table):
-        seen = set()
-        for fill in product(letters, repeat=holes):
-            seen.add(code(fill_holes(window, fill)))
-            if len(seen) > 1:
-                return HOLE
-        return seen.pop()
-    differing = [u for u, v in code.table.items() if v != code.default]
-    if not differing:
+    if not code.table:
         return code.default  # no need to split the window: every completion maps to the default
-    runs, pos = [], 0
+    listed, pos = code.table.items(), 0
     for run in window.split(HOLE):
         if run:
-            runs.append((run, pos))
+            listed = [(u, v) for u, v in listed if u.startswith(run, pos)]
         pos += len(run) + 1
-    compatible = any(all(u.startswith(run, i) for run, i in runs) for u in differing)
-    return HOLE if compatible else code.default
+    outputs = [v for _, v in listed]
+    n = len(outputs)
+    # |A|^holes > n already once holes reaches the bit length of n, so the power stays small
+    if n < len(code.alphabet) ** min(window.count(HOLE), n.bit_length()):
+        outputs.append(code.default)
+    return outputs[0] if len(set(outputs)) == 1 else HOLE
 
 
 def apply_code(code: SlidingBlockCode, pat: PeriodicPattern) -> PeriodicPattern:
-    """Image of a level pattern under the code, holes where completions disagree."""
-    J = code.radius
-    width = 2 * J + 1
-    doubled = pat.symbols * 2 if J == 0 else (pat.symbols * (2 + (2 * J) // pat.period + 1))
-    p = pat.period
-    if code.default is None:
-        # a full table's output depends on the window text alone: look each distinct one up once
-        outputs: dict[str, str] = {}
-        windows = (doubled[s: s + width] for s in range(p))
-        image = "".join([outputs.get(w) or outputs.setdefault(w, code_output(code, w)) for w in windows])
-    else:
-        image = _default_image(code, doubled, p)
-    # the window centred on j starts at (j - J) mod p
-    k = p - J % p
-    return PeriodicPattern(image[k:] + image[:k], pat.alphabet)
-
-
-def _default_image(code: SlidingBlockCode, doubled: str, p: int) -> str:
-    """Outputs of a code with a default on the windows of ``doubled`` starting at 0, ..., p - 1.
+    """Image of a level pattern under the code, holes where completions disagree.
 
     A hole-free window maps to ``table[u]`` exactly where a listed word
     ``u`` occurs, so those are found with ``str.find``; only windows
     reaching a hole need :func:`code_output`.  Every other window maps to
     ``default``.
     """
-    width = 2 * code.radius + 1
-    end = p + width - 1  # the window starting at p - 1 ends here
+    J, p = code.radius, pat.period
+    width = 2 * J + 1
+    text = pat.window(-J, p + J)  # the window centred on j starts at j
     special = {}  # window start -> output, where it may differ from ``default``
     for u, v in code.table.items():
-        s = doubled.find(u, 0, end)
+        s = text.find(u)
         while s >= 0:
             special[s] = v
-            s = doubled.find(u, s + 1, end)
+            s = text.find(u, s + 1)
     done = 0  # windows starting below this are settled
-    h = doubled.find(HOLE, 0, end)
+    h = text.find(HOLE)
     while h >= 0 and done < p:
         for s in range(max(done, h - width + 1), min(h + 1, p)):
-            special[s] = code_output(code, doubled[s: s + width])
+            special[s] = code_output(code, text[s: s + width])
         done = max(done, h + 1)
-        h = doubled.find(HOLE, h + 1, end)
+        h = text.find(HOLE, h + 1)
     pieces, prev = [], 0
     for s in sorted(special):
         pieces += (code.default * (s - prev), special[s])
         prev = s + 1
     pieces.append(code.default * (p - prev))
-    return "".join(pieces)
+    return PeriodicPattern("".join(pieces), pat.alphabet)
 
 
 @dataclass(frozen=True)
@@ -293,6 +275,8 @@ def build_isolating_code(
     certified for a branch that ``branch`` extends, and ``l1`` must lie
     in the certified cylinder.
     """
+    if letter not in schedule.alphabet:
+        raise UnknownLetters("letter %r is not in the alphabet %r" % (letter, schedule.alphabet.letters))
     branch = tuple(branch)
     other = next(c for c in schedule.alphabet if c != letter)
     if certificate.kind is not IsolationKind.CERTIFIED:
@@ -377,8 +361,7 @@ def factor_obstruction_check(code, schedule: FillingSchedule, depth: int, l0: in
 def code_to_text(code: SlidingBlockCode) -> str:
     lines = ["radius %d" % code.radius]
     lines += ["%s %s" % (k, code.table[k]) for k in sorted(code.table)]
-    if code.default is not None:
-        lines.append("* %s" % code.default)
+    lines.append("* %s" % code.default)
     return "\n".join(lines) + "\n"
 
 

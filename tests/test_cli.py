@@ -37,6 +37,13 @@ def test_build_reproduces_composition(capsys):
     assert rep["results"]["window"] == "aaaba?aba?bbabbb"
 
 
+def test_window_with_a_negative_start_takes_either_spelling(capsys):
+    rc, glued = run(capsys, ["build", "ex5.7", "--level", "2", "--window=-3:6"])
+    assert rc == 0
+    assert run(capsys, ["build", "ex5.7", "--level", "2", "--window", "-3:6"]) == (0, glued)
+    assert "bbbaaaba?" in glued
+
+
 def test_json_reports_roundtrip(capsys):
     for argv in (
         ["analyze", "ex4.4-mini", "--depth", "3", "--format", "json"],

@@ -21,7 +21,7 @@ from toeplitz_lab import (
     parse_seed,
     unique_residue_search,
 )
-from toeplitz_lab.errors import NotIsolated, ToeplitzError
+from toeplitz_lab.errors import NotIsolated, ToeplitzError, UnknownLetters
 from toeplitz_lab.factors import code_output, pullback_reports
 
 EX43_BRANCH = tuple((4 ** l - 1) // 3 for l in range(1, 9))
@@ -104,6 +104,13 @@ def test_build_isolating_code_rejects_block_fillers():
         build_isolating_code(s, branch, "a", l1=2, l2=2, certificate=iso)
 
 
+def test_build_isolating_code_refuses_a_letter_outside_the_alphabet():
+    s = gallery("ex4.3")
+    iso = isolated_value_pair(hole_tree(s, 8, 10), EX43_BRANCH, "a", "b")
+    with pytest.raises(UnknownLetters, match="'c'"):
+        build_isolating_code(s, EX43_BRANCH, "c", l1=5, l2=5, certificate=iso)
+
+
 def test_isolating_code_ex43_chain():
     s = gallery("ex4.3")
     tree = hole_tree(s, 8, 10)
@@ -173,8 +180,15 @@ def test_factor_hole_bound_under_codes():
 def test_code_text_roundtrip():
     full = gallery_code("ex5.7")
     with_default = SlidingBlockCode(BINARY, 1, {"aaa": "a", "aba": "b", "bbb": "b"}, default="a")
-    for code in (full, with_default):
-        back = code_from_text(code_to_text(code), BINARY)
+    # a full table whose outputs tie takes the first letter as its default
+    tied = SlidingBlockCode(BINARY, 0, {"a": "b", "b": "a"})
+    assert (tied.table, tied.default) == ({"a": "b"}, "a")
+    # a listed window mapped to the default is dropped
+    assert with_default.table == {"aba": "b", "bbb": "b"}
+    for code in (full, with_default, tied):
+        text = code_to_text(code)
+        assert text.endswith("* %s\n" % code.default)
+        back = code_from_text(text, BINARY)
         assert (back.radius, back.table, back.default) == (code.radius, code.table, code.default)
 
 

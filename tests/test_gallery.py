@@ -129,6 +129,7 @@ def test_gallery_code_table():
     code = gallery_code("ex5.7")
     assert code("aaa") == "a"
     assert all(code(w) == "b" for w in code.table if w != "aaa")
+    assert code.table == {"aaa": "a"} and code.default == "b"
 
 
 def test_williams_nonuniform_ratios():

@@ -190,6 +190,9 @@ ABC = tl.Alphabet("abc")
 @example((tl.SlidingBlockCode.from_fn(tl.BINARY, 2, lambda w: "a"), tl.PeriodicPattern("a??b")))
 @example((tl.SlidingBlockCode(ABC, 1, {"abc": "c", "aac": "b", "bcc": "c", "cab": "a"}, default="a"),
           tl.PeriodicPattern("ab?c??", ABC)))
+# a full table whose hole windows at 1 and 4 list every completion, under a letter other than the default
+@example((tl.SlidingBlockCode.from_fn(ABC, 1, lambda w: "a" if w[1] == "a" else "b" if w[0] == "b" else "c"),
+          tl.PeriodicPattern("?a?bc", ABC)))
 def test_apply_code_on_periods_within_the_window_matches_brute_completion(case):
     # a window wider than the period meets copies of the same hole class,
     # which are distinct positions of the word and are completed independently
