@@ -374,10 +374,11 @@ def parser() -> argparse.ArgumentParser:
 
 
 def _glue_window(argv: list[str]) -> list[str]:
-    """``--window LO:HI`` as ``--window=LO:HI``, so that argparse never reads a negative start as an option."""
+    """``--window LO:HI`` as ``--window=LO:HI``, so that argparse never reads a negative start as an option;
+    abbreviations such as ``--win`` are glued too (where one means ``--window-half``, the glued form means the same)."""
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] == "--window":
+        if out and len(out[-1]) > 2 and "--window".startswith(out[-1]):
             out[-1] += "=" + arg
         else:
             out.append(arg)

@@ -2,10 +2,10 @@
 
 A shift limit is given by a deterministic rule k -> n_k on the indices
 ``k_start <= k < k_stop``.  Its letter at a position, and its residue
-modulo a period, settles only when the values read back from ``k_stop``
-end in a maximal run of equal values that has no unresolved value and is
-at least ``STABILIZATION_WINDOW`` long.  Anything else is unresolved,
-never a wrong letter, so every census below is certified at its depth.
+modulo a period, settles only when the values at the last
+``STABILIZATION_WINDOW`` indices are one resolved value, so only those
+indices are ever read.  Anything else is unresolved, never a wrong
+letter, so every census below is certified at its depth.
 """
 
 from __future__ import annotations
@@ -37,8 +37,11 @@ class ShiftLimit:
     k_stop: int = 8
 
     def shifts(self) -> list[int]:
-        """The shifts n_k at the rule indices ``k_start <= k < k_stop``, in order."""
-        return [self.rule(k) for k in range(self.k_start, self.k_stop)]
+        """The shifts a reading depends on, in order: n_k at the last
+        ``STABILIZATION_WINDOW`` indices below ``k_stop``, or at every index
+        from ``k_start`` when the range is shorter (then nothing settles)."""
+        start = max(self.k_start, self.k_stop - STABILIZATION_WINDOW)
+        return [self.rule(k) for k in range(start, self.k_stop)]
 
 
 ElementSpec = Shift | ShiftLimit
@@ -114,8 +117,9 @@ def pair_report(
 def _element_window(schedule: FillingSchedule, element: ElementSpec, start: int, stop: int, max_level: int) -> str:
     """The element's letters on ``[start, stop)``, unresolved positions as holes.
 
-    A shift limit is read as one window per rule index and settled
-    column by column, which gives :func:`eval_element` at every position.
+    A shift limit is read as one window per shift in
+    :meth:`ShiftLimit.shifts` and settled column by column, which gives
+    :func:`eval_element` at every position.
     """
     if isinstance(element, Shift):
         return resolve_window(schedule, start + element.n, stop + element.n, max_level)

@@ -137,11 +137,14 @@ class FactorResidues:
 def factor_residues(code, schedule: FillingSchedule, levels, depth: int) -> list[FactorResidues]:
     """Classify the factor word modulo each level period in ``levels`` at one resolution depth.
 
+    A ``depth`` below a requested level is refused, on either route.
     Uses one explicit factor pattern for every level when the resolution
     level fits in memory; otherwise falls back, level by level, to the
-    sparse strategy, which is exact for candidates whose code windows
-    meet few unresolved source classes.
+    sparse strategy, whose undetermined set may be a superset.
     """
+    levels = list(levels)
+    if levels and depth < max(levels):
+        raise ToeplitzError("resolution depth %d is below level %d" % (depth, max(levels)))
     try:
         pat = schedule.pattern(schedule.available_levels(depth))
     except PatternTooLarge:
@@ -160,30 +163,21 @@ def _sparse_factor_residues(code, schedule: FillingSchedule, l: int, depth: int)
     """Candidate-based classification for periods too large to materialise.
 
     Only residues within the code radius of a source hole can be
-    nonperiodic.  For each such candidate the window's level-``l`` hole
-    slots are marked as holes and :func:`code_output` decides whether
-    every completion gives one image, which makes the class periodic.
-    Otherwise a two-image witness among realised windows, exact always,
-    certifies it nonperiodic.  A window with unresolved positions outside
-    the slots stays undetermined.
+    nonperiodic.  Each such candidate's window is read at level ``l``
+    (``depth`` >= ``l``), where its holes are exactly the level-``l``
+    holes, and :func:`code_output` decides whether every completion
+    gives one image, which makes the class periodic.  Otherwise a
+    two-image witness among the realised windows, read at ``depth``,
+    certifies it nonperiodic; without one it stays undetermined.
     """
     p = schedule.period(l)
     J = code.radius
-    holes = schedule.holes(l)
-    candidates = sorted({(h + d) % p for h in holes for d in range(-J, J + 1)})
-    hole_set = set(holes)
+    candidates = sorted({(h + d) % p for h in schedule.holes(l) for d in range(-J, J + 1)})
     nonper, undet = [], []
     for r in candidates:
-        slots = [d for d in range(-J, J + 1) if (r + d) % p in hole_set]
-        chars = list(resolve_window(schedule, r - J, r + J + 1, depth))
-        for d in slots:
-            chars[d + J] = HOLE
-        window = "".join(chars)
-        if window.count(HOLE) > len(slots):
-            undet.append(r)
-        elif code_output(code, window) != HOLE:
+        if code_output(code, resolve_window(schedule, r - J, r + J + 1, l)) != HOLE:
             continue
-        elif _realised_two_images(code, schedule, r, J, p, depth):
+        if _realised_two_images(code, schedule, r, J, p, depth):
             nonper.append(r)
         else:
             undet.append(r)
@@ -220,7 +214,9 @@ def unique_residue_search(
     """Do equal length-p_l2 subwords in the window force equal residues mod p_l1?
 
     Exhaustive over all start pairs in the window; the scanned stretch
-    must resolve fully at the chosen depth.
+    must resolve fully at the chosen depth.  Starts are grouped by the
+    built-in hash of their word, and each pair within a group is
+    confirmed by comparing the words.
     """
     p1, p2 = schedule.period(l1), schedule.period(l2)
     lo, hi = window
@@ -231,16 +227,8 @@ def unique_residue_search(
             "window [%d, %d) not fully resolved at depth %d" % (lo, hi + p2, depth)
         )
     groups: dict[int, list[int]] = {}
-    base = 1000003
-    mod = (1 << 61) - 1
-    power = pow(base, p2 - 1, mod)
-    h = 0
-    for c in text[:p2]:
-        h = (h * base + ord(c)) % mod
-    groups.setdefault(h, []).append(lo)
-    for i in range(1, hi - lo):
-        h = ((h - ord(text[i - 1]) * power) * base + ord(text[i + p2 - 1])) % mod
-        groups.setdefault(h, []).append(lo + i)
+    for i in range(hi - lo):
+        groups.setdefault(hash(text[i: i + p2]), []).append(lo + i)
     for starts in groups.values():
         if len(starts) < 2:
             continue

@@ -41,6 +41,7 @@ def test_window_with_a_negative_start_takes_either_spelling(capsys):
     rc, glued = run(capsys, ["build", "ex5.7", "--level", "2", "--window=-3:6"])
     assert rc == 0
     assert run(capsys, ["build", "ex5.7", "--level", "2", "--window", "-3:6"]) == (0, glued)
+    assert run(capsys, ["build", "ex5.7", "--level", "2", "--win", "-3:6"]) == (0, glued)
     assert "bbbaaaba?" in glued
 
 

@@ -79,12 +79,21 @@ def test_sparse_route_matches_pattern_route():
         assert set(sparse.undetermined) <= set(full.undetermined) | set(full.nonperiodic)
 
 
+def test_factor_residues_refuse_a_depth_below_the_level():
+    code = gallery_code("ex5.7")
+    # ex5.7 at depth 2 takes the pattern route; ex4.4's depth-5 period 2^28 is past the cap
+    for name, l, depth in (("ex5.7", 3, 2), ("ex4.4", 6, 5)):
+        with pytest.raises(ToeplitzError, match="below level"):
+            factor_aperiodic_residues(code, gallery(name), l, depth)
+
+
 def test_unique_residue_certificates():
     s43 = gallery("ex4.3")
     cert = unique_residue_search(s43, 5, 5, (0, 2 * s43.period(6)))
     assert cert.holds
     bad = unique_residue_search(gallery("ex5.7"), 2, 1, (0, 128), depth=6)
     assert not bad.holds
+    assert bad.counterexample == (0, 4)
     j1, j2 = bad.counterexample
     assert (j1 - j2) % 16 != 0
 
