@@ -25,7 +25,7 @@ from .errors import (
     UnresolvedWindow,
 )
 from .periodicity import check_oxtoby, classify_residues
-from .words import HOLE, PATTERN_CAP, Alphabet, FillingSchedule, PeriodicPattern, evaluate, resolve_window
+from .words import HOLE, PATTERN_CAP, Alphabet, FillingSchedule, PeriodicPattern, evaluate, fill_holes, resolve_window
 
 
 class SlidingBlockCode:
@@ -71,58 +71,82 @@ class SlidingBlockCode:
 def code_output(code: SlidingBlockCode, window: str) -> str:
     """The letter all completions of ``window`` give under the code, or the hole marker.
 
-    The listed windows compatible with the resolved part, the runs
-    between the holes, give their letters.  The default joins them
-    unless they are as many as the window's completions, |A|^holes, so
-    that every completion is listed.
+    When the completions, |A|^holes, number at most the listed windows,
+    each completion is looked up.  Otherwise some completion is not
+    listed and maps to the default, so the output is the default exactly
+    when no listed window is compatible with the resolved part, the runs
+    between the holes; every listed window maps elsewhere.
     """
     if HOLE not in window:
         return code(window)
     if not code.table:
         return code.default  # no need to split the window: every completion maps to the default
-    listed, pos = code.table.items(), 0
+    letters, holes, n = code.alphabet.letters, window.count(HOLE), len(code.table)
+    # |A|^holes > n once holes passes the bit length of n, so the power stays small
+    if holes <= n.bit_length() and len(letters) ** holes <= n:
+        outputs = {code(fill_holes(window, fill)) for fill in product(letters, repeat=holes)}
+        return outputs.pop() if len(outputs) == 1 else HOLE
+    listed, pos = list(code.table), 0
     for run in window.split(HOLE):
         if run:
-            listed = [(u, v) for u, v in listed if u.startswith(run, pos)]
+            listed = [u for u in listed if u.startswith(run, pos)]
         pos += len(run) + 1
-    outputs = [v for _, v in listed]
-    n = len(outputs)
-    # |A|^holes > n already once holes reaches the bit length of n, so the power stays small
-    if n < len(code.alphabet) ** min(window.count(HOLE), n.bit_length()):
-        outputs.append(code.default)
-    return outputs[0] if len(set(outputs)) == 1 else HOLE
+    return HOLE if listed else code.default
 
 
 def apply_code(code: SlidingBlockCode, pat: PeriodicPattern) -> PeriodicPattern:
     """Image of a level pattern under the code, holes where completions disagree.
 
-    A hole-free window maps to ``table[u]`` exactly where a listed word
-    ``u`` occurs, so those are found with ``str.find``; only windows
-    reaching a hole need :func:`code_output`.  Every other window maps to
-    ``default``.
+    The image is built chunk by chunk.  The windows starting in
+    [c, c + n) read only the n + 2J letters from c, the chunk's stretch,
+    so each distinct stretch is imaged once and its repeats reuse that
+    image.  The chunk length is the least power of two above 2J and at
+    least 64 (the whole period if shorter): a Toeplitz pattern repeats
+    almost everywhere, and with power-of-two level periods its chunks
+    repeat whole.  Listed words that occur nowhere are not searched for
+    chunk by chunk.
     """
     J, p = code.radius, pat.period
-    width = 2 * J + 1
     text = pat.window(-J, p + J)  # the window centred on j starts at j
+    L = min(p, 1 << max(6, (2 * J).bit_length()))
+    ids: dict[str, int] = {}  # distinct stretch -> its index, for this call only
+    order = [ids.setdefault(text[c: c + L + 2 * J], len(ids)) for c in range(0, p, L)]
+    # a listed word holds no hole, so one found in either string lies inside a stretch
+    seen = min(text, HOLE.join(ids), key=len)
+    listed = [(u, v) for u, v in code.table.items() if u in seen]
+    images = [_chunk_image(code, listed, s, len(s) - 2 * J) for s in ids]
+    return PeriodicPattern("".join([images[i] for i in order]), pat.alphabet)
+
+
+def _chunk_image(code: SlidingBlockCode, listed: list[tuple[str, str]], text: str, n: int) -> str:
+    """Outputs of the windows starting at 0..n-1 of ``text``, which holds n + 2J letters.
+
+    ``listed`` holds the table entries whose word occurs in the pattern.
+    A hole-free window maps to ``table[u]`` exactly where such a word
+    ``u`` occurs, so those are found with ``str.find``; only windows
+    reaching a hole need :func:`code_output`.  Every other window maps
+    to ``default``.
+    """
+    width = 2 * code.radius + 1
     special = {}  # window start -> output, where it may differ from ``default``
-    for u, v in code.table.items():
+    for u, v in listed:
         s = text.find(u)
         while s >= 0:
             special[s] = v
             s = text.find(u, s + 1)
     done = 0  # windows starting below this are settled
     h = text.find(HOLE)
-    while h >= 0 and done < p:
-        for s in range(max(done, h - width + 1), min(h + 1, p)):
+    while h >= 0 and done < n:
+        for s in range(max(done, h - width + 1), min(h + 1, n)):
             special[s] = code_output(code, text[s: s + width])
         done = max(done, h + 1)
         h = text.find(HOLE, h + 1)
-    pieces, prev = [], 0
-    for s in sorted(special):
-        pieces += (code.default * (s - prev), special[s])
-        prev = s + 1
-    pieces.append(code.default * (p - prev))
-    return PeriodicPattern("".join(pieces), pat.alphabet)
+    if not special:
+        return code.default * n
+    out = [code.default] * n
+    for s, v in special.items():
+        out[s] = v
+    return "".join(out)
 
 
 @dataclass(frozen=True)

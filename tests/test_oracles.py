@@ -133,7 +133,10 @@ def test_unique_residue_search_matches_quadratic_scan():
 
 def brute_apply(code, pattern, j):
     J = code.radius
-    window = pattern.window(j - J, j + J + 1)
+    return brute_output(code, pattern.window(j - J, j + J + 1))
+
+
+def brute_output(code, window):
     holes = [i for i, c in enumerate(window) if c == "?"]
     outs = set()
     for fill in product(code.alphabet.letters, repeat=len(holes)):
@@ -145,15 +148,39 @@ def brute_apply(code, pattern, j):
 
 
 def test_apply_code_matches_brute_completion():
+    # period 1024 at depth 5 is 16 chunks of the image, most of them repeats
     rng = random.Random(99)
     s = tl.gallery("ex5.7")
-    pat = s.pattern(3)
-    for _ in range(6):
-        radius = rng.choice((0, 1, 2))
-        code = tl.SlidingBlockCode.from_fn(tl.BINARY, radius, lambda w: rng.choice("ab"))
-        image = tl.apply_code(code, pat)
-        for j in range(pat.period):
-            assert image.at(j) == brute_apply(code, pat, j)
+    for depth in (3, 5):
+        pat = s.pattern(depth)
+        for _ in range(6):
+            radius = rng.choice((0, 1, 2))
+            code = tl.SlidingBlockCode.from_fn(tl.BINARY, radius, lambda w: rng.choice("ab"))
+            image = tl.apply_code(code, pat)
+            for j in range(pat.period):
+                assert image.at(j) == brute_apply(code, pat, j)
+
+
+ABC = tl.Alphabet("abc")
+
+
+@pytest.mark.parametrize("alphabet, listed, window, expected", [
+    # |A|^holes = 4 completions, as many as the listed windows: all are listed, under "b"
+    (tl.BINARY, ["aaa", "aab", "baa", "bab"], "?a?", "b"),
+    # one completion fewer listed: the unlisted one gives the default
+    (tl.BINARY, ["aaa", "aab", "baa"], "?a?", "?"),
+    # 8 completions past 4 listed windows, or no listed window compatible with the runs
+    (tl.BINARY, ["aaa", "aab", "baa", "bab"], "???", "?"),
+    (tl.BINARY, ["aaa", "aab", "baa", "bab"], "?b?", "a"),
+    # 9 completions of two holes over three letters, against 9 and 8 listed windows
+    (ABC, ["a" + x + y for x in "abc" for y in "abc"], "a??", "b"),
+    (ABC, ["a" + x + y for x in "abc" for y in "abc"][1:], "a??", "?"),
+])
+def test_code_output_on_each_side_of_the_completion_count(alphabet, listed, window, expected):
+    from toeplitz_lab.factors import code_output
+
+    code = tl.SlidingBlockCode(alphabet, 1, dict.fromkeys(listed, "b"), default="a")
+    assert code_output(code, window) == brute_output(code, window) == expected
 
 
 @st.composite
@@ -180,9 +207,6 @@ def short_period_cases(draw):
             table["".join(next(letters) if c == "?" else c for c in window)] = out
     code = tl.SlidingBlockCode(tl.BINARY, width // 2, table, default=draw(st.sampled_from("ab")))
     return code, tl.PeriodicPattern(symbols)
-
-
-ABC = tl.Alphabet("abc")
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -727,27 +751,50 @@ def test_factor_residues_past_the_cap_match_per_level_sparse_calls(monkeypatch):
 
 @st.composite
 def repetitive_patterns(draw):
-    """A table code and a pattern made of one short block repeated, with a few cells changed."""
-    radius = draw(st.integers(0, 2))
-    width = 2 * radius + 1
-    windows = ["".join(w) for w in product("ab", repeat=width)]
-    outputs = draw(st.lists(st.sampled_from("ab"), min_size=len(windows), max_size=len(windows)))
-    block = draw(st.text(alphabet="ab?", min_size=1, max_size=6))
-    cells = list(block * draw(st.integers(2, 12)))
+    """A code and a pattern made of one short block repeated, with a few cells changed.
+
+    Up to 60 copies of the block span many image chunks, and the period
+    need not be a multiple of the chunk length.
+    The code is a full table of radius <= 2 or, up to radius 40 (wider
+    than many of the periods), a table with a default that lists windows
+    the pattern shows, with all or one of their completions.
+    """
+    size = draw(st.sampled_from((1, 2, 3, 4, 5, 6, 8, 16)))  # chunks repeat where the size divides theirs
+    block = draw(st.text(alphabet="ab?", min_size=size, max_size=size))
+    cells = list(block * draw(st.integers(1, 60)))
     for i in draw(st.lists(st.integers(0, len(cells) - 1), max_size=3)):
         cells[i] = draw(st.sampled_from("ab?"))
-    return tl.SlidingBlockCode(tl.BINARY, radius, dict(zip(windows, outputs))), tl.PeriodicPattern("".join(cells))
+    pat = tl.PeriodicPattern("".join(cells))
+    if draw(st.booleans()):
+        width = 2 * draw(st.integers(0, 2)) + 1
+        windows = ["".join(w) for w in product("ab", repeat=width)]
+        outputs = draw(st.lists(st.sampled_from("ab"), min_size=len(windows), max_size=len(windows)))
+        return tl.SlidingBlockCode(tl.BINARY, width // 2, dict(zip(windows, outputs))), pat
+    radius = draw(st.integers(0, 40))
+    table = {}
+    for start in draw(st.lists(st.integers(0, pat.period - 1), max_size=4)):
+        window = pat.window(start, start + 2 * radius + 1)
+        holes = window.count("?")
+        fills = product("ab", repeat=holes) if holes <= 3 and draw(st.booleans()) else ["a" * holes]
+        out = draw(st.sampled_from("ab"))
+        for fill in fills:
+            letters = iter(fill)
+            table["".join(next(letters) if c == "?" else c for c in window)] = out
+    return tl.SlidingBlockCode(tl.BINARY, radius, table, default=draw(st.sampled_from("ab"))), pat
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+# about half of the examples draw a full table
+@settings(max_examples=600, deadline=None, derandomize=True)
 @given(repetitive_patterns())
 def test_table_code_image_matches_per_window_code_output(case):
     from toeplitz_lab.factors import code_output
 
     code, pat = case
     J = code.radius
-    expected = "".join(code_output(code, pat.window(j - J, j + J + 1)) for j in range(pat.period))
-    assert tl.apply_code(code, pat).symbols == expected
+    image = tl.apply_code(code, pat).symbols
+    assert image == "".join(code_output(code, pat.window(j - J, j + J + 1)) for j in range(pat.period))
+    if J <= 3:
+        assert image == "".join(brute_apply(code, pat, j) for j in range(pat.period))
 
 
 def list_assembly_words(schedule, l, length):
