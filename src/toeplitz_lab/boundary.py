@@ -17,7 +17,7 @@ from enum import Enum
 
 from .errors import NotOxtoby, ToeplitzError, UnknownLetters
 from .periodicity import VerdictKind, check_oxtoby
-from .words import HOLE, PATTERN_CAP, FillingSchedule
+from .words import HOLE, FillingSchedule, hole_class_letters
 
 
 @dataclass
@@ -69,11 +69,10 @@ def survivors(schedule: FillingSchedule, depth: int) -> tuple[frozenset[int], ..
 
 
 def hole_tree(schedule: FillingSchedule, depth: int, resolution_depth: int | None = None) -> HoleTree:
-    """Build the hole tree to ``depth`` with value sets read from the pattern at ``resolution_depth``.
+    """Build the hole tree to ``depth`` with the letters each hole class shows at ``resolution_depth``.
 
-    That depth defaults to ``depth + 2`` and drops, never below
-    ``depth``, while its period exceeds ``PATTERN_CAP``; at ``depth``
-    itself the deepest level's value sets are empty.
+    That depth defaults to ``depth + 2``, capped only by the schedule's levels; the sets come from
+    seed arithmetic, past ``PATTERN_CAP`` too.  At ``depth`` itself the deepest level's sets are empty.
     """
     if depth < 1:
         raise ToeplitzError("tree depth must be >= 1, got %d" % depth)
@@ -81,14 +80,11 @@ def hole_tree(schedule: FillingSchedule, depth: int, resolution_depth: int | Non
         resolution_depth = depth + 2
     if resolution_depth < depth:
         raise ToeplitzError("resolution depth %d is below the tree depth %d" % (resolution_depth, depth))
+    schedule.level_info(depth)  # refuses a depth past the last seed while holes remain
     resolution_depth = schedule.available_levels(resolution_depth)
-    while resolution_depth > depth and schedule.period(resolution_depth) > PATTERN_CAP:
-        resolution_depth -= 1
-    pat = schedule.pattern(resolution_depth)
-    levels = []
-    for l in range(1, depth + 1):
-        p = schedule.period(l)  # divides the pattern period, so the class of r is one slice
-        levels.append({r: frozenset(pat.symbols[r::p]).difference(HOLE) for r in schedule.holes(l)})
+    letters = hole_class_letters(schedule, depth, resolution_depth)
+    strip = {v: v.difference(HOLE) for level in letters for v in set(level.values())}
+    levels = [{r: strip[v] for r, v in level.items()} for level in letters] + [{} for _ in range(depth - len(letters))]
     return HoleTree(schedule, depth, resolution_depth, tuple(levels))
 
 

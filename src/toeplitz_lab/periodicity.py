@@ -16,7 +16,7 @@ from functools import cached_property
 from math import gcd
 
 from .errors import DivisibilityViolation, NoHoles, ToeplitzError
-from .words import HOLE, FillingSchedule, PeriodicPattern, hole_positions
+from .words import HOLE, FillingSchedule, PeriodicPattern, hole_class_letters, hole_positions
 
 
 @dataclass(frozen=True)
@@ -96,19 +96,19 @@ def classify_residues(pat: PeriodicPattern, p: int) -> ResidueClasses:
 def aperiodic_residues(schedule: FillingSchedule, l: int, depth: int) -> tuple[int, ...]:
     """Residues in [0, p_l) not certified periodic at resolution ``depth``.
 
-    For a genuine hole-filling schedule this equals the level-``l`` hole
-    set; the equality is checked and a mismatch raises, since it means a
-    hole class was silently completed with a single letter.
+    A hole class is periodic when ``hole_class_letters`` finds one letter and no hole there.
+    For a genuine hole-filling schedule this equals the level-``l`` hole set; a mismatch
+    raises, since it means a hole class was silently completed with a single letter.
     """
     if depth < l:
         raise ToeplitzError("resolution depth must be >= level")
-    p = schedule.period(l)
-    classes = classify_residues(schedule.pattern(depth), p)
-    aper = tuple(sorted(classes.nonperiodic + classes.undetermined))
-    if aper != schedule.holes(l):
+    holes = schedule.holes(l)
+    letters = hole_class_letters(schedule, l, depth)[l - 1] if holes else {}
+    aper = tuple(r for r, v in letters.items() if len(v) > 1 or HOLE in v)
+    if aper != holes:
         raise ToeplitzError(
             "level %d: residues %r not certified periodic at depth %d differ from the hole set %r"
-            % (l, aper, depth, schedule.holes(l))
+            % (l, aper, depth, holes)
         )
     return aper
 

@@ -34,9 +34,9 @@ from .errors import (
 
 HOLE = "?"
 
-#: Largest period for which an explicit one-period pattern is materialised,
-#: the most holes per period or seed letters ``level_info`` lists for a level,
-#: and the longest window ``resolve_window`` reads.
+#: Largest period for which an explicit one-period pattern is materialised, the most holes per
+#: period or seed letters ``level_info`` lists for a level, the most hole slots per level
+#: ``hole_class_letters`` fills, and the longest window ``resolve_window`` reads.
 PATTERN_CAP = 1 << 22
 
 #: Largest period of the level table that starts every seed walk.
@@ -435,6 +435,35 @@ def resolve_window(schedule: FillingSchedule, start: int, stop: int, max_level: 
     while texts:
         word = fill_holes(texts.pop(), word)
     return word
+
+
+def hole_class_letters(schedule: FillingSchedule, levels: int, resolution: int) -> list[dict[int, frozenset[str]]]:
+    """Per level 1..``levels``, to where the holes die out: hole -> symbols its class shows at level ``resolution``.
+
+    ``HOLE`` is among them while the class holds a hole.  No pattern is built: seed m (length q) fills
+    level-(m - 1) hole t with letter t mod q or leaves it open, at the next rank in ``level_info``'s order,
+    so each level's sets follow from the next, upward from ``resolution`` (callers cap it).  No seed is
+    read past a level without holes; over ``PATTERN_CAP`` hole slots lcm(h, q) <= p_m raise PatternTooLarge.
+    """
+    counts = [1]  # hole count per level, from the root
+    while len(counts) <= resolution and counts[-1]:
+        h, (_, q, seed_holes) = counts[-1], schedule._walk_step(len(counts))
+        if h * q // gcd(h, q) > PATTERN_CAP:
+            raise PatternTooLarge("level %d has %d hole slots, beyond the cap" % (len(counts) - 1, h * q // gcd(h, q)))
+        counts.append(h // gcd(h, q) * len(seed_holes))
+    bit = {c: 1 << k for k, c in enumerate(HOLE + schedule.alphabet.letters)}
+    masks, out = [bit[HOLE]] * counts[-1], []
+    for m in range(len(counts) - 1, 0, -1):
+        if m <= levels:
+            out.append(masks)
+        w, q, seed_holes = schedule._walk_step(m)
+        h, g = counts[m - 1], gcd(counts[m - 1], q)
+        # class i meets the seed letters at i mod g; the open slots b + s come in level-m rank order
+        below, masks = masks, [sum(bit[c] for c in set(w[i::g]) - {HOLE}) for i in range(g)] * (h // g)
+        for t, v in zip((b + s for b in range(0, h // g * q, q) for s in seed_holes), below):
+            masks[t % h] |= v
+    sets = {v: frozenset(c for c, b in bit.items() if v & b) for v in set().union(*out)}
+    return [dict(zip(schedule.holes(m), map(sets.__getitem__, level))) for m, level in enumerate(reversed(out), 1)]
 
 
 def derived_tail(schedule: FillingSchedule, l: int) -> FillingSchedule:

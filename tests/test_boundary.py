@@ -12,6 +12,7 @@ from toeplitz_lab import (
     parse_seed,
     property_verdicts,
     pruned_branch_census,
+    schedule_from_text,
 )
 from toeplitz_lab.errors import NotOxtoby, ToeplitzError, UnknownLetters
 
@@ -34,6 +35,9 @@ def test_tree_empty_beyond_periodic_level():
     s = FillingSchedule(BINARY, [parse_seed("a?b"), parse_seed("ab"), parse_seed("ab")])
     tree = hole_tree(s, 3, 3)
     assert len(tree.nodes(1)) == 1 and not tree.nodes(2) and not tree.nodes(3)
+    # holes still open after the last seed: a deeper tree is refused before any level is built
+    with pytest.raises(ToeplitzError, match="no seed at level 3"):
+        hole_tree(schedule_from_text("ab\na?b\na?b\n"), 10 ** 9)
 
 
 def test_value_sets_shrink_along_branches():

@@ -49,6 +49,9 @@ def test_json_reports_roundtrip(capsys):
     for argv in (
         ["analyze", "ex4.4-mini", "--depth", "3", "--format", "json"],
         ["boundary", "ex4.3", "--depth", "3", "--format", "json"],
+        # value sets at the default resolution depth + 2, whose period is far past PATTERN_CAP
+        ["boundary", "ex4.4", "--depth", "5", "--format", "json"],
+        ["boundary", "ex3.5", "--depth", "8", "--format", "json"],
         ["factor", "ex5.7", "--code", "ex5.7", "--depth", "2", "--format", "json"],
         ["pair", "ex5.7", "--shifts", "38", "230", "--depth", "3", "--format", "json"],
         ["gallery", "ex3.5", "--levels", "2", "--format", "json"],
@@ -171,6 +174,8 @@ def test_unservable_request_is_an_error(argv, capsys):
     # a code radius below 0, or whose window is wider than the pattern cap
     ("radius -1\n* a\n", ["factor", "ex5.7", "--code", "{path}", "--depth", "2"]),
     ("radius 1000000000\n* a\n", ["factor", "ex5.7", "--code", "{path}", "--depth", "2"]),
+    # a tree depth past the last seed while holes stay open
+    ("ab\na?b\na?b\n", ["boundary", "{path}", "--depth", "1000000000"]),
 ])
 def test_bad_input_file_is_an_error(text, argv, tmp_path, capsys):
     path = tmp_path / "input.txt"

@@ -8,7 +8,7 @@ positions in order and drops seed letters into holes one by one.
 import dataclasses
 import random
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -409,7 +409,12 @@ def test_hole_tree_value_sets_match_naive_orbits(seeds):
             assert values == {word[j] for j in range(r, period, p)} - {"?"}
 
 
-def test_hole_tree_value_sets_match_naive_orbits_on_gallery_words():
+def class_symbols(s, l, r, depth):
+    """The symbols ``evaluate`` reads over the class r + p_l * Z in one level-``depth`` period."""
+    return {tl.evaluate(s, j, depth) or "?" for j in range(r, s.period(depth), s.period(l))}
+
+
+def test_hole_tree_value_sets_match_naive_orbits_on_gallery_words(monkeypatch):
     for name, depth in (("ex4.3", 2), ("ex5.7", 2), ("ex3.5", 1)):
         s = tl.gallery(name)
         tree = tl.hole_tree(s, depth)
@@ -419,6 +424,22 @@ def test_hole_tree_value_sets_match_naive_orbits_on_gallery_words():
         for l in range(1, depth + 1):
             for r, values in tree.nodes(l).items():
                 assert values == {word[j] for j in range(r, period, s.period(l))} - {"?"}
+    # past PATTERN_CAP: ex4.4 has period 2^28 at level 5 and 2^45 at level 7
+    s = tl.gallery("ex4.4")
+    tree = tl.hole_tree(s, 5, 7)
+    assert tree.resolution_depth == 7
+    for r, values in tree.nodes(5).items():
+        assert values == class_symbols(s, 5, r, 7) - {"?"}
+    # a hole class is certified periodic when it shows one letter and no hole
+    aper = tuple(r for r in s.holes(4) if class_symbols(s, 4, r, 6) not in ({"a"}, {"b"}))
+    assert tl.aperiodic_residues(s, 4, 6) == aper == s.holes(4)
+    # a cap far below ex4.3's period 2^20 at level 10 changes no answer; seed 10
+    # has 128 letters, so a cap below that refuses the read
+    tree, aper = tl.hole_tree(tl.gallery("ex4.3"), 8, 10), tl.aperiodic_residues(tl.gallery("ex4.3"), 8, 10)
+    monkeypatch.setattr(tl.words, "PATTERN_CAP", 128)
+    capped = tl.hole_tree(tl.gallery("ex4.3"), 8, 10)
+    assert (capped.resolution_depth, capped.levels) == (10, tree.levels)
+    assert tl.aperiodic_residues(tl.gallery("ex4.3"), 8, 10) == aper
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -983,6 +1004,14 @@ def test_census_and_isolation_match_naive_fill(case):
     levels = naive_hole_tree(seeds, s, depth, tree.resolution_depth)
     assert [set(tree.nodes(l)) for l in range(1, depth + 1)] == [set(level) for level in levels]
     assert tl.pruned_branch_census(tree) == [len(level) for level in naive_survivors(s, levels)]
+    # a pattern cap below the period of the resolution depth lowers no depth: the
+    # cap need only hold each level's lcm(h_m, q) hole slots, which is at most p_(m+1)
+    counts = [1] + [len(s.holes(l)) for l in range(1, len(seeds))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tl.words, "PATTERN_CAP", max(lcm(h, len(w)) for h, w in zip(counts, seeds) if h))
+        capped = tl.hole_tree(s, depth, len(seeds))
+    assert capped.resolution_depth == len(seeds)
+    assert list(capped.levels) == naive_hole_tree(seeds, s, depth, len(seeds))
     # a branch: a chain of holes, each in the class of the one above
     branch = []
     for l, level in enumerate(levels, 1):

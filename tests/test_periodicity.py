@@ -69,6 +69,8 @@ def test_aperiodic_residues_examples():
     assert aperiodic_residues(gallery("ex5.7"), 2, 4) == (5, 6, 9, 10)
     for l in (1, 2, 3):
         assert len(aperiodic_residues(gallery("ex4.4-mini"), l, l + 1)) == 1
+    # the holes die out at the last seed, so a deeper resolution reads no further seed
+    assert aperiodic_residues(schedule_from_text("ab\na?b\nab\n"), 1, 4) == (1,)
 
 
 def test_aperiodic_residues_mismatch_with_holes_raises():
@@ -77,6 +79,12 @@ def test_aperiodic_residues_mismatch_with_holes_raises():
     assert s.holes(1) == (1, 2)
     with pytest.raises(ToeplitzError, match="hole set"):
         aperiodic_residues(s, 1, 2)
+    # one letter closes the only hole class
+    with pytest.raises(ToeplitzError, match="not certified periodic"):
+        aperiodic_residues(schedule_from_text("ab\na?b\na\n"), 1, 2)
+    # holes still open after the last seed leave the resolution depth unreachable
+    with pytest.raises(ToeplitzError, match="no seed at level 3"):
+        aperiodic_residues(schedule_from_text("ab\na?b\na?b\n"), 1, 3)
 
 
 def test_aperiodic_counts_ex43():

@@ -194,6 +194,15 @@ def test_unknown_character_names_the_first_one():
         parse_seed("a?xzyb")
 
 
+def test_hole_class_letters_maps_each_level_that_has_holes():
+    # level 2 has no holes: no level is listed past it and no seed is read past it
+    assert words.hole_class_letters(schedule_from_text("ab\na?b\nab\n"), 5, 9) == [{1: frozenset("ab")}, {}]
+    s = gallery("ex4.3")
+    levels = words.hole_class_letters(s, 2, 2)
+    assert [list(level) for level in levels] == [list(s.holes(1)), list(s.holes(2))]
+    assert set(levels[1].values()) == {frozenset("?")}
+
+
 def test_level_info_refuses_more_holes_than_the_cap(monkeypatch):
     monkeypatch.setattr(words, "PATTERN_CAP", 100)
     s = FillingSchedule(BINARY, lambda l: SeedWord("a???b"))  # 3^l holes per period
