@@ -322,50 +322,40 @@ def _ex44_isolating() -> tuple[bool, dict]:
     if not (iso.kind == boundary.IsolationKind.CERTIFIED and cert.holds):
         return False, {"iso": iso.kind, "search": cert.holds}
     code = factors.build_isolating_code(s, chain, "a", l1=1, l2=cert.l2, certificate=iso)
-    # level l is read at depth l + 2; level 2's depth-4 image also gives the
-    # period structure below
+    # level l is read at depth l + 2; the depth-4 image gives the period structure below
     fpat = factors.apply_code(code, s.pattern(4))
     chain_ok = True
     got = {}
-    residues_by_level = {}
     for l in range(1, 6):
-        if l == 2:
-            fr = periodicity.classify_residues(fpat, s.period(l))
-        else:
-            fr = factors.factor_aperiodic_residues(code, s, l, l + 2)
+        fr = factors.factor_aperiodic_residues(code, s, l, l + 2)
         got[l] = list(fr.nonperiodic)
-        residues_by_level[l] = fr
         chain_ok = chain_ok and fr.nonperiodic == (chain[l - 1],) and not fr.undetermined
     # essential periods reach every checked entry: explicit pattern route for
     # the small levels, the chain argument for the two large ones
     struct = periodicity.verify_period_structure(fpat, s.scale(3), 4, coverage_window=(-64, 64))
-    sparse_ok = _chain_scale_essentiality(code, s, chain, (4, 5), residues_by_level)
+    sparse_ok = _chain_scale_essentiality(code, s, chain, (4, 5))
     ok = chain_ok and struct.all_pass and sparse_ok
     return ok, {"chain": got, "small_scale": struct.all_pass,
                 "large_scale": sparse_ok, "l2": cert.l2, "radius": code.radius}
 
 
-def _chain_scale_essentiality(code, schedule, chain, levels, residues_by_level) -> bool:
+def _chain_scale_essentiality(code, schedule, chain, levels) -> bool:
     """Essentiality of large scale entries for a certified single-chain factor.
 
-    The witness position sits half a period from the chain residue: it is
-    certified periodic (its code window meets no unresolved class) and
+    The caller has certified the chain: at each level the chain residue is
+    the one nonperiodic residue, and none is undetermined.  The witness
+    position sits half a period from the chain residue: it is certified
+    periodic (its code window meets no level-l hole, see ``hole_reach``) and
     congruent to the chain residue modulo every smaller power of two, so
     its class meets the two-valued chain class at every smaller scale.
     All certified positions resolve on a power-of-two scale, so only
     power-of-two periods can tie.
     """
-    J = code.radius
     for l in levels:
         p = schedule.period(l)
         if p & (p - 1):
             return False  # argument needs a power-of-two scale entry
-        fr = residues_by_level[l]
-        if fr.nonperiodic != (chain[l - 1],) or fr.undetermined:
-            return False
-        witness = (chain[l - 1] + p // 2) % p
-        holes = set(schedule.holes(l))
-        if any((witness + d) % p in holes for d in range(-J, J + 1)):
+        if (chain[l - 1] + p // 2) % p in factors.hole_reach(schedule, l, code.radius):
             return False
     return True
 

@@ -6,8 +6,10 @@ resolved pattern outputs a letter only when every completion of the
 window agrees; otherwise the output is a hole, so factor analysis
 composes with the three-valued periodicity machinery.  Residue
 classification of a factor word distinguishes certified-nonperiodic
-residues (two differing resolved outputs) from the permanently
-undetermined shadows that a code's holes cast.
+residues (two differing resolved outputs) from the undetermined
+shadows that a code's holes cast.  It has one route at every depth:
+the windows near a level's holes, filled with the words their runs of
+holes show at the resolution depth, read by seed arithmetic.
 """
 
 from __future__ import annotations
@@ -19,13 +21,13 @@ from .boundary import IsolationKind, IsolationVerdict
 from .errors import (
     NotIsolated,
     NotOxtoby,
-    PatternTooLarge,
     ToeplitzError,
     UnknownLetters,
     UnresolvedWindow,
 )
-from .periodicity import check_oxtoby, classify_residues
+from .periodicity import check_oxtoby
 from .words import HOLE, PATTERN_CAP, Alphabet, FillingSchedule, PeriodicPattern, evaluate, fill_holes, resolve_window
+from .words import hole_class_letters
 
 
 class SlidingBlockCode:
@@ -71,27 +73,32 @@ class SlidingBlockCode:
 def code_output(code: SlidingBlockCode, window: str) -> str:
     """The letter all completions of ``window`` give under the code, or the hole marker.
 
-    When the completions, |A|^holes, number at most the listed windows,
-    each completion is looked up.  Otherwise some completion is not
-    listed and maps to the default, so the output is the default exactly
-    when no listed window is compatible with the resolved part, the runs
-    between the holes; every listed window maps elsewhere.
+    Whichever costs less runs: looking up each of the |A|^holes
+    completions, at the window's width each, or filtering the listed
+    windows by the resolved runs between the holes, one prefix test per
+    listed window and run.  The filter keeps the listed completions; when
+    they are fewer than all completions, some completion is not listed and
+    maps to the default.
     """
     if HOLE not in window:
         return code(window)
     if not code.table:
         return code.default  # no need to split the window: every completion maps to the default
     letters, holes, n = code.alphabet.letters, window.count(HOLE), len(code.table)
-    # |A|^holes > n once holes passes the bit length of n, so the power stays small
-    if holes <= n.bit_length() and len(letters) ** holes <= n:
+    cost = n * (holes + 1)  # the filter's prefix tests, one per listed window and run
+    # |A|^holes > cost once holes passes the bit length of cost, so the power stays small
+    if holes <= cost.bit_length() and len(letters) ** holes * len(window) <= cost:
         outputs = {code(fill_holes(window, fill)) for fill in product(letters, repeat=holes)}
-        return outputs.pop() if len(outputs) == 1 else HOLE
-    listed, pos = list(code.table), 0
-    for run in window.split(HOLE):
-        if run:
-            listed = [u for u in listed if u.startswith(run, pos)]
-        pos += len(run) + 1
-    return HOLE if listed else code.default
+    else:
+        listed, pos = list(code.table), 0
+        for run in window.split(HOLE):
+            if run:
+                listed = [u for u in listed if u.startswith(run, pos)]
+            pos += len(run) + 1
+        outputs = {code.table[u] for u in listed}
+        if holes > n.bit_length() or len(listed) < len(letters) ** holes:
+            outputs.add(code.default)
+    return outputs.pop() if len(outputs) == 1 else HOLE
 
 
 def apply_code(code: SlidingBlockCode, pat: PeriodicPattern) -> PeriodicPattern:
@@ -158,66 +165,59 @@ class FactorResidues:
     undetermined: tuple[int, ...]
 
 
+def hole_reach(schedule: FillingSchedule, l: int, radius: int) -> list[int]:
+    """The residues modulo p_l within ``radius`` of a level-``l`` hole, ascending: the only ones a code
+    of that radius can leave open."""
+    p, holes = schedule.level_info(l)
+    if 2 * radius + 1 >= p:
+        return list(range(p)) if holes else []
+    return sorted({(x + d) % p for x in holes for d in range(-radius, radius + 1)})
+
+
 def factor_residues(code, schedule: FillingSchedule, levels, depth: int) -> list[FactorResidues]:
     """Classify the factor word modulo each level period in ``levels`` at one resolution depth.
 
-    A ``depth`` below a requested level is refused, on either route.
-    Uses one explicit factor pattern for every level when the resolution
-    level fits in memory; otherwise falls back, level by level, to the
-    sparse strategy, whose undetermined set may be a superset.
+    Each :func:`hole_reach` window at level l that :func:`code_output` leaves open is
+    filled with every word its run of level-l holes shows at ``depth``
+    (``words.hole_class_letters``) and coded: two letters make its class
+    nonperiodic, one letter and no hole periodic, anything else undetermined,
+    as ``classify_residues`` reads them off the code's image of the depth
+    pattern; no pattern or image is built.  A ``depth`` below a requested
+    level is refused; over ``PATTERN_CAP`` hole slots per level raise PatternTooLarge.
     """
     levels = list(levels)
     if levels and depth < max(levels):
         raise ToeplitzError("resolution depth %d is below level %d" % (depth, max(levels)))
-    try:
-        pat = schedule.pattern(schedule.available_levels(depth))
-    except PatternTooLarge:
-        return [_sparse_factor_residues(code, schedule, l, depth) for l in levels]
-    factor_pat = apply_code(code, pat)
-    classes = [classify_residues(factor_pat, schedule.period(l)) for l in levels]
-    return [FactorResidues(c.modulus, c.nonperiodic, c.undetermined) for c in classes]
+    depth, J = schedule.available_levels(depth), code.radius
+    out, coded = [], {}  # (window, its run's words) -> their images; windows repeat along the word
+    for l in levels:
+        p, reach = schedule.period(l), hole_reach(schedule, l, J)
+        # one read of the level's period serves every window when that costs less than a read per
+        # window, which costs its width and about 512 letters' worth of setup
+        dense = p < min(len(reach) * (2 * J + 513), PATTERN_CAP)
+        level = PeriodicPattern(resolve_window(schedule, 0, p, l)) if dense else None
+        runs, nonper, undet = {}, [], []  # runs: run length -> level-l hole -> the words that run shows
+        for r in reach:
+            w = level.window(r - J, r + J + 1) if level else resolve_window(schedule, r - J, r + J + 1, l)
+            if code_output(code, w) != HOLE:
+                continue
+            k = w.count(HOLE)
+            if k not in runs:
+                runs[k] = hole_class_letters(schedule, l, depth, k)[l - 1]
+            key = (w, runs[k][(r - J + w.index(HOLE)) % p])
+            if key not in coded:
+                coded[key] = {code_output(code, fill_holes(w, word)) for word in key[1]}
+            if len(coded[key] - {HOLE}) > 1:
+                nonper.append(r)
+            elif HOLE in coded[key]:
+                undet.append(r)
+        out.append(FactorResidues(p, tuple(nonper), tuple(undet)))
+    return out
 
 
 def factor_aperiodic_residues(code, schedule: FillingSchedule, l: int, depth: int) -> FactorResidues:
     """One level of :func:`factor_residues`: the factor word's residues modulo the level-``l`` period."""
     return factor_residues(code, schedule, [l], depth)[0]
-
-
-def _sparse_factor_residues(code, schedule: FillingSchedule, l: int, depth: int) -> FactorResidues:
-    """Candidate-based classification for periods too large to materialise.
-
-    Only residues within the code radius of a source hole can be
-    nonperiodic.  Each such candidate's window is read at level ``l``
-    (``depth`` >= ``l``), where its holes are exactly the level-``l``
-    holes, and :func:`code_output` decides whether every completion
-    gives one image, which makes the class periodic.  Otherwise a
-    two-image witness among the realised windows, read at ``depth``,
-    certifies it nonperiodic; without one it stays undetermined.
-    """
-    p = schedule.period(l)
-    J = code.radius
-    candidates = sorted({(h + d) % p for h in schedule.holes(l) for d in range(-J, J + 1)})
-    nonper, undet = [], []
-    for r in candidates:
-        if code_output(code, resolve_window(schedule, r - J, r + J + 1, l)) != HOLE:
-            continue
-        if _realised_two_images(code, schedule, r, J, p, depth):
-            nonper.append(r)
-        else:
-            undet.append(r)
-    return FactorResidues(p, tuple(nonper), tuple(undet))
-
-
-def _realised_two_images(code, schedule, r, J, p, depth) -> bool:
-    seen = set()
-    for k in range(32):
-        window = resolve_window(schedule, r + k * p - J, r + k * p + J + 1, depth)
-        if HOLE in window:
-            continue
-        seen.add(code(window))
-        if len(seen) > 1:
-            return True
-    return False
 
 
 # -- unique residue of long windows ---------------------------------------
@@ -332,17 +332,10 @@ def pullback_reports(code, schedule: FillingSchedule, residues) -> list[Pullback
 
     One report per level of ``residues``, the factor residues of levels 1, 2, ...
     """
-    J = code.radius
     reports = []
     for l, res in enumerate(residues, 1):
-        p = schedule.period(l)
-        source = set(schedule.holes(l))
-        uncovered = tuple(
-            r
-            for r in res.nonperiodic
-            if not any((r + d) % p in source for d in range(-J, J + 1))
-        )
-        reports.append(PullbackReport(l, res.nonperiodic, uncovered))
+        reach = set(hole_reach(schedule, l, code.radius))
+        reports.append(PullbackReport(l, res.nonperiodic, tuple(r for r in res.nonperiodic if r not in reach)))
     return reports
 
 
@@ -351,17 +344,14 @@ def factor_obstruction_check(code, schedule: FillingSchedule, depth: int, l0: in
 
     Requires the source certificate and a radius resolved at level
     ``l0``; returns (level, factor hole count) pairs, where counts use
-    certified-nonperiodic plus undetermined residues, the sound upper
-    reading of the factor's hole set.
+    certified-nonperiodic plus undetermined residues at depth + 2: the
+    factor's exact hole count wherever nothing is undetermined, and an
+    upper bound otherwise.
     """
     if not check_oxtoby(schedule, depth + 1).certified:
         raise NotOxtoby("source word is not block-filling certified")
-    J = code.radius
-    p0 = schedule.period(l0)
-    source_holes = set(schedule.holes(l0))
-    for d in range(-J, J + 1):
-        if d % p0 in source_holes:
-            raise ToeplitzError("code radius not resolved at level %d" % l0)
+    if 0 in hole_reach(schedule, l0, code.radius):
+        raise ToeplitzError("code radius not resolved at level %d" % l0)
     levels = range(l0, depth + 1)
     residues = factor_residues(code, schedule, levels, depth + 2)
     return [(l, len(res.nonperiodic) + len(res.undetermined)) for l, res in zip(levels, residues)]

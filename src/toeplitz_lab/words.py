@@ -36,7 +36,8 @@ HOLE = "?"
 
 #: Largest period for which an explicit one-period pattern is materialised, the most holes per
 #: period or seed letters ``level_info`` lists for a level, the most hole slots per level
-#: ``hole_class_letters`` fills, and the longest window ``resolve_window`` reads.
+#: ``hole_class_letters`` fills (so also those behind the factor reader, ``factors.factor_residues``),
+#: and the longest window ``resolve_window`` reads.
 PATTERN_CAP = 1 << 22
 
 #: Largest period of the level table that starts every seed walk.
@@ -240,6 +241,7 @@ class FillingSchedule:
         self._infos: dict[int, _LevelInfo] = {0: _LevelInfo(1, (0,))}
         self._walk: dict[int, tuple[str, int, tuple[int, ...]]] = {}
         self._tables: dict[int, tuple[int, str, int, tuple[int, ...]]] = {}
+        self._runs: dict[tuple[int, int, int], tuple] = {}
         self._patterns: dict[int, PeriodicPattern] = {0: PeriodicPattern(HOLE, alphabet)}
 
     # -- seeds -----------------------------------------------------------
@@ -437,13 +439,17 @@ def resolve_window(schedule: FillingSchedule, start: int, stop: int, max_level: 
     return word
 
 
-def hole_class_letters(schedule: FillingSchedule, levels: int, resolution: int) -> list[dict[int, frozenset[str]]]:
-    """Per level 1..``levels``, to where the holes die out: hole -> symbols its class shows at level ``resolution``.
+def hole_class_letters(
+    schedule: FillingSchedule, levels: int, resolution: int, run: int = 1
+) -> list[dict[int, frozenset[str]]]:
+    """Per level 1..``levels``, to where the holes die out: hole -> the words its run of ``run`` holes shows.
 
-    ``HOLE`` is among them while the class holds a hole.  No pattern is built: seed m (length q) fills
-    level-(m - 1) hole t with letter t mod q or leaves it open, at the next rank in ``level_info``'s order,
-    so each level's sets follow from the next, upward from ``resolution`` (callers cap it).  No seed is
-    read past a level without holes; over ``PATTERN_CAP`` hole slots lcm(h, q) <= p_m raise PatternTooLarge.
+    A hole's run is it and the next ``run - 1`` holes of its level, read along the hole's class at level
+    ``resolution``, with ``HOLE`` where the class still holds a hole.  No pattern is built: seed m (length q,
+    c holes) shows level-(m - 1) hole ranks u .. u + k - 1 its letters (u .. u + k - 1) mod q and leaves its
+    holes among them open as the level-m run from rank (u // q) * c + (seed holes below u mod q), so each
+    level's words follow from the next, upward from ``resolution`` (callers cap it).  No seed is read past a
+    level without holes; over ``PATTERN_CAP`` slots lcm(h, q) <= p_m per level raise PatternTooLarge.
     """
     counts = [1]  # hole count per level, from the root
     while len(counts) <= resolution and counts[-1]:
@@ -451,19 +457,60 @@ def hole_class_letters(schedule: FillingSchedule, levels: int, resolution: int) 
         if h * q // gcd(h, q) > PATTERN_CAP:
             raise PatternTooLarge("level %d has %d hole slots, beyond the cap" % (len(counts) - 1, h * q // gcd(h, q)))
         counts.append(h // gcd(h, q) * len(seed_holes))
-    bit = {c: 1 << k for k, c in enumerate(HOLE + schedule.alphabet.letters)}
-    masks, out = [bit[HOLE]] * counts[-1], []
-    for m in range(len(counts) - 1, 0, -1):
-        if m <= levels:
-            out.append(masks)
-        w, q, seed_holes = schedule._walk_step(m)
-        h, g = counts[m - 1], gcd(counts[m - 1], q)
-        # class i meets the seed letters at i mod g; the open slots b + s come in level-m rank order
-        below, masks = masks, [sum(bit[c] for c in set(w[i::g]) - {HOLE}) for i in range(g)] * (h // g)
-        for t, v in zip((b + s for b in range(0, h // g * q, q) for s in seed_holes), below):
-            masks[t % h] |= v
-    sets = {v: frozenset(c for c, b in bit.items() if v & b) for v in set().union(*out)}
-    return [dict(zip(schedule.holes(m), map(sets.__getitem__, level))) for m, level in enumerate(reversed(out), 1)]
+    out = []
+    for m in range(1, min(levels, len(counts) - 1) + 1):
+        classes = _run_classes(schedule, counts, m, run)
+        sets = {v: _symbols(schedule, v) if run == 1 else v for v in set(classes)}  # one object per distinct set
+        out.append(dict(zip(schedule.holes(m), map(sets.__getitem__, classes))))
+    return out
+
+
+def _symbols(schedule: FillingSchedule, mask: int) -> frozenset[str]:
+    """The symbols of a bit mask over ``HOLE`` and the alphabet, in that order."""
+    return frozenset(c for b, c in enumerate(HOLE + schedule.alphabet.letters) if mask >> b & 1)
+
+
+def _run_classes(schedule: FillingSchedule, counts: list[int], m: int, k: int) -> tuple:
+    """Level ``m``'s hole classes in rank order: the words the run of ``k`` holes from each shows at level
+    len(counts) - 1, as bit masks of ``_symbols`` when k == 1.  Cached per schedule, each stored whole."""
+    key = (len(counts) - 1, m, k)
+    if key in schedule._runs:
+        return schedule._runs[key]
+    h = counts[m]
+    if m == len(counts) - 1:
+        classes = [1 if k == 1 else frozenset([HOLE * k])] * h
+    elif k == 1:
+        w, q, seed_holes = schedule._walk_step(m + 1)
+        bit, g = {ch: 2 << b for b, ch in enumerate(schedule.alphabet.letters)}, gcd(h, q)
+        # class i meets the seed letters at i mod g; the open slots b + s come in level-(m + 1) rank order
+        classes = [sum(bit[ch] for ch in set(w[i::g]) - {HOLE}) for i in range(g)] * (h // g)
+        slots = (b + s for b in range(0, h // g * q, q) for s in seed_holes)
+        for u, v in zip(slots, _run_classes(schedule, counts, m + 1, 1)):
+            classes[u % h] |= v
+    else:
+        w, q, seed_holes = schedule._walk_step(m + 1)
+        g, c, text = gcd(h, q), len(seed_holes), _periodic_slice(w, 0, q + k - 1)
+        hits = sorted({(s - d) % q for s in seed_holes for d in range(k)})  # the windows that meet a seed hole
+        holed = {text[o: o + k] for o in hits}
+        classes = [frozenset({text[o: o + k] for o in range(i, q, g)} - holed) for i in range(g)] * (h // g)
+        below, filled = {}, {}  # level-(m + 1) classes per run length; (window, words) -> the window filled
+        for o in hits:
+            window = text[o: o + k]
+            n = window.count(HOLE)
+            if n not in below:
+                below[n] = _run_classes(schedule, counts, m + 1, n)
+            j = o + window.index(HOLE)
+            r = (j // q) * c + bisect_left(seed_holes, j % q)  # the run's first level-(m + 1) rank at u = o
+            for t in range(h // g):  # the ranks u = o + t * q below lcm(h, q)
+                v = below[n][(r + t * c) % len(below[n])]
+                if n < k:  # a window of holes alone shows the level-(m + 1) run's words as they are
+                    if (window, v) not in filled:
+                        words = _symbols(schedule, v) if n == 1 else v
+                        filled[window, v] = frozenset(fill_holes(window, x) for x in words)
+                    v = filled[window, v]
+                classes[(o + t * q) % h] |= v
+    classes = schedule._runs[key] = tuple(classes)
+    return classes
 
 
 def derived_tail(schedule: FillingSchedule, l: int) -> FillingSchedule:

@@ -157,6 +157,8 @@ def test_bad_flag_value_is_a_usage_error(argv, capsys):
     ["boundary", "ex3.5", "--depth", "1000000000"],
     ["gallery", "ex4.3", "--levels", "1000000000"],
     ["factor", "ex5.7", "--code", "ex5.7", "--depth", "1000000000"],
+    # the run words at depth 11 need the 4,198,400 hole slots of seed 11
+    ["factor", "ex3.5", "--code", "ex5.7", "--depth", "9"],
 ])
 def test_unservable_request_is_an_error(argv, capsys):
     assert main(argv) == 1
@@ -360,14 +362,15 @@ def test_pair_report_carries_positions(capsys):
     assert pos["scale"] == [4, 16, 64]
 
 
-def test_factor_builds_one_image(monkeypatch, capsys):
-    from toeplitz_lab import factors, gallery, gallery_code
+def test_factor_builds_no_pattern_or_image(monkeypatch, capsys):
+    from toeplitz_lab import FillingSchedule, factors, gallery, gallery_code
 
     calls = []
-    apply_code = factors.apply_code
+    apply_code, pattern = factors.apply_code, FillingSchedule.pattern
     monkeypatch.setattr(factors, "apply_code", lambda *a: calls.append(a) or apply_code(*a))
+    monkeypatch.setattr(FillingSchedule, "pattern", lambda *a: calls.append(a) or pattern(*a))
     rc, out = run(capsys, ["factor", "ex5.7", "--code", "ex5.7", "--depth", "4", "--format", "json"])
-    assert rc == 0 and len(calls) == 1
+    assert rc == 0 and calls == []
     s, code = gallery("ex5.7"), gallery_code("ex5.7")
     residues = factors.factor_residues(code, s, range(1, 5), 6)
     assert json.loads(out)["results"] == {

@@ -67,21 +67,23 @@ def test_factor_residues_gallery_code():
     assert factor_aperiodic_residues(IDENTITY, gallery("ex4.3"), 2, 5).nonperiodic == (5, 9)
 
 
-def test_sparse_route_matches_pattern_route():
-    s = gallery("ex4.4")
-    code = gallery_code("ex5.7")
-    from toeplitz_lab.factors import _sparse_factor_residues
+def test_hole_reach_lists_the_residues_near_a_hole():
+    from toeplitz_lab.factors import hole_reach
 
-    for l in (1, 2):
-        full = factor_aperiodic_residues(code, s, l, 3)
-        sparse = _sparse_factor_residues(code, s, l, 3)
-        assert full.nonperiodic == sparse.nonperiodic
-        assert set(sparse.undetermined) <= set(full.undetermined) | set(full.nonperiodic)
+    for name in ("ex5.7", "ex4.4", "ex3.5", "ex4.3"):
+        s = gallery(name)
+        for l in (1, 2, 3):
+            p, holes = s.period(l), s.holes(l)
+            # radii past half the period wrap around it
+            for radius in (0, 1, 2, 5, 40, p):
+                near = sorted({(x + d) % p for x in holes for d in range(-radius, radius + 1)})
+                assert hole_reach(s, l, radius) == near, (name, l, radius)
+    assert hole_reach(FillingSchedule(BINARY, [parse_seed("ab")]), 1, 3) == []
 
 
 def test_factor_residues_refuse_a_depth_below_the_level():
     code = gallery_code("ex5.7")
-    # ex5.7 at depth 2 takes the pattern route; ex4.4's depth-5 period 2^28 is past the cap
+    # ex5.7's depth-2 period is small; ex4.4's depth-5 period 2^28 is past the pattern cap
     for name, l, depth in (("ex5.7", 3, 2), ("ex4.4", 6, 5)):
         with pytest.raises(ToeplitzError, match="below level"):
             factor_aperiodic_residues(code, gallery(name), l, depth)

@@ -175,11 +175,17 @@ ABC = tl.Alphabet("abc")
     # 9 completions of two holes over three letters, against 9 and 8 listed windows
     (ABC, ["a" + x + y for x in "abc" for y in "abc"], "a??", "b"),
     (ABC, ["a" + x + y for x in "abc" for y in "abc"][1:], "a??", "?"),
+    # a wide window against a table of two: the run filter costs less than the completions
+    (tl.BINARY, ["a" * 129, "ab" * 64 + "a"], "a" * 64 + "?" + "a" * 64, "?"),
+    (tl.BINARY, ["a" * 129, "ab" * 64 + "a"], "a" * 63 + "??" + "a" * 64, "?"),
+    (tl.BINARY, ["a" * 129, "ab" * 64 + "a"], "b" * 64 + "?" + "a" * 64, "a"),
+    # the two windows the filter leaves are every completion, both under "b"
+    (tl.BINARY, ["a" * 129, "a" * 64 + "b" + "a" * 64], "a" * 64 + "?" + "a" * 64, "b"),
 ])
 def test_code_output_on_each_side_of_the_completion_count(alphabet, listed, window, expected):
     from toeplitz_lab.factors import code_output
 
-    code = tl.SlidingBlockCode(alphabet, 1, dict.fromkeys(listed, "b"), default="a")
+    code = tl.SlidingBlockCode(alphabet, len(window) // 2, dict.fromkeys(listed, "b"), default="a")
     assert code_output(code, window) == brute_output(code, window) == expected
 
 
@@ -225,27 +231,23 @@ def test_apply_code_on_periods_within_the_window_matches_brute_completion(case):
     assert image.symbols == "".join(brute_apply(code, pat, j) for j in range(pat.period))
 
 
-def test_sparse_factor_route_agrees_with_pattern_route():
-    from toeplitz_lab.factors import _sparse_factor_residues
-
+def test_factor_residues_match_the_depth_image_for_drawn_codes():
     rng = random.Random(5)
     marker = tl.SlidingBlockCode(tl.BINARY, 1, dict.fromkeys(["aab", "bab", "abb"], "a"), default="b")
     for name in ("ex4.4", "ex4.4-mini", "ex5.7", "ex3.5", "ex4.3"):
         s = tl.gallery(name)
         codes = [tl.SlidingBlockCode.from_fn(tl.BINARY, rng.choice((1, 2)), lambda w: rng.choice("ab"))
                  for _ in range(3)]
-        for code in codes + [marker]:
+        for code in codes + [marker, tl.gallery_code("ex5.7")]:
             for l in (1, 2):
-                full = tl.factor_aperiodic_residues(code, s, l, 3)
-                sparse = _sparse_factor_residues(code, s, l, 3)
-                assert full.nonperiodic == sparse.nonperiodic
-                undecided = set(sparse.undetermined) | set(sparse.nonperiodic)
-                assert set(full.undetermined) <= undecided
+                fr = tl.factor_aperiodic_residues(code, s, l, 3)
+                assert [(fr.modulus, fr.nonperiodic, fr.undetermined)] == per_level_image_classes(
+                    code, tl.gallery(name), [l], 3)
     # every radius-8 window of ex5.7 meets 9 level-1 hole slots
     s = tl.gallery("ex5.7")
     code = tl.SlidingBlockCode.from_fn(tl.BINARY, 8, lambda w: "a" if w[8] == w[7] else "b")
     full = tl.factor_aperiodic_residues(code, s, 1, 3)
-    assert _sparse_factor_residues(code, s, 1, 3) == full
+    assert [(full.modulus, full.nonperiodic, full.undetermined)] == per_level_image_classes(code, s, [1], 3)
     assert full.nonperiodic == (1, 2, 3) and full.undetermined == ()
 
 
@@ -407,6 +409,26 @@ def test_hole_tree_value_sets_match_naive_orbits(seeds):
         p = s.period(l)
         for r, values in tree.nodes(l).items():
             assert values == {word[j] for j in range(r, period, p)} - {"?"}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed_lists(), st.integers(1, 6))
+# the level-1 window of 3 holes that starts at seed 2's last letter meets its first hole in the next copy
+# of seed 2, and seed 3 shows the two level-2 classes different letters
+@example(["a??b", "a?bab", "ab?b", "ab"], 3)
+def test_hole_class_run_words_match_naive_orbits(seeds, run):
+    # the run of ``run`` holes from each level-l hole, read along its class in one period of the last level
+    s = tl.FillingSchedule(tl.BINARY, [tl.parse_seed(w) for w in seeds])
+    period = s.period(len(seeds))
+    word = naive_fill(seeds, 0, (run + 2) * period)  # a run spans at most run + 1 level periods
+    for l, got in enumerate(tl.words.hole_class_letters(s, len(seeds), len(seeds), run), 1):
+        p = s.period(l)
+        level = naive_fill(seeds[:l], 0, p)
+        holes = [j for j in range(p) if level[j] == "?"]
+        assert list(got) == holes
+        for i, x in enumerate(holes):
+            at = [holes[(i + d) % len(holes)] + (i + d) // len(holes) * p for d in range(run)]
+            assert got[x] == {"".join(word[j + n] for j in at) for n in range(0, period, p)}
 
 
 def class_symbols(s, l, r, depth):
@@ -751,23 +773,30 @@ def test_factor_residues_over_levels_match_per_level_images():
             assert got == per_level_image_classes(code, tl.gallery(name), levels, depth)
 
 
-def test_factor_residues_past_the_cap_match_per_level_sparse_calls(monkeypatch):
+def test_factor_residues_past_the_cap_match_the_depth_image(monkeypatch):
     from toeplitz_lab import words
-    from toeplitz_lab.factors import _sparse_factor_residues
 
     rng = random.Random(23)
     codes = [tl.SlidingBlockCode.from_fn(tl.BINARY, rng.choice((1, 2)), lambda w: rng.choice("ab"))
              for _ in range(3)]
     codes.append(tl.SlidingBlockCode(tl.BINARY, 1, dict.fromkeys(["aab", "bab", "abb"], "a"), default="b"))
-    # period 1024 at depth 5 is past this cap, while every level's hole list is not
-    monkeypatch.setattr(words, "PATTERN_CAP", 512)
-    for name in ("ex5.7", "ex4.3"):
+    # the oracle reads the depth pattern, so it runs before the cap is lowered
+    cases = [(name, code, 512, range(1, 5), per_level_image_classes(code, tl.gallery(name), range(1, 5), 5))
+             for name in ("ex5.7", "ex4.3") for code in codes]
+    # ex3.5 shows p_5 / p_4 = 34 level-4 classes per class of level 4, more than a sample of 32 windows
+    code = tl.gallery_code("ex5.7")
+    expected = per_level_image_classes(code, tl.gallery("ex3.5"), [4], 5)
+    assert len(expected[0][1]) == 32 and expected[0][2] == ()
+    cases.append(("ex3.5", code, 1 << 16, [4], expected))
+    for name, code, cap, levels, expected in cases:
+        # period 1024 (ex5.7, ex4.3) or 293760 (ex3.5) at depth 5 is past the cap, while every level's
+        # hole list and hole slots are not
+        monkeypatch.setattr(words, "PATTERN_CAP", cap)
         with pytest.raises(PatternTooLarge):
             tl.gallery(name).pattern(5)
-        for code in codes:
-            got = tl.factor_residues(code, tl.gallery(name), range(1, 5), 5)
-            assert got == [_sparse_factor_residues(code, tl.gallery(name), l, 5) for l in range(1, 5)]
-            assert got[2] == tl.factor_aperiodic_residues(code, tl.gallery(name), 3, 5)
+        got = tl.factor_residues(code, tl.gallery(name), levels, 5)
+        assert [(fr.modulus, fr.nonperiodic, fr.undetermined) for fr in got] == expected
+        assert got[-1] == tl.factor_aperiodic_residues(code, tl.gallery(name), levels[-1], 5)
 
 
 @st.composite
