@@ -9,6 +9,7 @@ from toeplitz_lab import (
     SlidingBlockCode,
     apply_code,
     build_isolating_code,
+    classify_residues,
     code_from_text,
     code_to_text,
     factor_aperiodic_residues,
@@ -65,6 +66,18 @@ def test_factor_residues_gallery_code():
     fr = factor_aperiodic_residues(code, s, 2, 6)
     assert fr.nonperiodic == (5,) and fr.undetermined == (9,)
     assert factor_aperiodic_residues(IDENTITY, gallery("ex4.3"), 2, 5).nonperiodic == (5, 9)
+
+
+def test_sparse_route_matches_pattern_route():
+    # factor_residues reads only the windows near the holes; the pattern route codes the whole depth pattern
+    s = gallery("ex4.4")
+    code = gallery_code("ex5.7")
+    image = apply_code(code, s.pattern(3))
+    for l in (1, 2):
+        fr = factor_aperiodic_residues(code, s, l, 3)
+        classes = classify_residues(image, s.period(l))
+        assert (fr.modulus, fr.nonperiodic, fr.undetermined) == (
+            classes.modulus, classes.nonperiodic, classes.undetermined)
 
 
 def test_hole_reach_lists_the_residues_near_a_hole():
