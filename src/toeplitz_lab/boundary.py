@@ -52,13 +52,22 @@ class HoleTree:
         return chains
 
 
+def _check_depth(schedule: FillingSchedule, depth: int) -> None:
+    """Refuse a depth past the schedule's last seed, as ``level_info`` does while holes remain,
+    also where they have died out before it: every level up to ``depth`` gets an entry."""
+    schedule.level_info(depth)
+    if schedule.available_levels(depth) < depth:
+        raise ToeplitzError("schedule has no seed at level %d" % (schedule.max_levels + 1))
+
+
 def survivors(schedule: FillingSchedule, depth: int) -> tuple[frozenset[int], ...]:
     """Per level up to ``depth``, the holes with a level-``depth`` hole in their class.
 
     Every level-(l+1) hole lies in the class of a level-l hole, so the
     level-l survivors are the level-(l+1) survivors mod p_l; no pattern
-    is built.
+    is built.  A depth past the schedule's last seed is refused.
     """
+    _check_depth(schedule, depth)
     alive = frozenset(schedule.holes(depth))
     out = [alive]
     for l in range(depth - 1, 0, -1):
@@ -73,6 +82,7 @@ def hole_tree(schedule: FillingSchedule, depth: int, resolution_depth: int | Non
 
     That depth defaults to ``depth + 2``, capped only by the schedule's levels; the sets come from
     seed arithmetic, past ``PATTERN_CAP`` too.  At ``depth`` itself the deepest level's sets are empty.
+    A depth past the schedule's last seed is refused, also where its holes have died out before it.
     """
     if depth < 1:
         raise ToeplitzError("tree depth must be >= 1, got %d" % depth)
@@ -80,7 +90,7 @@ def hole_tree(schedule: FillingSchedule, depth: int, resolution_depth: int | Non
         resolution_depth = depth + 2
     if resolution_depth < depth:
         raise ToeplitzError("resolution depth %d is below the tree depth %d" % (resolution_depth, depth))
-    schedule.level_info(depth)  # refuses a depth past the last seed while holes remain
+    _check_depth(schedule, depth)
     resolution_depth = schedule.available_levels(resolution_depth)
     letters = hole_class_letters(schedule, depth, resolution_depth)
     strip = {v: v.difference(HOLE) for level in letters for v in set(level.values())}
@@ -119,7 +129,9 @@ def property_verdicts(schedule: FillingSchedule, depth: int, census_depth: int |
     a certification needs a declared structural reason that the check at
     depth is consistent with, and a refutation needs the block-filling
     certificate.  Everything else stays unknown, with evidence attached.
+    A depth past the schedule's last seed is refused.
     """
+    _check_depth(schedule, depth)
     decl = schedule.declarations
     counts = tuple(len(schedule.holes(l)) for l in range(1, depth + 1))
     census_depth = census_depth if census_depth is not None else depth

@@ -235,7 +235,6 @@ def cmd_boundary(args) -> dict:
 def cmd_factor(args) -> dict:
     s = load_schedule(args.schedule)
     code = load_code(args.code, s.alphabet)
-    s.level_info(args.depth)  # the deepest level first, so a huge request is refused before any work
     res = factors.factor_residues(code, s, range(1, args.depth + 1), args.depth + 2)
     results = {
         "radius": code.radius,

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .periodicity import check_oxtoby
 from .words import HOLE, PATTERN_CAP, Alphabet, FillingSchedule, PeriodicPattern, evaluate, fill_holes, resolve_window
-from .words import hole_class_letters
+from .words import hole_class_letters, hole_counts
 
 
 class SlidingBlockCode:
@@ -183,8 +183,10 @@ def factor_residues(code, schedule: FillingSchedule, levels, depth: int) -> list
     nonperiodic, one letter and no hole periodic, anything else undetermined,
     as ``classify_residues`` reads them off the code's image of the depth
     pattern; no pattern or image is built.  A ``depth`` below a requested
-    level is refused; over ``PATTERN_CAP`` hole slots per level raise PatternTooLarge.
+    level is refused; over ``PATTERN_CAP`` hole slots per level up to ``depth`` raise
+    PatternTooLarge, worked out before any hole is listed.
     """
+    hole_counts(schedule, schedule.available_levels(depth))  # refuses past the cap before any level is listed
     levels = list(levels)
     if levels and depth < max(levels):
         raise ToeplitzError("resolution depth %d is below level %d" % (depth, max(levels)))

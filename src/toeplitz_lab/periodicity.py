@@ -25,14 +25,18 @@ class ResidueClasses:
 
     ``letters`` gives each residue's letter, or ``HOLE`` where it is
     exceptional: ``nonperiodic`` and ``undetermined`` list those residues,
-    ascending.  ``periodic`` maps each periodic residue to its letter,
-    built on first use.
+    ascending.  The classes repeat with ``width`` = gcd(modulus, period),
+    and ``columns`` maps each exceptional residue below ``width`` to the
+    symbols its pattern cells show, ``HOLE`` included.  ``periodic`` maps
+    each periodic residue to its letter, built on first use.
     """
 
     modulus: int
     letters: str
     nonperiodic: tuple[int, ...]
     undetermined: tuple[int, ...]
+    width: int
+    columns: dict[int, frozenset[str]]
 
     @cached_property
     def periodic(self) -> dict[int, str]:
@@ -60,36 +64,50 @@ def classify_residues(pat: PeriodicPattern, p: int) -> ResidueClasses:
     mod ``p`` meet exactly the pattern cells congruent to ``r`` mod
     g = gcd(p, period), so each residue is read off the column
     ``symbols[r % g::g]`` of m = period / g cells; no lcm(p, period)
-    span is built.  When g <= m every column is read.  Otherwise, read
-    as m rows of length g, a column can be exceptional only where it
-    holds a hole in row 0 or changes between rows, which halving compares
-    of the pattern with itself shifted by g find; only those are read.
-    This is exact relative to the pattern: whatever the pattern leaves
+    span is built.  When g exceeds min(m, 127) the pattern is cut into
+    its m rows of g letters and only the distinct rows are kept: a
+    column shows the same symbols across them as across all rows, and
+    it can be exceptional only where it holds a hole in row 0 or where
+    a distinct row differs from row 0, which halving compares find.
+    Otherwise every column is read as one strided slice; a row slice
+    and its hash cost about as much as reading 100 cells of a column.
+    Each exceptional column's symbols are kept in ``columns``.  This is
+    exact relative to the pattern: whatever the pattern leaves
     unresolved stays undetermined.
     """
     if not isinstance(pat, PeriodicPattern):
         raise ToeplitzError("expected a pattern, got %r" % (pat,))
     if p < 1:
         raise ToeplitzError("period must be positive")
-    symbols = pat.symbols
-    g = gcd(p, pat.period)
-    if g <= pat.period // g:
-        columns = range(g)
+    symbols, period = pat.symbols, pat.period
+    g = gcd(p, period)
+    columns: dict[int, frozenset[str]] = {}  # exceptional column -> its symbols
+    if g > min(period // g, 127):
+        row0 = symbols[:g]
+        rows = {symbols[k:k + g] for k in range(g, period, g)} - {row0}
+        odd = set(hole_positions(row0))
+        for r in rows:
+            odd.update(_mismatches(row0 + r, g))
+        for c in sorted(odd):
+            columns[c] = frozenset([row0[c]]).union(r[c] for r in rows)
     else:
-        columns = sorted({j % g for j in _mismatches(symbols, g)}.union(hole_positions(symbols[:g])))
-    row = list(symbols[:g])  # each column's letter, HOLE once it proves exceptional
+        for c in range(g):
+            cells = symbols[c::g]
+            if cells[0] == HOLE or cells.count(cells[0]) < len(cells):  # not one letter throughout
+                columns[c] = frozenset(cells)
+    row = list(symbols[:g])  # each column's letter, HOLE where it is exceptional
     nonperiodic, undetermined = [], []
-    for c in columns:
-        cells = symbols[c::g]
-        if cells[0] == HOLE or cells.count(cells[0]) < len(cells):  # not one letter throughout
-            row[c] = HOLE
-            (nonperiodic if len(set(cells) - {HOLE}) > 1 else undetermined).append(c)
+    for c, seen in columns.items():
+        row[c] = HOLE
+        (nonperiodic if len(seen - {HOLE}) > 1 else undetermined).append(c)
     copies = range(0, p, g)
     return ResidueClasses(
         p,
         "".join(row) * len(copies),
         tuple(k + c for k in copies for c in nonperiodic),
         tuple(k + c for k in copies for c in undetermined),
+        g,
+        columns,
     )
 
 
@@ -161,25 +179,27 @@ class PeriodStructureCertificate:
         )
 
 
-def _lifts_differ(symbols: str, row: str, g: int) -> bool:
-    """Whether Per(g) provably differs from the Per set whose classes mod
-    len(row), a multiple of g, carry the letters ``row`` (``HOLE`` where
-    exceptional): whether a periodic class of one side meets a nonperiodic
-    class of the other.
+def _lifts_differ(classes: ResidueClasses, g: int) -> bool:
+    """Whether Per(g) provably differs from the Per set of ``classes``,
+    whose width is a multiple of g: whether a periodic class of one side
+    meets a nonperiodic class of the other.
 
     A periodic column mod g has only periodic lifts, so this happens
-    exactly when some column mod g has a periodic lift mod len(row) and two
-    letters among its lifts' cells: (A) two periodic lifts g apart differ,
-    or (B) an exceptional lift's cells and the periodic lifts of its column
-    show two letters.  Moduli that do not divide one another reduce to this
-    case by the gcd identity: with d = gcd(g, h), Per(g) and Per(h) provably
-    differ exactly when Per(d) provably differs from one of them.
+    exactly when some column mod g has a periodic lift mod the width and
+    two letters among its lifts' cells: (A) two periodic lifts g apart
+    differ, or (B) the symbols ``classes.columns`` keeps for an
+    exceptional lift and the periodic lifts of its column show two
+    letters.  The pattern itself is not read again.  Moduli that do not
+    divide one another reduce to this case by the gcd identity: with
+    d = gcd(g, h), Per(g) and Per(h) provably differ exactly when Per(d)
+    provably differs from one of them.
     """
+    row = classes.letters[:classes.width]
     if any(HOLE not in (row[j], row[j + g]) for j in _mismatches(row, g)):  # (A)
         return True
-    cells: dict[int, set[str]] = {}  # column mod g -> the cells of its exceptional lifts
-    for e in hole_positions(row):
-        cells.setdefault(e % g, set()).update(symbols[e::len(row)])
+    cells: dict[int, set[str]] = {}  # column mod g -> the symbols of its exceptional lifts
+    for e, seen in classes.columns.items():
+        cells.setdefault(e % g, set()).update(seen)
     # (B): row[c::g] holds HOLE, so a periodic lift shows as a second symbol
     return any(len(set(row[c::g])) > 1 and len(seen.union(row[c::g]) - {HOLE}) > 1 for c, seen in cells.items())
 
@@ -226,7 +246,8 @@ def verify_period_structure(
     differs from one of them.  A class mod g meets every class mod g_l that
     agrees with it mod d, so a class mod d with two letters under a
     periodic class of one side has a nonperiodic lift on the other side.
-    ``_lifts_differ`` reads both comparisons off class letters, those mod
+    ``_lifts_differ`` reads both comparisons off the class letters and the
+    exceptional columns' symbols each classification keeps, those mod
     ``p_l`` and, only when d < g, those mod g; on a prime-power scale g
     divides g_l, so d = g and nothing more is classified.
     """
@@ -244,7 +265,6 @@ def verify_period_structure(
     for p_l in scale:
         large = classify_residues(pat, p_l)
         nonempty.append(len(large.nonperiodic) + len(large.undetermined) < p_l)
-        row = large.letters[:gcd(p_l, pat.period)]
         if q is None:
             candidates = range(1, p_l)
         else:  # 1 and the powers of q below p_l
@@ -254,9 +274,8 @@ def verify_period_structure(
         for p in candidates:
             g = gcd(p, pat.period)
             if g not in differs:
-                d = gcd(g, len(row))
-                differs[g] = _lifts_differ(pat.symbols, row, d) or (
-                    d < g and _lifts_differ(pat.symbols, classify_residues(pat, g).letters, d))
+                d = gcd(g, large.width)
+                differs[g] = _lifts_differ(large, d) or (d < g and _lifts_differ(classify_residues(pat, g), d))
             if not differs[g]:
                 unresolved.append(p)
         reports.append(EssentialityReport(p_l, certified=not unresolved, unresolved_periods=tuple(unresolved)))

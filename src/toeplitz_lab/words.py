@@ -449,20 +449,31 @@ def hole_class_letters(
     c holes) shows level-(m - 1) hole ranks u .. u + k - 1 its letters (u .. u + k - 1) mod q and leaves its
     holes among them open as the level-m run from rank (u // q) * c + (seed holes below u mod q), so each
     level's words follow from the next, upward from ``resolution`` (callers cap it).  No seed is read past a
-    level without holes; over ``PATTERN_CAP`` slots lcm(h, q) <= p_m per level raise PatternTooLarge.
+    level without holes; over ``PATTERN_CAP`` slots per level raise PatternTooLarge (``hole_counts``).
     """
-    counts = [1]  # hole count per level, from the root
-    while len(counts) <= resolution and counts[-1]:
-        h, (_, q, seed_holes) = counts[-1], schedule._walk_step(len(counts))
-        if h * q // gcd(h, q) > PATTERN_CAP:
-            raise PatternTooLarge("level %d has %d hole slots, beyond the cap" % (len(counts) - 1, h * q // gcd(h, q)))
-        counts.append(h // gcd(h, q) * len(seed_holes))
+    counts = hole_counts(schedule, resolution)
     out = []
     for m in range(1, min(levels, len(counts) - 1) + 1):
         classes = _run_classes(schedule, counts, m, run)
         sets = {v: _symbols(schedule, v) if run == 1 else v for v in set(classes)}  # one object per distinct set
         out.append(dict(zip(schedule.holes(m), map(sets.__getitem__, classes))))
     return out
+
+
+def hole_counts(schedule: FillingSchedule, resolution: int) -> list[int]:
+    """Hole counts per period of levels 0, 1, ... up to ``resolution`` or the first level without holes.
+
+    Worked out from seed lengths and hole counts alone, listing no hole: seed m + 1 (length q) meets the
+    h holes of level m in lcm(h, q) <= p_(m+1) slots, and over ``PATTERN_CAP`` slots raise PatternTooLarge.
+    """
+    counts = [1]  # level 0, the all-hole root
+    while len(counts) <= resolution and counts[-1]:
+        h, w = counts[-1], schedule.seed(len(counts))
+        g = gcd(h, len(w))
+        if h // g * len(w) > PATTERN_CAP:
+            raise PatternTooLarge("level %d has %d hole slots, beyond the cap" % (len(counts) - 1, h // g * len(w)))
+        counts.append(h // g * w.hole_count)
+    return counts
 
 
 def _symbols(schedule: FillingSchedule, mask: int) -> frozenset[str]:

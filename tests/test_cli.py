@@ -165,6 +165,17 @@ def test_unservable_request_is_an_error(argv, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_over_cap_factor_request_lists_no_hole(monkeypatch, capsys):
+    # the run words at depth 22 need 2^23 hole slots of seed 22, known from seed lengths and hole counts
+    from toeplitz_lab import FillingSchedule
+
+    listed, level_info = [], FillingSchedule.level_info
+    monkeypatch.setattr(FillingSchedule, "level_info", lambda self, l: listed.append(l) or level_info(self, l))
+    assert main(["factor", "ex5.7", "--code", "ex5.7", "--depth", "20"]) == 1
+    assert capsys.readouterr().err == "error: level 21 has 8388608 hole slots, beyond the cap\n"
+    assert listed == []
+
+
 @pytest.mark.parametrize("text, argv", [
     ("radius x\n", ["factor", "ex5.7", "--code", "{path}"]),
     ("@\nab\n", ["build", "{path}"]),
@@ -178,6 +189,9 @@ def test_unservable_request_is_an_error(argv, capsys):
     ("radius 1000000000\n* a\n", ["factor", "ex5.7", "--code", "{path}", "--depth", "2"]),
     # a tree depth past the last seed while holes stay open
     ("ab\na?b\na?b\n", ["boundary", "{path}", "--depth", "1000000000"]),
+    # a tree depth past the last seed after the holes have died out
+    ("ab\nab\na?b\nab\n", ["boundary", "{path}", "--depth", "1000000000"]),
+    ("ab\na?b\nab\n", ["boundary", "{path}", "--depth", "3"]),
 ])
 def test_bad_input_file_is_an_error(text, argv, tmp_path, capsys):
     path = tmp_path / "input.txt"
@@ -429,6 +443,22 @@ def test_mixed_scale_analyze_classifies_only_the_scale_entries(monkeypatch, caps
     canonical = json.dumps(results, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(canonical.encode()).hexdigest() == (
         "a2d7fa24e2681ef6eb5e6ec01b2352d6e099f30885c48043d6b6641ee7e7b5d2")
+
+
+def test_analyze_reads_a_two_million_cell_pattern_by_rows(capsys):
+    # the depth-4 pattern has period 2^21, read at g = 1024 and 32768 by its distinct rows
+    rc, out = run(capsys, ["analyze", "ex4.4", "--depth", "3", "--format", "json"])
+    assert rc == 0
+    results = json.loads(out)["results"]
+    scale = [64, 1024, 32768]
+    assert results["period_structure"] == {
+        "scale": scale, "depth": 4, "divisible": True, "nonempty": [True] * 3,
+        "essentiality": [{"scale_entry": p, "certified": True, "unresolved_periods": []} for p in scale],
+        "coverage_window": [-1024, 1024], "covered": True,
+    }
+    canonical = json.dumps(results, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == (
+        "7faeefdee184d1bb8432235a3968daa9c393b9e57685b3496d9eee62b68cc12b")
 
 
 _SMALL = st.integers(-3, 6).map(str)

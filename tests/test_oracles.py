@@ -323,6 +323,7 @@ def near_periodic_patterns(draw):
 @example("abab?b")  # Per(2) and Per(3) differ only through Per(1)
 @example("a?aa" "abaa")  # only the b of an undetermined class tells Per(2) from Per(4)
 @example("aabbab")  # the classes mod 2 and mod 3 are all nonperiodic: equal
+@example("abac" * 32 + "abacac?c" + "abac" * 30)  # g = 128: a changed letter and a hole in the second row
 def test_gcd_identity_matches_lcm_walk(symbols):
     # for every pair of divisors g, g_l of the period, with d = gcd(g, g_l):
     # Per(g) and Per(g_l) provably differ exactly when Per(d) provably
@@ -331,11 +332,11 @@ def test_gcd_identity_matches_lcm_walk(symbols):
 
     pat = tl.PeriodicPattern(symbols, tl.Alphabet("abc"))
     divisors = [g for g in range(1, pat.period + 1) if pat.period % g == 0]
-    letters = {g: tl.classify_residues(pat, g).letters for g in divisors}
+    classes = {g: tl.classify_residues(pat, g) for g in divisors}
     for g in divisors:
         for g_l in divisors:
             d = gcd(g, g_l)
-            got = _lifts_differ(symbols, letters[g_l], d) or (d < g and _lifts_differ(symbols, letters[g], d))
+            got = _lifts_differ(classes[g_l], d) or (d < g and _lifts_differ(classes[g], d))
             assert got == (lcm_walk_per_sets_differ(pat, g, g_l) is True), (g, g_l)
 
 
@@ -964,6 +965,49 @@ def test_row_route_classification_matches_brute_force(case):
     g = gcd(p, pat.period)
     assert g > pat.period // g
     assert classes_by_residue(tl.classify_residues(pat, p)) == brute_classify(pat, p)
+
+
+@st.composite
+def repeated_row_patterns(draw):
+    """m rows of g >= 128 letters over abc: copies of one base row with a few holes, and a few
+    variant rows that change some cells to another letter or a hole, so columns of one letter,
+    of a changed letter, of holes alone and of one letter among holes occur; p = g * k."""
+    g = draw(st.integers(128, 160))
+    m = draw(st.integers(1, 140))
+    base = draw(st.lists(st.sampled_from("abc"), min_size=g, max_size=g))
+    for i in draw(st.lists(st.integers(0, g - 1), max_size=3)):
+        base[i] = "?"
+    rows = [base] * m
+    for r in draw(st.lists(st.integers(0, m - 1), max_size=4)):
+        rows[r] = list(rows[r])
+        for i in draw(st.lists(st.integers(0, g - 1), min_size=1, max_size=3)):
+            rows[r][i] = draw(st.sampled_from("abc?"))
+    symbols = "".join("".join(row) for row in rows)
+    return tl.PeriodicPattern(symbols, tl.Alphabet("abc")), g * draw(st.integers(1, 3))
+
+
+def brute_column_symbols(pattern, p, r):
+    """The symbols at the positions congruent to ``r`` mod ``p`` over one lcm(p, period) span."""
+    span = p * pattern.period // gcd(p, pattern.period)
+    return frozenset(pattern.symbols[j % pattern.period] for j in range(r, span, p))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(repeated_row_patterns())
+@example((tl.PeriodicPattern("ab" * 64 + "ab" * 63 + "a?"), 128))  # a hole in the last column of row 1
+@example((tl.PeriodicPattern(("abc?" * 32 + "ba" * 64) * 3), 256))  # an all-hole column: undetermined
+@example((tl.PeriodicPattern("ab" * 64 * 149 + "cb" + "ab" * 63), 128))  # 150 rows, one varied: m > 127
+@example((tl.PeriodicPattern("ab?" * 43 + "a?c" * 43), 129 * 3))  # row 0 alone has letters on the holes
+def test_distinct_rows_classification_matches_brute_force(case):
+    pat, p = case
+    g = gcd(p, pat.period)
+    assert g >= 128
+    classes = tl.classify_residues(pat, p)
+    expected = brute_classify(pat, p)
+    assert classes_by_residue(classes) == expected
+    assert classes.width == g
+    assert classes.columns == {
+        r: brute_column_symbols(pat, p, r) for r in range(g) if not expected[r].startswith("periodic")}
 
 
 # -- hole-tree censuses and isolation verdicts from the simulated word ----------
