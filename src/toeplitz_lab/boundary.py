@@ -52,14 +52,6 @@ class HoleTree:
         return chains
 
 
-def _check_depth(schedule: FillingSchedule, depth: int) -> None:
-    """Refuse a depth past the schedule's last seed, as ``level_info`` does while holes remain,
-    also where they have died out before it: every level up to ``depth`` gets an entry."""
-    schedule.level_info(depth)
-    if schedule.available_levels(depth) < depth:
-        raise ToeplitzError("schedule has no seed at level %d" % (schedule.max_levels + 1))
-
-
 def survivors(schedule: FillingSchedule, depth: int) -> tuple[frozenset[int], ...]:
     """Per level up to ``depth``, the holes with a level-``depth`` hole in their class.
 
@@ -67,7 +59,7 @@ def survivors(schedule: FillingSchedule, depth: int) -> tuple[frozenset[int], ..
     level-l survivors are the level-(l+1) survivors mod p_l; no pattern
     is built.  A depth past the schedule's last seed is refused.
     """
-    _check_depth(schedule, depth)
+    schedule.check_depth(depth)
     alive = frozenset(schedule.holes(depth))
     out = [alive]
     for l in range(depth - 1, 0, -1):
@@ -90,7 +82,8 @@ def hole_tree(schedule: FillingSchedule, depth: int, resolution_depth: int | Non
         resolution_depth = depth + 2
     if resolution_depth < depth:
         raise ToeplitzError("resolution depth %d is below the tree depth %d" % (resolution_depth, depth))
-    _check_depth(schedule, depth)
+    schedule.check_depth(depth)
+    schedule.level_info(depth)  # over-cap levels are refused before any class is read
     resolution_depth = schedule.available_levels(resolution_depth)
     letters = hole_class_letters(schedule, depth, resolution_depth)
     strip = {v: v.difference(HOLE) for level in letters for v in set(level.values())}
@@ -131,7 +124,7 @@ def property_verdicts(schedule: FillingSchedule, depth: int, census_depth: int |
     certificate.  Everything else stays unknown, with evidence attached.
     A depth past the schedule's last seed is refused.
     """
-    _check_depth(schedule, depth)
+    schedule.check_depth(depth)
     decl = schedule.declarations
     counts = tuple(len(schedule.holes(l)) for l in range(1, depth + 1))
     census_depth = census_depth if census_depth is not None else depth

@@ -184,10 +184,15 @@ def factor_residues(code, schedule: FillingSchedule, levels, depth: int) -> list
     as ``classify_residues`` reads them off the code's image of the depth
     pattern; no pattern or image is built.  A ``depth`` below a requested
     level is refused; over ``PATTERN_CAP`` hole slots per level up to ``depth`` raise
-    PatternTooLarge, worked out before any hole is listed.
+    PatternTooLarge, worked out before any hole is listed, and a level past the schedule's
+    last seed is refused before the next one is listed.
     """
     hole_counts(schedule, schedule.available_levels(depth))  # refuses past the cap before any level is listed
-    levels = list(levels)
+    listed = []
+    for l in levels:
+        schedule.check_depth(l)
+        listed.append(l)
+    levels = listed
     if levels and depth < max(levels):
         raise ToeplitzError("resolution depth %d is below level %d" % (depth, max(levels)))
     depth, J = schedule.available_levels(depth), code.radius

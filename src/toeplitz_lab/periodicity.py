@@ -26,9 +26,10 @@ class ResidueClasses:
     ``letters`` gives each residue's letter, or ``HOLE`` where it is
     exceptional: ``nonperiodic`` and ``undetermined`` list those residues,
     ascending.  The classes repeat with ``width`` = gcd(modulus, period),
-    and ``columns`` maps each exceptional residue below ``width`` to the
-    symbols its pattern cells show, ``HOLE`` included.  ``periodic`` maps
-    each periodic residue to its letter, built on first use.
+    and ``columns`` pairs each exceptional residue below ``width``,
+    ascending, with the symbols its pattern cells show, ``HOLE``
+    included.  ``periodic`` maps each periodic residue to its letter,
+    built on first use.
     """
 
     modulus: int
@@ -36,7 +37,7 @@ class ResidueClasses:
     nonperiodic: tuple[int, ...]
     undetermined: tuple[int, ...]
     width: int
-    columns: dict[int, frozenset[str]]
+    columns: tuple[tuple[int, frozenset[str]], ...]
 
     @cached_property
     def periodic(self) -> dict[int, str]:
@@ -57,6 +58,31 @@ def _mismatches(s: str, shift: int):
                 stack += [(mid, hi), (lo, mid)]
 
 
+_NONZERO = bytes([0]) + bytes([1]) * 255  # byte translation: 1 for every nonzero byte
+
+
+def _differing_columns(row0: str, rows) -> list[int]:
+    """Ascending indices where some row of ``rows`` differs from ``row0``.
+
+    Each row is read as one big integer over its UTF-32 code units; the
+    XORs with ``row0`` are OR-ed and each column's four bytes folded into
+    its first, so every cell costs C-level work and only a differing
+    column costs a Python step.
+    """
+    base = int.from_bytes(row0.encode("utf-32-le", "surrogatepass"), "little")
+    diff = 0
+    for r in rows:
+        diff |= base ^ int.from_bytes(r.encode("utf-32-le", "surrogatepass"), "little")
+    diff |= diff >> 8
+    diff |= diff >> 16
+    flags = diff.to_bytes(4 * len(row0), "little")[::4].translate(_NONZERO)
+    out, c = [], flags.find(1)
+    while c >= 0:
+        out.append(c)
+        c = flags.find(1, c + 1)
+    return out
+
+
 def classify_residues(pat: PeriodicPattern, p: int) -> ResidueClasses:
     """Three-valued classification of the residues mod ``p`` against a pattern.
 
@@ -66,14 +92,15 @@ def classify_residues(pat: PeriodicPattern, p: int) -> ResidueClasses:
     ``symbols[r % g::g]`` of m = period / g cells; no lcm(p, period)
     span is built.  When g exceeds min(m, 127) the pattern is cut into
     its m rows of g letters and only the distinct rows are kept: a
-    column shows the same symbols across them as across all rows, and
-    it can be exceptional only where it holds a hole in row 0 or where
-    a distinct row differs from row 0, which halving compares find.
-    Otherwise every column is read as one strided slice; a row slice
-    and its hash cost about as much as reading 100 cells of a column.
-    Each exceptional column's symbols are kept in ``columns``.  This is
-    exact relative to the pattern: whatever the pattern leaves
-    unresolved stays undetermined.
+    column can be exceptional only where it holds a hole in row 0 or
+    where a distinct row differs from row 0, and only those columns are
+    read.  The differences cost C-level work per cell
+    (``_differing_columns``), so this never costs more than a few
+    strided reads; it saves the column reads when few columns differ,
+    since a row slice and its hash cost about as much as reading 100
+    cells of a column.  Otherwise every column is read.  Each exceptional
+    column's symbols are kept in ``columns``.  This is exact relative to
+    the pattern: whatever the pattern leaves unresolved stays undetermined.
     """
     if not isinstance(pat, PeriodicPattern):
         raise ToeplitzError("expected a pattern, got %r" % (pat,))
@@ -81,23 +108,20 @@ def classify_residues(pat: PeriodicPattern, p: int) -> ResidueClasses:
         raise ToeplitzError("period must be positive")
     symbols, period = pat.symbols, pat.period
     g = gcd(p, period)
-    columns: dict[int, frozenset[str]] = {}  # exceptional column -> its symbols
     if g > min(period // g, 127):
         row0 = symbols[:g]
         rows = {symbols[k:k + g] for k in range(g, period, g)} - {row0}
-        odd = set(hole_positions(row0))
-        for r in rows:
-            odd.update(_mismatches(row0 + r, g))
-        for c in sorted(odd):
-            columns[c] = frozenset([row0[c]]).union(r[c] for r in rows)
+        candidates = sorted(set(hole_positions(row0)).union(_differing_columns(row0, rows)))
     else:
-        for c in range(g):
-            cells = symbols[c::g]
-            if cells[0] == HOLE or cells.count(cells[0]) < len(cells):  # not one letter throughout
-                columns[c] = frozenset(cells)
+        candidates = range(g)
+    columns = []  # (exceptional column, its symbols), ascending
+    for c in candidates:
+        cells = symbols[c::g]
+        if cells[0] == HOLE or cells.count(cells[0]) < len(cells):  # not one letter throughout
+            columns.append((c, frozenset(cells)))
     row = list(symbols[:g])  # each column's letter, HOLE where it is exceptional
     nonperiodic, undetermined = [], []
-    for c, seen in columns.items():
+    for c, seen in columns:
         row[c] = HOLE
         (nonperiodic if len(seen - {HOLE}) > 1 else undetermined).append(c)
     copies = range(0, p, g)
@@ -107,7 +131,7 @@ def classify_residues(pat: PeriodicPattern, p: int) -> ResidueClasses:
         tuple(k + c for k in copies for c in nonperiodic),
         tuple(k + c for k in copies for c in undetermined),
         g,
-        columns,
+        tuple(columns),
     )
 
 
@@ -198,7 +222,7 @@ def _lifts_differ(classes: ResidueClasses, g: int) -> bool:
     if any(HOLE not in (row[j], row[j + g]) for j in _mismatches(row, g)):  # (A)
         return True
     cells: dict[int, set[str]] = {}  # column mod g -> the symbols of its exceptional lifts
-    for e, seen in classes.columns.items():
+    for e, seen in classes.columns:
         cells.setdefault(e % g, set()).update(seen)
     # (B): row[c::g] holds HOLE, so a periodic lift shows as a second symbol
     return any(len(set(row[c::g])) > 1 and len(seen.union(row[c::g]) - {HOLE}) > 1 for c, seen in cells.items())

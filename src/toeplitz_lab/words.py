@@ -259,6 +259,15 @@ class FillingSchedule:
     def available_levels(self, cap: int = 64) -> int:
         return cap if self.max_levels is None else min(cap, self.max_levels)
 
+    def check_depth(self, depth: int) -> None:
+        """Refuse a depth past the schedule's last seed, also where its holes have died out before it.
+
+        ``level_info`` refuses such a level only while holes remain; a reader that keeps one entry per
+        level up to ``depth`` calls this first, so no entry is made for a level the schedule lacks.
+        """
+        if self.max_levels is not None and depth > self.max_levels:
+            raise ToeplitzError("schedule has no seed at level %d" % (self.max_levels + 1))
+
     def _walk_step(self, l: int) -> tuple[str, int, tuple[int, ...]]:
         """Seed ``l``'s text, its length q and its sorted holes: hole i of the level above
         receives letter i mod q."""

@@ -191,6 +191,9 @@ def test_over_cap_factor_request_lists_no_hole(monkeypatch, capsys):
     ("ab\na?b\na?b\n", ["boundary", "{path}", "--depth", "1000000000"]),
     # a tree depth past the last seed after the holes have died out
     ("ab\nab\na?b\nab\n", ["boundary", "{path}", "--depth", "1000000000"]),
+    # factor levels past the last seed, with holes open and after they have died out
+    ("ab\na?b\na?b\n", ["factor", "{path}", "--code", "ex5.7", "--depth", "1000000000"]),
+    ("ab\nab\na?b\nab\n", ["factor", "{path}", "--code", "ex5.7", "--depth", "1000000000"]),
     ("ab\na?b\nab\n", ["boundary", "{path}", "--depth", "3"]),
 ])
 def test_bad_input_file_is_an_error(text, argv, tmp_path, capsys):

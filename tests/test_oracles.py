@@ -7,6 +7,7 @@ positions in order and drops seed letters into holes one by one.
 
 import dataclasses
 import random
+import time
 from itertools import product
 from math import gcd, lcm
 
@@ -986,6 +987,9 @@ def repeated_row_patterns(draw):
     return tl.PeriodicPattern(symbols, tl.Alphabet("abc")), g * draw(st.integers(1, 3))
 
 
+_RANDOM_ROWS = "".join(random.Random(7).choices("abc?", k=128 * 150))
+
+
 def brute_column_symbols(pattern, p, r):
     """The symbols at the positions congruent to ``r`` mod ``p`` over one lcm(p, period) span."""
     span = p * pattern.period // gcd(p, pattern.period)
@@ -998,6 +1002,10 @@ def brute_column_symbols(pattern, p, r):
 @example((tl.PeriodicPattern(("abc?" * 32 + "ba" * 64) * 3), 256))  # an all-hole column: undetermined
 @example((tl.PeriodicPattern("ab" * 64 * 149 + "cb" + "ab" * 63), 128))  # 150 rows, one varied: m > 127
 @example((tl.PeriodicPattern("ab?" * 43 + "a?c" * 43), 129 * 3))  # row 0 alone has letters on the holes
+@example((tl.PeriodicPattern(_RANDOM_ROWS, tl.Alphabet("abc")), 128))  # 150 distinct rows, most columns differ
+@example((tl.PeriodicPattern("ab" * 64 + ("abc" * 43)[:128] + "a" * 127 + "b", tl.Alphabet("abc")), 128 * 3))  # m = 3
+@example((tl.PeriodicPattern("a" * 133 + "\u0161" + "a" * 131 + "\U00010061" + "a" * 118, tl.Alphabet("a\u0161\U00010061")),
+          128))  # letters that differ from a only in their second or third byte
 def test_distinct_rows_classification_matches_brute_force(case):
     pat, p = case
     g = gcd(p, pat.period)
@@ -1006,8 +1014,27 @@ def test_distinct_rows_classification_matches_brute_force(case):
     expected = brute_classify(pat, p)
     assert classes_by_residue(classes) == expected
     assert classes.width == g
-    assert classes.columns == {
+    assert hash(classes) == hash(tl.classify_residues(pat, p))  # the kept columns keep the class hashable
+    assert dict(classes.columns) == {
         r: brute_column_symbols(pat, p, r) for r in range(g) if not expected[r].startswith("periodic")}
+
+
+@pytest.mark.parametrize("n, p", [(1 << 18, 128), (1 << 18, 1024), (1 << 18, 1 << 14)])
+def test_distinct_rows_read_costs_about_a_strided_read(n, p):
+    # every row distinct and differing from row 0 in about half its cells: the worst case for the
+    # row read, whose cost per differing cell stays C-level, so within a few strided reads
+    symbols = "".join(random.Random(n + p).choices("ab", k=n))
+    pat, g = tl.PeriodicPattern(symbols), gcd(p, n)
+
+    def best(read):
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            read()
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    assert best(lambda: tl.classify_residues(pat, p)) < 8 * best(lambda: [set(symbols[c::g]) for c in range(g)])
 
 
 # -- hole-tree censuses and isolation verdicts from the simulated word ----------
