@@ -29,6 +29,8 @@ class FactorSet:
 
 def factor_set_window(schedule: FillingSchedule, length: int, window: tuple[int, int], max_level: int) -> FactorSet:
     """Distinct length-``length`` subwords of a fully resolved window (lower bound)."""
+    if length < 1:
+        raise ToeplitzError("length must be positive, got %d" % length)
     lo, hi = window
     if (hi - lo - length + 1) * length > 16 * PATTERN_CAP:
         # every start position may hold a distinct word of this length
@@ -74,6 +76,8 @@ def factor_set_exact_single_hole(schedule: FillingSchedule, l: int, length: int)
     right length; fill words are the exact subword sets of the derived
     tail, computed by recursion.  ``length`` may span at most 8 periods.
     """
+    if length < 1:
+        raise ToeplitzError("length must be positive, got %d" % length)
     info = schedule.level_info(l)
     if len(info.holes) != 1:
         raise NotSingleHole("level %d has %d holes per period" % (l, len(info.holes)))

@@ -249,8 +249,10 @@ def unique_residue_search(
     built-in hash of their word, and each pair within a group is
     confirmed by comparing the words.
     """
-    p1, p2 = schedule.period(l1), schedule.period(l2)
     lo, hi = window
+    if hi <= lo:
+        raise ToeplitzError("window [%d, %d) holds no start" % (lo, hi))
+    p1, p2 = schedule.period(l1), schedule.period(l2)
     depth = depth if depth is not None else l2 + 3
     text = resolve_window(schedule, lo, hi + p2, depth)
     if HOLE in text:

@@ -276,6 +276,8 @@ def verify_period_structure(
     divides g_l, so d = g and nothing more is classified.
     """
     scale = tuple(scale)
+    if not scale or min(scale) < 1:
+        raise ToeplitzError("scale must be a nonempty list of periods >= 1: %r" % (scale,))
     if any(b % a for a, b in zip(scale, scale[1:])):
         raise DivisibilityViolation("scale entries must divide their successors: %r" % (scale,))
     if isinstance(source, PeriodicPattern):

@@ -11,8 +11,8 @@ and ``resolve_window`` walks it for a whole window at once, so both work
 at any period scale.  Both walks take their first levels in one step, a
 table of the deepest level they read whose period is at most
 ``_TABLE_CAP`` (one period of its letters, cached per schedule), and
-then one seed per level below it.  Positions are ordinary Python
-integers, so nothing overflows.
+then one seed per level below it; ``pattern`` composes onward from the
+same table.  Positions are ordinary Python integers, so nothing overflows.
 """
 
 from __future__ import annotations
@@ -128,6 +128,10 @@ class PeriodicPattern:
     symbols: str
     alphabet: Alphabet = BINARY
 
+    def __post_init__(self):
+        if not self.symbols:
+            raise ToeplitzError("periodic pattern is empty")
+
     @property
     def period(self) -> int:
         return len(self.symbols)
@@ -173,23 +177,16 @@ def compose_fill(outer: PeriodicPattern, inner: SeedWord) -> PeriodicPattern:
     """Insert the periodic extension of ``inner`` into the holes of ``outer``.
 
     Hole number ``i`` (hole 0 being the first non-negative one) receives
-    ``inner[i mod len(inner)]``.
+    ``inner[i mod len(inner)]``.  Every level of a schedule, its walk
+    table and each ``pattern``, is composed this way from the root ``?``.
     """
     h = outer.hole_count
     if h == 0:
         raise NoHoles("outer pattern has no holes to fill")
-    p, q = outer.period, len(inner)
-    new_period = p * q // gcd(h, q)
-    if new_period > PATTERN_CAP:
-        raise PatternTooLarge("composed period %d exceeds pattern cap" % new_period)
-    return PeriodicPattern(_compose(outer.symbols, h, inner.symbols), outer.alphabet)
-
-
-def _compose(outer: str, h: int, inner: str) -> str:
-    """One period of the periodic extension of ``inner`` inserted into the
-    ``h`` holes per period of the periodic word ``outer``."""
-    g = gcd(h, len(inner))
-    return fill_holes(outer * (len(inner) // g), inner * (h // g))
+    p, q, g = outer.period, len(inner), gcd(h, len(inner))
+    if p * q // g > PATTERN_CAP:
+        raise PatternTooLarge("composed period %d exceeds pattern cap" % (p * q // g))
+    return PeriodicPattern(fill_holes(outer.symbols * (q // g), inner.symbols * (h // g)), outer.alphabet)
 
 
 class _LevelInfo(NamedTuple):
@@ -242,7 +239,6 @@ class FillingSchedule:
         self._walk: dict[int, tuple[str, int, tuple[int, ...]]] = {}
         self._tables: dict[int, tuple[int, str, int, tuple[int, ...]]] = {}
         self._runs: dict[tuple[int, int, int], tuple] = {}
-        self._patterns: dict[int, PeriodicPattern] = {0: PeriodicPattern(HOLE, alphabet)}
 
     # -- seeds -----------------------------------------------------------
 
@@ -283,24 +279,21 @@ class FillingSchedule:
         period with holes where it leaves them, p_m, its holes).
 
         m is the deepest level up to ``levels`` whose period is at most
-        ``_TABLE_CAP``, or level 1, whose table is seed 1 itself.  A level's
-        period is worked out from the seed length and hole count before the
-        level is composed, so no seed past ``levels`` is read and no level
-        past the bound is built.  Tables are cached per call depth, each
-        stored whole in one assignment, so a concurrent reader sees a
-        finished table or none.
+        ``_TABLE_CAP``, composed with ``compose_fill`` from the level-0 root
+        ``?``; it is 0 when seed 1 is longer than the cap.  A level's period
+        is worked out from the seed length and hole count before the level
+        is composed, so no seed past ``levels`` is read and no level past
+        the bound is built.  Tables are cached per call depth, each stored
+        whole in one assignment, so a concurrent reader sees a finished
+        table or none.
         """
-        if levels < 1:
-            return (0, HOLE, 1, (0,))  # level 0, the all-hole root
-        m, (text, p, holes) = 1, self._walk_step(1)
-        while m < levels and holes:
-            w = self.seed(m + 1).symbols
-            g = gcd(len(holes), len(w))
-            if p * len(w) // g > _TABLE_CAP:
+        m, pat = 0, PeriodicPattern(HOLE, self.alphabet)
+        while m < levels and pat.hole_count:
+            w = self.seed(m + 1)
+            if pat.period * len(w) // gcd(pat.hole_count, len(w)) > _TABLE_CAP:
                 break
-            text = _compose(text, len(holes), w)
-            m, p, holes = m + 1, len(text), hole_positions(text)
-        table = self._tables.setdefault(m, (m, text, p, holes))
+            m, pat = m + 1, compose_fill(pat, w)
+        table = self._tables.setdefault(m, (m, pat.symbols, pat.period, pat.holes))
         self._tables[levels] = table
         return table
 
@@ -365,20 +358,18 @@ class FillingSchedule:
     # -- explicit patterns (desk scale) ------------------------------------
 
     def pattern(self, l: int) -> PeriodicPattern:
-        """One period of level ``l``: seed l composed onto the level below, each level cached."""
+        """One period of level ``l``: seeds m + 1 ... l composed onto the walk table's level m, none kept."""
         info = self.level_info(l)
-        if l in self._patterns:
-            return self._patterns[l]
         if info.period > PATTERN_CAP:
             raise PatternTooLarge(
                 "level %d has period %d, beyond the explicit-pattern cap" % (l, info.period)
             )
-        first = len(self._patterns)  # cached like the level infos
-        pat = self._patterns[first - 1]
-        for k in range(first, l + 1):
+        m, text, _, _ = self._tables.get(l) or self._table(l)
+        pat = PeriodicPattern(text, self.alphabet)
+        for k in range(m + 1, l + 1):
             if not self._infos[k - 1].holes:
                 break
-            pat = self._patterns[k] = compose_fill(pat, self.seed(k))
+            pat = compose_fill(pat, self.seed(k))
         return pat
 
     def __repr__(self):

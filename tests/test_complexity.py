@@ -9,7 +9,7 @@ from toeplitz_lab import (
     gallery,
     parse_seed,
 )
-from toeplitz_lab.errors import NotSingleHole, UnresolvedWindow
+from toeplitz_lab.errors import NotSingleHole, ToeplitzError, UnresolvedWindow
 
 
 def test_window_scan_examples():
@@ -88,3 +88,17 @@ def test_literal_first_seed_variant():
     assert fs.exact and fs.count <= 128
     scan = factor_set_window(s, 64, (0, 3 * s.period(2)), max_level=4)
     assert scan.words == fs.words
+
+
+@pytest.mark.parametrize("length", [0, -3])
+def test_exact_count_refuses_a_length_below_one(length):
+    with pytest.raises(ToeplitzError, match="length must be positive"):
+        factor_set_exact_single_hole(gallery("ex4.4-mini"), 1, length)
+
+
+@pytest.mark.parametrize("length", [0, -1])
+def test_window_scan_refuses_a_length_below_one(length):
+    with pytest.raises(ToeplitzError, match="length must be positive"):
+        factor_set_window(gallery("ex5.7"), length, (0, 10), 4)
+    with pytest.raises(ToeplitzError, match="length must be positive"):
+        complexity_profile(gallery("ex5.7"), [length], "window")

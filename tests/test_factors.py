@@ -119,6 +119,12 @@ def test_unique_residue_constant_word():
     assert not cert.holds
 
 
+@pytest.mark.parametrize("window", [(10, 10), (5, 2)])
+def test_unique_residue_search_refuses_a_window_without_starts(window):
+    with pytest.raises(ToeplitzError, match="holds no start"):
+        unique_residue_search(gallery("ex4.3"), 2, 2, window)
+
+
 def test_build_isolating_code_rejects_block_fillers():
     s = gallery("ex3.5")
     tree = hole_tree(s, 4, 5)

@@ -726,6 +726,43 @@ def test_compose_fill_matches_per_hole_loop(outer, inner):
     assert got.symbols == per_hole_compose(tl.PeriodicPattern(outer), tl.SeedWord(inner), 0)
 
 
+def assert_patterns_follow_the_compose_chain(s, top):
+    """``s.pattern(l)``, l = 1 .. top, is seed after seed composed from the root ``?``, stopping where the
+    holes die out, and reads as the window of one period."""
+    chain = tl.PeriodicPattern("?", s.alphabet)
+    for l in range(1, top + 1):
+        if chain.hole_count:
+            chain = tl.compose_fill(chain, s.seed(l))
+        assert s.pattern(l).symbols == chain.symbols, (s, l)
+        assert tl.resolve_window(s, 0, chain.period, l) == chain.symbols, (s, l)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(st.text(alphabet="ab?", min_size=1, max_size=7), st.sampled_from(["ab", "ba", "a"]))
+                .filter(lambda w: w.strip("?")), min_size=1, max_size=5))
+def test_level_patterns_are_one_compose_chain(seeds):
+    s = tl.FillingSchedule(tl.BINARY, [tl.SeedWord(w) for w in seeds])
+    # levels past the last seed exist once the holes have died out
+    assert_patterns_follow_the_compose_chain(s, len(seeds) + (2 if not s.holes(len(seeds)) else 0))
+
+
+@pytest.mark.parametrize("name", ["ex4.3", "ex4.4", "ex5.7", "ex3.5", "williams"])
+def test_gallery_level_patterns_are_one_compose_chain_up_to_the_cap(name):
+    s = tl.gallery(name)
+    top = 1
+    while s.period(top + 1) <= tl.words.PATTERN_CAP:
+        top += 1
+    assert s._table(top)[0] < top  # levels past the walk table are composed onward from it
+    assert_patterns_follow_the_compose_chain(s, top)
+
+
+def test_level_patterns_without_a_table_and_past_a_hole_free_level():
+    wide = tl.FillingSchedule(tl.BINARY, [tl.SeedWord("a" + "?" * tl.words._TABLE_CAP + "b"),
+                                          tl.parse_seed("a?b"), tl.parse_seed("ab"), tl.parse_seed("ba")])
+    assert wide._table(4)[0] == 0 and wide.holes(3) == ()  # a level-0 table; holes die out at level 3
+    assert_patterns_follow_the_compose_chain(wide, 6)
+
+
 def test_window_reads_build_no_pattern(monkeypatch):
     s = tl.gallery("ex5.7")
     omega = tl.branch_point(s, random_branch(s, 3, random.Random(5)))

@@ -152,6 +152,12 @@ def test_essentiality_witness_position():
     assert 5 in classify_residues(pat, 32).nonperiodic
 
 
+@pytest.mark.parametrize("scale", [[], [0, 4], [-2, 4]])
+def test_verify_period_structure_refuses_an_empty_scale_or_a_period_below_one(scale):
+    with pytest.raises(ToeplitzError, match="scale must be"):
+        verify_period_structure(gallery("ex5.7"), scale, 3)
+
+
 def test_divisibility_violation():
     with pytest.raises(DivisibilityViolation):
         verify_period_structure(gallery("ex5.7"), [2, 3], 3)

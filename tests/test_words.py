@@ -1,5 +1,6 @@
 import sys
 import threading
+import weakref
 
 import pytest
 
@@ -140,7 +141,19 @@ def test_hole_free_levels_saturate():
     assert s.period(3) == 6 and s.holes(3) == ()
     assert resolve_window(s, 0, 6, 3) == "aab" + "abb"  # fully periodic word
     # a deep level is the first hole-free one, with nothing listed in between
-    assert s.level_info(10 ** 9) is s.level_info(2) and s.pattern(10 ** 9) is s.pattern(2)
+    assert s.level_info(10 ** 9) is s.level_info(2) and s.pattern(10 ** 9) == s.pattern(2)
+
+
+def test_a_schedule_keeps_no_level_pattern():
+    s = gallery("ex4.3")
+    assert s.period(7) > words._TABLE_CAP
+    dropped = weakref.ref(s.pattern(7))
+    assert dropped() is None
+
+
+def test_an_empty_pattern_is_refused():
+    with pytest.raises(ToeplitzError, match="empty"):
+        PeriodicPattern("")
 
 
 def test_literal_schedules_count_their_own_levels():
