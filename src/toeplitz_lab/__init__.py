@@ -39,7 +39,6 @@ from .odometer import (
     OdometerPoint,
     branch_point,
     embed,
-    matching_shift,
     phi_prefix,
     rotate,
 )

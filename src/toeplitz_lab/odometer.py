@@ -3,8 +3,7 @@
 An odometer point is a coherent chain of residues along the level
 periods.  The position map sends a subshift element to the chain of
 shifts matching its periodic parts level by level; for plain shifts this
-is residue arithmetic, and the generic search over all candidate shifts
-is kept as a cross-check of uniqueness.
+is residue arithmetic.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from dataclasses import dataclass
 
 from .elements import Shift, ShiftLimit, settled_value
 from .errors import ToeplitzError, UnresolvedElement
-from .periodicity import classify_residues
 from .words import FillingSchedule
 
 
@@ -80,25 +78,4 @@ def phi_prefix(schedule: FillingSchedule, element, depth: int) -> OdometerPoint:
             residues.append(r)
         return OdometerPoint(scale, tuple(residues))
     raise ToeplitzError("cannot map %r to the odometer" % (element,))
-
-
-def matching_shift(schedule: FillingSchedule, l: int, element, resolution: int) -> int:
-    """The unique k in [0, p_l) whose shifted periodic parts match the element's.
-
-    Searches all candidates and asserts uniqueness; used as the slow
-    cross-check of the residue arithmetic in :func:`phi_prefix`.
-    """
-    if not isinstance(element, Shift):
-        raise ToeplitzError("matching_shift needs a plain shift element")
-    p = schedule.period(l)
-    pat = schedule.pattern(schedule.available_levels(resolution))
-    source = classify_residues(pat, p).periodic
-    target = {(r - element.n) % p: letter for r, letter in source.items()}
-    matches = [
-        k for k in range(p)
-        if {(r - k) % p: letter for r, letter in source.items()} == target
-    ]
-    if len(matches) != 1:
-        raise ToeplitzError("expected a unique matching shift mod %d, found %r" % (p, matches))
-    return matches[0]
 

@@ -12,11 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from math import gcd
 
 from .errors import DivisibilityViolation, NoHoles, ToeplitzError
-from .words import HOLE, FillingSchedule, PeriodicPattern, hole_class_letters, hole_positions
+from .words import HOLE, FillingSchedule, PeriodicPattern, hole_class_letters, hole_counts, hole_positions, resolve_window
+from .words import _run_classes, _symbols
 
 
 @dataclass(frozen=True)
@@ -119,10 +120,19 @@ def classify_residues(pat: PeriodicPattern, p: int) -> ResidueClasses:
         cells = symbols[c::g]
         if cells[0] == HOLE or cells.count(cells[0]) < len(cells):  # not one letter throughout
             columns.append((c, frozenset(cells)))
-    row = list(symbols[:g])  # each column's letter, HOLE where it is exceptional
-    nonperiodic, undetermined = [], []
+    return _residue_classes(p, list(symbols[:g]), columns)
+
+
+def _residue_classes(p: int, row: list[str], columns) -> ResidueClasses:
+    """The classes mod ``p`` from ``row``, the letter of each column mod len(row), and the symbols of the
+    columns that may be exceptional, ascending; such a column showing one letter and no hole is periodic."""
+    g, kept, nonperiodic, undetermined = len(row), [], [], []
     for c, seen in columns:
+        if len(seen) == 1 and HOLE not in seen:
+            row[c] = next(iter(seen))
+            continue
         row[c] = HOLE
+        kept.append((c, seen))
         (nonperiodic if len(seen - {HOLE}) > 1 else undetermined).append(c)
     copies = range(0, p, g)
     return ResidueClasses(
@@ -131,8 +141,24 @@ def classify_residues(pat: PeriodicPattern, p: int) -> ResidueClasses:
         tuple(k + c for k in copies for c in nonperiodic),
         tuple(k + c for k in copies for c in undetermined),
         g,
-        tuple(columns),
+        tuple(kept),
     )
+
+
+def schedule_classes(schedule: FillingSchedule, p: int, depth: int) -> ResidueClasses:
+    """``classify_residues(schedule.pattern(depth), p)``, with no pattern past the first level k whose
+    period g = gcd(p, p_depth) divides: as g | p_k | p_depth, each class mod g is a union of level-k
+    columns, and a level-k hole class shows at ``depth`` exactly its ``hole_class_letters`` set, so each
+    hole of an exceptional level-k column stands for those letters."""
+    g = gcd(p, schedule.period(depth))
+    k = next(l for l in range(1, depth + 1) if schedule.period(l) % g == 0)
+    level = classify_residues(schedule.pattern(k), p)
+    masks: dict[int, int] = {}  # column mod g -> bit mask of its holes' class letters
+    for h, v in zip(schedule.holes(k), _run_classes(schedule, hole_counts(schedule, depth), k, 1)):
+        masks[h % g] = masks.get(h % g, 0) | v
+    return _residue_classes(p, list(level.letters[:g]), [
+        (c, seen - {HOLE} | _symbols(schedule, masks[c]) if c in masks else seen) for c, seen in level.columns
+    ])
 
 
 def aperiodic_residues(schedule: FillingSchedule, l: int, depth: int) -> tuple[int, ...]:
@@ -258,8 +284,10 @@ def verify_period_structure(
 ) -> PeriodStructureCertificate:
     """Check divisibility, essentiality and coverage of a candidate scale.
 
-    ``source`` is a schedule (inspected at level ``depth``) or a periodic
-    pattern used as-is.  Essentiality of an entry ``p_l`` scans all
+    ``source`` is a periodic pattern used as-is, or a schedule read at level
+    ``depth`` (at most its last seed, the depth recorded) by ``schedule_classes``
+    and ``resolve_window``, so no depth pattern is built.  A coverage window
+    with hi < lo is refused.  Essentiality of an entry ``p_l`` scans all
     smaller candidate periods; when every entry of the scale is a power
     of one prime q, only powers of q can yield an equal Per set (every
     resolved position has a q-power minimal period), so the scan is
@@ -280,16 +308,24 @@ def verify_period_structure(
         raise ToeplitzError("scale must be a nonempty list of periods >= 1: %r" % (scale,))
     if any(b % a for a, b in zip(scale, scale[1:])):
         raise DivisibilityViolation("scale entries must divide their successors: %r" % (scale,))
+    if coverage_window is None:
+        half = scale[-2] if len(scale) > 1 else scale[-1]
+        coverage_window = (-half, half)
+    lo, hi = coverage_window
+    if hi < lo:
+        raise ToeplitzError("coverage window (%d, %d) ends before it starts" % (lo, hi))
     if isinstance(source, PeriodicPattern):
-        pat = source
+        period, classes, window = source.period, partial(classify_residues, source), source.window
     else:
-        pat = source.pattern(source.available_levels(depth))
+        depth = source.available_levels(depth)
+        period, classes = source.period(depth), partial(schedule_classes, source, depth=depth)
+        window = partial(resolve_window, source, max_level=depth)
     q = _prime_power_scale(scale)
 
     nonempty = []
     reports = []
     for p_l in scale:
-        large = classify_residues(pat, p_l)
+        large = classes(p_l)
         nonempty.append(len(large.nonperiodic) + len(large.undetermined) < p_l)
         if q is None:
             candidates = range(1, p_l)
@@ -298,19 +334,14 @@ def verify_period_structure(
         differs: dict[int, bool] = {}  # gcd(p, period) -> whether Per(p) provably differs from Per(p_l)
         unresolved = []
         for p in candidates:
-            g = gcd(p, pat.period)
+            g = gcd(p, period)
             if g not in differs:
                 d = gcd(g, large.width)
-                differs[g] = _lifts_differ(large, d) or (d < g and _lifts_differ(classify_residues(pat, g), d))
+                differs[g] = _lifts_differ(large, d) or (d < g and _lifts_differ(classes(g), d))
             if not differs[g]:
                 unresolved.append(p)
         reports.append(EssentialityReport(p_l, certified=not unresolved, unresolved_periods=tuple(unresolved)))
 
-    if coverage_window is None:
-        half = scale[-2] if len(scale) > 1 else scale[-1]
-        coverage_window = (-half, half)
-    lo, hi = coverage_window
-    covered = HOLE not in pat.window(lo, hi + 1)
     return PeriodStructureCertificate(
         scale=scale,
         depth=depth,
@@ -318,7 +349,7 @@ def verify_period_structure(
         nonempty=tuple(nonempty),
         essentiality=tuple(reports),
         coverage_window=coverage_window,
-        covered=covered,
+        covered=HOLE not in window(lo, min(hi + 1, lo + period)),  # one period shows every hole
     )
 
 

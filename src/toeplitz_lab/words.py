@@ -34,7 +34,8 @@ from .errors import (
 
 HOLE = "?"
 
-#: Largest period for which an explicit one-period pattern is materialised, the most holes per
+#: Largest period for which an explicit one-period pattern is materialised (``analyze`` reads the level
+#: patterns up to its deepest scale entry, not the depth pattern), the most holes per
 #: period or seed letters ``level_info`` lists for a level, the most hole slots per level
 #: ``hole_class_letters`` fills (so also those behind the factor reader, ``factors.factor_residues``),
 #: and the longest window ``resolve_window`` reads.

@@ -14,6 +14,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import toeplitz_lab as tl
 from toeplitz_lab import checks
 
+from test_oracles import matching_shift
+
 EX43_BRANCH = tuple((4 ** l - 1) // 3 for l in range(1, 9))
 
 
@@ -261,7 +263,7 @@ def test_invariants_phi_equivariance(name, n, m, depth):
     rotated = tl.rotate(tl.phi_prefix(s, tl.Shift(n), depth), m)
     assert shifted == rotated
     # cross-check the residue arithmetic against the matching-shift search
-    assert tl.matching_shift(s, 1, tl.Shift(n), resolution=4) == n % s.period(1)
+    assert matching_shift(s, 1, tl.Shift(n), resolution=4) == n % s.period(1)
 
 
 @SUITE

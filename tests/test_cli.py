@@ -464,6 +464,36 @@ def test_analyze_reads_a_two_million_cell_pattern_by_rows(capsys):
         "7faeefdee184d1bb8432235a3968daa9c393b9e57685b3496d9eee62b68cc12b")
 
 
+@pytest.mark.parametrize("name, depth", [("ex4.3", 8), ("ex4.4", 3)])
+def test_analyze_composes_no_pattern_past_its_depth(monkeypatch, capsys, name, depth):
+    # the classes mod each scale entry p_l are read off level l's pattern and hole-class letters
+    from toeplitz_lab import FillingSchedule
+
+    levels, pattern = [], FillingSchedule.pattern
+    monkeypatch.setattr(FillingSchedule, "pattern", lambda s, l: levels.append(l) or pattern(s, l))
+    rc, _ = run(capsys, ["analyze", name, "--depth", str(depth), "--format", "json"])
+    assert rc == 0 and levels and max(levels) <= depth
+
+
+def test_analyze_answers_past_the_depth_pattern_cap(capsys):
+    # the depth-12 pattern has period 2^24, past PATTERN_CAP; the digest is the one the
+    # explicit depth-12 pattern gives with the cap raised to 2^25
+    rc, out = run(capsys, ["analyze", "ex4.3", "--depth", "11", "--format", "json"])
+    assert rc == 0
+    results = json.loads(out)["results"]
+    assert results["period_structure"]["depth"] == 12 and results["period_structure"]["covered"] is True
+    canonical = json.dumps(results, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == (
+        "ce307db116c8c742ffaf628d9a97fc6fc8e4729c1889407ccfba26e286d058c4")
+
+
+def test_analyze_names_the_depth_it_read(tmp_path, capsys):
+    path = tmp_path / "two-seeds.txt"
+    path.write_text("ab\na?b\na?b\n")
+    rc, out = run(capsys, ["analyze", str(path), "--depth", "2", "--format", "json"])
+    assert rc == 0 and json.loads(out)["results"]["period_structure"]["depth"] == 2
+
+
 _SMALL = st.integers(-3, 6).map(str)
 # window and length flags may also ask for more than any pattern holds
 _SIZE = _SMALL | st.sampled_from(("1000000000", "1000000000000000000"))

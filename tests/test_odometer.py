@@ -8,11 +8,12 @@ from toeplitz_lab import (
     ShiftLimit,
     embed,
     gallery,
-    matching_shift,
     phi_prefix,
     rotate,
 )
 from toeplitz_lab.errors import ToeplitzError, UnresolvedElement
+
+from test_oracles import matching_shift
 
 
 def test_embed_examples():

@@ -16,6 +16,8 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import toeplitz_lab as tl
 from toeplitz_lab.errors import NotOxtoby, PatternTooLarge
+from toeplitz_lab.gallery import GALLERY_NAMES
+from toeplitz_lab.periodicity import schedule_classes
 
 
 def naive_fill(seeds, lo, hi, margin=None):
@@ -1488,3 +1490,45 @@ def test_to_jsonable_matches_asdict_conversion(value):
     from toeplitz_lab.cli import to_jsonable
 
     assert_same_conversion(value, to_jsonable(value), asdict_jsonable(value))
+
+
+# -- the position map's slow cross-check ---------------------------------------
+
+
+def matching_shift(schedule, l, shift, resolution):
+    """The unique k in [0, p_l) whose shifted periodic parts match those of ``shift``, searched over every
+    candidate on the explicit pattern at ``resolution``: the slow cross-check of ``phi_prefix``."""
+    p = schedule.period(l)
+    source = tl.classify_residues(schedule.pattern(schedule.available_levels(resolution)), p).periodic
+    target = {(r - shift.n) % p: letter for r, letter in source.items()}
+    matches = [k for k in range(p) if {(r - k) % p: letter for r, letter in source.items()} == target]
+    assert len(matches) == 1, (p, matches)
+    return matches[0]
+
+
+# -- residue classes off the level rows and the hole-class letters -------------
+
+
+@st.composite
+def class_reader_cases(draw):
+    """A literal schedule (hole-free seeds and ragged ones included) or a gallery entry, a depth up to its
+    last seed or a period of 2^15, and a modulus that is a level period or, more often, none."""
+    if draw(st.booleans()):
+        s = draw(walk_schedules())
+        depth = draw(st.integers(1, s.max_levels))
+    else:
+        s = tl.gallery(draw(st.sampled_from(GALLERY_NAMES)))
+        depth = draw(st.integers(1, max(l for l in range(1, 8) if s.period(l) <= 1 << 15)))
+    p = draw(st.sampled_from(s.scale(depth)) | st.integers(1, 3 * s.period(depth)))
+    return s, depth, p
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(class_reader_cases())
+@example((tl.schedule_from_text("ab\na?b\na"), 2, 3))  # the hole class 1 mod 3 is closed by the one letter a
+@example((tl.schedule_from_text("ab\na?b\na?b"), 2, 6))  # g = 3 divides p_1, so level 1 is read at depth 2
+@example((tl.schedule_from_text("ab\na?b\nab\na?b"), 3, 9))  # the holes die out at level 2, before depth 3
+@example((tl.gallery("ex3.5"), 4, 60))  # g = 60 first divides p_3 = 480
+def test_schedule_classes_match_the_depth_pattern(case):
+    s, depth, p = case
+    assert schedule_classes(s, p, depth) == tl.classify_residues(s.pattern(depth), p)

@@ -158,6 +158,35 @@ def test_verify_period_structure_refuses_an_empty_scale_or_a_period_below_one(sc
         verify_period_structure(gallery("ex5.7"), scale, 3)
 
 
+@pytest.mark.parametrize("source", [gallery("ex5.7"), PeriodicPattern("ab?b")])
+def test_verify_period_structure_refuses_a_reversed_coverage_window(source):
+    with pytest.raises(ToeplitzError, match="coverage window"):
+        verify_period_structure(source, [4, 16], 3, coverage_window=(5, -5))
+    # lo == hi is a one-position window
+    assert verify_period_structure(gallery("ex5.7"), [4, 16], 3, coverage_window=(5, 5)).coverage_window == (5, 5)
+
+
+def test_period_structure_records_the_depth_it_read():
+    # two seeds: a depth-3 request reads level 2, and the certificate says so
+    s = schedule_from_text("ab\na?b\na?b\n")
+    cert = verify_period_structure(s, [3, 9], 3)
+    assert cert.depth == 2
+    assert cert == verify_period_structure(s, [3, 9], 2)
+    assert verify_period_structure(gallery("ex5.7"), [4, 16], 3).depth == 3  # a seed rule reads the depth asked for
+
+
+def test_coverage_reads_at_most_one_period(monkeypatch):
+    # a window longer than the period repeats it, so one period decides coverage, also past the window cap
+    import toeplitz_lab.words as words
+
+    monkeypatch.setattr(words, "PATTERN_CAP", 16)
+    for text, covered in (("ab\na?b\nab\n", True), ("ab\na?b\na?b\n", False)):
+        s = schedule_from_text(text)
+        cert = verify_period_structure(s, [3], 2, coverage_window=(-20, 20))
+        assert cert.covered is covered
+        assert cert == verify_period_structure(s.pattern(2), [3], 2, coverage_window=(-20, 20))
+
+
 def test_divisibility_violation():
     with pytest.raises(DivisibilityViolation):
         verify_period_structure(gallery("ex5.7"), [2, 3], 3)
