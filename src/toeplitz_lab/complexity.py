@@ -3,8 +3,8 @@
 A window scan yields a lower bound on the number of length-L subwords.
 For words with one hole per period the count is exact: between
 consecutive holes the word repeats a fixed block, so every subword is
-the block cut at some offset with the holes filled by a subword of the
-derived tail, and those fill words are enumerated recursively.
+a slice of m + 1 copies of the block joined by m holes, filled with a
+subword of the derived tail; those fill words are enumerated recursively.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotSingleHole, PatternTooLarge, ToeplitzError, UnresolvedWindow
-from .words import HOLE, PATTERN_CAP, FillingSchedule, derived_tail, resolve_window
+from .words import HOLE, PATTERN_CAP, FillingSchedule, derived_tail, fill_holes, resolve_window
 
 
 @dataclass(frozen=True)
@@ -71,10 +71,12 @@ def _single_hole_level_for(schedule: FillingSchedule, length: int) -> int:
 def factor_set_exact_single_hole(schedule: FillingSchedule, l: int, length: int) -> FactorSet:
     """Exact subword set via the one-hole-per-period decomposition at level ``l``.
 
-    The between-holes block, resolved at depth l + 3, is cut at every
-    offset and the spanned holes are filled with every fill word of the
-    right length; fill words are the exact subword sets of the derived
-    tail, computed by recursion.  ``length`` may span at most 8 periods.
+    The between-holes block is resolved at depth l + 3.  The offsets
+    spanning m holes form one range; for each m-letter fill word, m + 1
+    copies of the block joined by the filled holes are built once, and
+    each word of that range is one slice of them.  Fill words are the
+    exact subword sets of the derived tail, computed by recursion.
+    ``length`` may span at most 8 periods.
     """
     if length < 1:
         raise ToeplitzError("length must be positive, got %d" % length)
@@ -105,21 +107,18 @@ def factor_set_exact_single_hole(schedule: FillingSchedule, l: int, length: int)
         fs = factor_set_exact_single_hole(tail, tl, m)
         return fs.words, fs.exact
 
-    copies = length // p + 2
-    carrier = (block + HOLE) * copies  # the repeating block with its hole last
-    words = set()
-    fill_cache: dict[int, tuple[frozenset[str], bool]] = {}
-    for j in range(p):
-        piece = carrier[j: j + length]
-        first = p - 1 - j  # the carrier's holes sit at p - 1 mod p
-        m = len(range(first, length, p))
-        if m not in fill_cache:
-            fill_cache[m] = tail_words(m)
-        # the runs between the piece's holes are whole copies of ``block``
-        runs = piece.split(HOLE)
-        first_run, last_run = runs[0], (runs[-1] if m else "")
-        words.update([first_run + block.join(u) + last_run for u in fill_cache[m][0]])
-    exact = all(flag for _, flag in fill_cache.values())
+    words: set[str] = set()
+    exact = True
+    # the word at offset j has its first hole at p - 1 - j, so it spans m holes exactly
+    # for j in [m p - length, (m + 1) p - length): m runs from floor to ceil of length / p
+    for m in range(length // p, -(-length // p) + 1):
+        offsets = range(max(0, m * p - length), min(p, (m + 1) * p - length))
+        fills, flag = tail_words(m)
+        exact = exact and flag
+        holed = (block + HOLE) * m + block
+        for u in fills:
+            text = fill_holes(holed, u)
+            words.update(text[j: j + length] for j in offsets)
     return FactorSet(length, frozenset(words), exact)
 
 

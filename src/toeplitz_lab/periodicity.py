@@ -145,13 +145,18 @@ def _residue_classes(p: int, row: list[str], columns) -> ResidueClasses:
     )
 
 
+def _class_level(schedule: FillingSchedule, p: int, depth: int) -> tuple[int, int]:
+    """g = gcd(p, p_depth) and the first level k whose period g divides."""
+    g = gcd(p, schedule.period(depth))
+    return g, next(l for l in range(1, depth + 1) if schedule.period(l) % g == 0)
+
+
 def schedule_classes(schedule: FillingSchedule, p: int, depth: int) -> ResidueClasses:
     """``classify_residues(schedule.pattern(depth), p)``, with no pattern past the first level k whose
     period g = gcd(p, p_depth) divides: as g | p_k | p_depth, each class mod g is a union of level-k
     columns, and a level-k hole class shows at ``depth`` exactly its ``hole_class_letters`` set, so each
     hole of an exceptional level-k column stands for those letters."""
-    g = gcd(p, schedule.period(depth))
-    k = next(l for l in range(1, depth + 1) if schedule.period(l) % g == 0)
+    g, k = _class_level(schedule, p, depth)
     level = classify_residues(schedule.pattern(k), p)
     masks: dict[int, int] = {}  # column mod g -> bit mask of its holes' class letters
     for h, v in zip(schedule.holes(k), _run_classes(schedule, hole_counts(schedule, depth), k, 1)):
@@ -286,7 +291,9 @@ def verify_period_structure(
 
     ``source`` is a periodic pattern used as-is, or a schedule read at level
     ``depth`` (at most its last seed, the depth recorded) by ``schedule_classes``
-    and ``resolve_window``, so no depth pattern is built.  A coverage window
+    and ``resolve_window``, so no depth pattern is built; when the level the
+    last scale entry's classes are read off has a period past ``PATTERN_CAP``,
+    the schedule is refused before any class is read.  A coverage window
     with hi < lo is refused.  Essentiality of an entry ``p_l`` scans all
     smaller candidate periods; when every entry of the scale is a power
     of one prime q, only powers of q can yield an equal Per set (every
@@ -318,6 +325,8 @@ def verify_period_structure(
         period, classes, window = source.period, partial(classify_residues, source), source.window
     else:
         depth = source.available_levels(depth)
+        # each scale entry's g divides the last one's, so the last entry reads the deepest level
+        source.check_pattern(_class_level(source, scale[-1], depth)[1])
         period, classes = source.period(depth), partial(schedule_classes, source, depth=depth)
         window = partial(resolve_window, source, max_level=depth)
     q = _prime_power_scale(scale)

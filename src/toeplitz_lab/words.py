@@ -358,13 +358,17 @@ class FillingSchedule:
 
     # -- explicit patterns (desk scale) ------------------------------------
 
-    def pattern(self, l: int) -> PeriodicPattern:
-        """One period of level ``l``: seeds m + 1 ... l composed onto the walk table's level m, none kept."""
+    def check_pattern(self, l: int) -> None:
+        """Refuse level ``l`` if its period is past ``PATTERN_CAP``, before any pattern is composed."""
         info = self.level_info(l)
         if info.period > PATTERN_CAP:
             raise PatternTooLarge(
                 "level %d has period %d, beyond the explicit-pattern cap" % (l, info.period)
             )
+
+    def pattern(self, l: int) -> PeriodicPattern:
+        """One period of level ``l``: seeds m + 1 ... l composed onto the walk table's level m, none kept."""
+        self.check_pattern(l)
         m, text, _, _ = self._tables.get(l) or self._table(l)
         pat = PeriodicPattern(text, self.alphabet)
         for k in range(m + 1, l + 1):

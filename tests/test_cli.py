@@ -448,8 +448,9 @@ def test_mixed_scale_analyze_classifies_only_the_scale_entries(monkeypatch, caps
         "a2d7fa24e2681ef6eb5e6ec01b2352d6e099f30885c48043d6b6641ee7e7b5d2")
 
 
-def test_analyze_reads_a_two_million_cell_pattern_by_rows(capsys):
-    # the depth-4 pattern has period 2^21, read at g = 1024 and 32768 by its distinct rows
+def test_analyze_reads_ex4_4_classes_off_levels_one_to_three(capsys):
+    # the classes mod each scale entry p_l are read off level l's pattern (period at most 32768)
+    # and the hole-class letters at depth 4, whose pattern of period 2^21 is never composed
     rc, out = run(capsys, ["analyze", "ex4.4", "--depth", "3", "--format", "json"])
     assert rc == 0
     results = json.loads(out)["results"]
@@ -485,6 +486,16 @@ def test_analyze_answers_past_the_depth_pattern_cap(capsys):
     canonical = json.dumps(results, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(canonical.encode()).hexdigest() == (
         "ce307db116c8c742ffaf628d9a97fc6fc8e4729c1889407ccfba26e286d058c4")
+
+
+def test_analyze_past_the_cap_is_refused_before_any_classification(monkeypatch, capsys):
+    # the last scale entry's classes would be read off level 12, of period 2^24
+    calls = count_classifications(monkeypatch)
+    rc = main(["analyze", "ex4.3", "--depth", "12"])
+    out, err = capsys.readouterr()
+    assert rc == 1 and calls == [] and out == ""
+    assert "level 12 has period 16777216, beyond the explicit-pattern cap" in err
+    assert "Traceback" not in err
 
 
 def test_analyze_names_the_depth_it_read(tmp_path, capsys):

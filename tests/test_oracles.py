@@ -8,6 +8,7 @@ positions in order and drops seed letters into holes one by one.
 import dataclasses
 import random
 import time
+from functools import cache
 from itertools import product
 from math import gcd, lcm
 
@@ -899,6 +900,7 @@ def list_assembly_words(schedule, l, length):
     block = tl.resolve_window(schedule, hole + 1, hole + p, l + 3)
     tail = tl.derived_tail(schedule, l)
 
+    @cache  # one recursion per hole count, not per offset
     def fills(m):
         if m <= 1:
             letters = {c for k in range(1, tail.available_levels(8) + 1) for c in tail.seed(k).symbols}
@@ -934,6 +936,29 @@ def test_single_hole_words_of_cycles_match_list_assembly(seeds, periods, extra):
     s = tl.FillingSchedule(tl.BINARY, lambda l: tl.parse_seed(seeds[(l - 1) % len(seeds)]))
     length = periods * s.period(1) - min(extra, s.period(1) - 1)
     assert tl.factor_set_exact_single_hole(s, 1, length).words == list_assembly_words(s, 1, length)
+
+
+@pytest.mark.parametrize("name, l, ks, shifts", [
+    ("ex4.4-mini", 1, range(1, 9), (-1, 0, 1)),
+    ("ex4.4", 1, range(1, 9), (-1, 0, 1)),
+    ("ex4.4", 2, (1, 2), (-1, 0, 1)),
+    ("ex4.4-mini", 3, (1,), (-1, 0)),
+])
+def test_single_hole_words_match_list_assembly_where_hole_counts_change(name, l, ks, shifts):
+    # at length k p every offset spans k holes; one less or one more splits the offsets
+    # between k - 1 and k holes, or between k and k + 1
+    s = tl.gallery(name)
+    p = s.period(l)
+    for length in (k * p + d for k in ks for d in shifts if k * p + d <= 8 * p):
+        assert tl.factor_set_exact_single_hole(s, l, length).words == list_assembly_words(s, l, length), length
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(single_hole_cycles(), st.integers(1, 8), st.integers(-1, 1))
+def test_single_hole_words_of_cycles_match_list_assembly_at_level_2(seeds, periods, shift):
+    s = tl.FillingSchedule(tl.BINARY, lambda l: tl.parse_seed(seeds[(l - 1) % len(seeds)]))
+    length = min(periods * s.period(2) + shift, 8 * s.period(2))
+    assert tl.factor_set_exact_single_hole(s, 2, length).words == list_assembly_words(s, 2, length)
 
 
 @st.composite
