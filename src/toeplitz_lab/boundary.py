@@ -39,8 +39,10 @@ class HoleTree:
 
         Only survivors are walked, and every surviving partial chain
         reaches the deepest level, so the cut at ``limit`` after each
-        level is exact.
+        level is exact.  A negative ``limit`` is refused.
         """
+        if limit is not None and limit < 0:
+            raise ToeplitzError("branch limit must be >= 0, got %d" % limit)
         alive = self.survivors()
         chains = [(r,) for r in sorted(alive[0])][:limit]
         for l in range(2, self.depth + 1):
@@ -85,9 +87,9 @@ def hole_tree(schedule: FillingSchedule, depth: int, resolution_depth: int | Non
     schedule.check_depth(depth)
     schedule.level_info(depth)  # over-cap levels are refused before any class is read
     resolution_depth = schedule.available_levels(resolution_depth)
-    letters = hole_class_letters(schedule, depth, resolution_depth)
+    letters = [hole_class_letters(schedule, l, resolution_depth) for l in range(1, depth + 1)]
     strip = {v: v.difference(HOLE) for level in letters for v in set(level.values())}
-    levels = [{r: strip[v] for r, v in level.items()} for level in letters] + [{} for _ in range(depth - len(letters))]
+    levels = [{r: strip[v] for r, v in level.items()} for level in letters]
     return HoleTree(schedule, depth, resolution_depth, tuple(levels))
 
 

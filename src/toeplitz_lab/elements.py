@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import UnresolvedWindow
+from .errors import ToeplitzError, UnresolvedWindow
 from .words import HOLE, FillingSchedule, evaluate, resolve_window
 
 
@@ -88,9 +88,14 @@ def pair_report(
     windows,
     eval_level: int | None = None,
 ) -> PairReport:
-    """Agreement depth on the odometer plus per-window difference censuses."""
+    """Agreement depth on the odometer plus per-window difference censuses; a window (lo, hi) with hi < lo
+    is refused."""
     from .odometer import phi_prefix
 
+    windows = list(windows)
+    for lo, hi in windows:
+        if hi < lo:
+            raise ToeplitzError("window (%d, %d) ends before it starts" % (lo, hi))
     eval_level = depth if eval_level is None else eval_level
     w1 = phi_prefix(schedule, e1, depth)
     w2 = phi_prefix(schedule, e2, depth)
@@ -143,8 +148,10 @@ def fiber_block_contents(
     so every word a fiber element can show on [0, p_l) appears among
     them; unresolved windows are skipped.  A deeper point pins more: for
     a point on the integer orbit, carried deep enough, a single content
-    remains.
+    remains.  A point of depth 0 pins no residue and is refused.
     """
+    if omega.depth < 1:
+        raise ToeplitzError("the point has depth 0; a fiber needs at least one residue")
     p = schedule.period(l)
     base = omega.residues[-1]
     step = schedule.period(omega.depth)
@@ -188,9 +195,11 @@ def finite_fiber_nonasymptotic_witness(
     Returns None when the pairwise disagreement stays bounded by one over
     the checked levels (consistent with every proximal pair being
     asymptotic); otherwise reports the per-level maxima and one witness
-    pair at the deepest checked level.
+    pair at the deepest checked level.  An empty ``levels`` is refused.
     """
-    levels = levels or range(2, max(3, depth - 1))
+    levels = range(2, max(3, depth - 1)) if levels is None else list(levels)
+    if not levels:
+        raise ToeplitzError("no levels to check")
     censuses = []
     witness_pair = None
     for l in levels:

@@ -210,7 +210,7 @@ def factor_residues(code, schedule: FillingSchedule, levels, depth: int) -> list
                 continue
             k = w.count(HOLE)
             if k not in runs:
-                runs[k] = hole_class_letters(schedule, l, depth, k)[l - 1]
+                runs[k] = hole_class_letters(schedule, l, depth, k)
             key = (w, runs[k][(r - J + w.index(HOLE)) % p])
             if key not in coded:
                 coded[key] = {code_output(code, fill_holes(w, word)) for word in key[1]}

@@ -16,8 +16,7 @@ from functools import cached_property, partial
 from math import gcd
 
 from .errors import DivisibilityViolation, NoHoles, ToeplitzError
-from .words import HOLE, FillingSchedule, PeriodicPattern, hole_class_letters, hole_counts, hole_positions, resolve_window
-from .words import _run_classes, _symbols
+from .words import HOLE, FillingSchedule, PeriodicPattern, hole_class_letters, hole_positions, resolve_window
 
 
 @dataclass(frozen=True)
@@ -85,11 +84,22 @@ def _differing_columns(row0: str, rows) -> list[int]:
 
 
 def classify_residues(pat: PeriodicPattern, p: int) -> ResidueClasses:
-    """Three-valued classification of the residues mod ``p`` against a pattern.
+    """Three-valued classification of the residues mod ``p`` read off a pattern by ``_pattern_columns``,
+    exact relative to the pattern: whatever the pattern leaves unresolved stays undetermined."""
+    if not isinstance(pat, PeriodicPattern):
+        raise ToeplitzError("expected a pattern, got %r" % (pat,))
+    if p < 1:
+        raise ToeplitzError("period must be positive")
+    return _residue_classes(p, *_pattern_columns(pat, p))
+
+
+def _pattern_columns(pat: PeriodicPattern, p: int) -> tuple[list[str], list[tuple[int, frozenset[str]]]]:
+    """The first g = gcd(p, period) letters of ``pat``, and each column mod g that is not one letter
+    throughout, ascending, with its symbols.
 
     By the Chinese remainder theorem the positions congruent to ``r``
     mod ``p`` meet exactly the pattern cells congruent to ``r`` mod
-    g = gcd(p, period), so each residue is read off the column
+    g, so each residue is read off the column
     ``symbols[r % g::g]`` of m = period / g cells; no lcm(p, period)
     span is built.  When g exceeds min(m, 127) the pattern is cut into
     its m rows of g letters and only the distinct rows are kept: a
@@ -99,14 +109,8 @@ def classify_residues(pat: PeriodicPattern, p: int) -> ResidueClasses:
     (``_differing_columns``), so this never costs more than a few
     strided reads; it saves the column reads when few columns differ,
     since a row slice and its hash cost about as much as reading 100
-    cells of a column.  Otherwise every column is read.  Each exceptional
-    column's symbols are kept in ``columns``.  This is exact relative to
-    the pattern: whatever the pattern leaves unresolved stays undetermined.
+    cells of a column.  Otherwise every column is read.
     """
-    if not isinstance(pat, PeriodicPattern):
-        raise ToeplitzError("expected a pattern, got %r" % (pat,))
-    if p < 1:
-        raise ToeplitzError("period must be positive")
     symbols, period = pat.symbols, pat.period
     g = gcd(p, period)
     if g > min(period // g, 127):
@@ -120,7 +124,7 @@ def classify_residues(pat: PeriodicPattern, p: int) -> ResidueClasses:
         cells = symbols[c::g]
         if cells[0] == HOLE or cells.count(cells[0]) < len(cells):  # not one letter throughout
             columns.append((c, frozenset(cells)))
-    return _residue_classes(p, list(symbols[:g]), columns)
+    return list(symbols[:g]), columns
 
 
 def _residue_classes(p: int, row: list[str], columns) -> ResidueClasses:
@@ -157,13 +161,11 @@ def schedule_classes(schedule: FillingSchedule, p: int, depth: int) -> ResidueCl
     columns, and a level-k hole class shows at ``depth`` exactly its ``hole_class_letters`` set, so each
     hole of an exceptional level-k column stands for those letters."""
     g, k = _class_level(schedule, p, depth)
-    level = classify_residues(schedule.pattern(k), p)
-    masks: dict[int, int] = {}  # column mod g -> bit mask of its holes' class letters
-    for h, v in zip(schedule.holes(k), _run_classes(schedule, hole_counts(schedule, depth), k, 1)):
-        masks[h % g] = masks.get(h % g, 0) | v
-    return _residue_classes(p, list(level.letters[:g]), [
-        (c, seen - {HOLE} | _symbols(schedule, masks[c]) if c in masks else seen) for c, seen in level.columns
-    ])
+    row, columns = _pattern_columns(schedule.pattern(k), p)
+    shown: dict[int, set[frozenset[str]]] = {}  # column mod g with holes -> the sets their classes show
+    for h, v in hole_class_letters(schedule, k, depth).items():
+        shown.setdefault(h % g, set()).add(v)
+    return _residue_classes(p, row, [(c, seen.difference(HOLE).union(*shown.get(c, ()))) for c, seen in columns])
 
 
 def aperiodic_residues(schedule: FillingSchedule, l: int, depth: int) -> tuple[int, ...]:
@@ -176,8 +178,7 @@ def aperiodic_residues(schedule: FillingSchedule, l: int, depth: int) -> tuple[i
     if depth < l:
         raise ToeplitzError("resolution depth must be >= level")
     holes = schedule.holes(l)
-    letters = hole_class_letters(schedule, l, depth)[l - 1] if holes else {}
-    aper = tuple(r for r, v in letters.items() if len(v) > 1 or HOLE in v)
+    aper = tuple(r for r, v in hole_class_letters(schedule, l, depth).items() if len(v) > 1 or HOLE in v)
     if aper != holes:
         raise ToeplitzError(
             "level %d: residues %r not certified periodic at depth %d differ from the hole set %r"
@@ -396,9 +397,11 @@ def check_oxtoby(schedule: FillingSchedule, depth: int) -> OxtobyVerdict:
     divisible by construction; the verdict records that scale.  Each
     level's deeper holes are grouped once by block, in hole order, so the
     blocks come in ascending order and the first partly filled one is the
-    witness.
+    witness.  Below depth 2 no pair of levels is compared, so nothing is certified.
     """
     scale = schedule.scale(depth)
+    if depth < 2:
+        return OxtobyVerdict(VerdictKind.UNKNOWN, depth, scale, reason="no pair of levels compared below depth 2")
     unfilled: list[tuple[int, ...]] = []
     for l in range(1, depth):
         p = scale[l - 1]

@@ -444,25 +444,24 @@ def resolve_window(schedule: FillingSchedule, start: int, stop: int, max_level: 
     return word
 
 
-def hole_class_letters(
-    schedule: FillingSchedule, levels: int, resolution: int, run: int = 1
-) -> list[dict[int, frozenset[str]]]:
-    """Per level 1..``levels``, to where the holes die out: hole -> the words its run of ``run`` holes shows.
+def hole_class_letters(schedule: FillingSchedule, l: int, resolution: int, run: int = 1) -> dict[int, frozenset[str]]:
+    """Level ``l``'s holes -> the words each one's run of ``run`` holes shows; ``{}`` where level l has none.
 
     A hole's run is it and the next ``run - 1`` holes of its level, read along the hole's class at level
     ``resolution``, with ``HOLE`` where the class still holds a hole.  No pattern is built: seed m (length q,
     c holes) shows level-(m - 1) hole ranks u .. u + k - 1 its letters (u .. u + k - 1) mod q and leaves its
     holes among them open as the level-m run from rank (u // q) * c + (seed holes below u mod q), so each
-    level's words follow from the next, upward from ``resolution`` (callers cap it).  No seed is read past a
+    level's words follow from the next, upward from ``resolution`` (at least ``l``).  No seed is read past a
     level without holes; over ``PATTERN_CAP`` slots per level raise PatternTooLarge (``hole_counts``).
     """
+    if not 1 <= l <= resolution:
+        raise ToeplitzError("level %d is not in 1..%d, the resolution level" % (l, resolution))
     counts = hole_counts(schedule, resolution)
-    out = []
-    for m in range(1, min(levels, len(counts) - 1) + 1):
-        classes = _run_classes(schedule, counts, m, run)
-        sets = {v: _symbols(schedule, v) if run == 1 else v for v in set(classes)}  # one object per distinct set
-        out.append(dict(zip(schedule.holes(m), map(sets.__getitem__, classes))))
-    return out
+    if l >= len(counts) or not counts[l]:  # the holes have died out by level l
+        return {}
+    classes = _run_classes(schedule, counts, l, run)
+    sets = {v: _symbols(schedule, v) if run == 1 else v for v in set(classes)}  # one object per distinct set
+    return dict(zip(schedule.holes(l), map(sets.__getitem__, classes)))
 
 
 def hole_counts(schedule: FillingSchedule, resolution: int) -> list[int]:

@@ -183,6 +183,27 @@ def test_no_isolation_requires_block_filling():
         oxtoby_no_isolation_check(gallery("ex4.4-mini"), 3)
 
 
+def test_no_isolation_refuses_depth_zero():
+    # depth 0 asks for the depth-1 certificate, which compares no pair of levels
+    with pytest.raises(NotOxtoby, match="no pair of levels"):
+        oxtoby_no_isolation_check(gallery("ex4.4"), 0)
+
+
+def test_property_verdicts_refute_nothing_from_a_single_level():
+    # ex3.5 declares block filling; depth 1 has no pair of levels to certify it on
+    v = property_verdicts(gallery("ex3.5"), 1)
+    assert (v.hs.kind, v.fb.kind) == (VerdictKind.UNKNOWN, VerdictKind.UNKNOWN)
+    v = property_verdicts(gallery("ex3.5"), 2)
+    assert (v.hs.kind, v.fb.kind) == (VerdictKind.REFUTED, VerdictKind.REFUTED)
+
+
+def test_branches_refuse_a_negative_limit():
+    tree = hole_tree(gallery("ex3.5"), 3)
+    assert len(tree.branches()) == 16 and tree.branches(limit=0) == []
+    with pytest.raises(ToeplitzError, match="branch limit"):
+        tree.branches(limit=-1)
+
+
 def test_hole_tree_refuses_depth_below_one():
     with pytest.raises(ToeplitzError, match="tree depth"):
         hole_tree(gallery("ex4.3"), 0)

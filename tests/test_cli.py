@@ -400,16 +400,30 @@ def test_factor_builds_no_pattern_or_image(monkeypatch, capsys):
 
 
 def count_classifications(monkeypatch):
-    """The moduli ``classify_residues`` is called with, collected from now on."""
+    """The moduli a pattern's columns are read for, on either class route, collected from now on."""
     from toeplitz_lab import periodicity
 
-    calls, original = [], periodicity.classify_residues
+    calls, original = [], periodicity._pattern_columns
 
     def counted(pat, p):
         calls.append(p)
         return original(pat, p)
-    monkeypatch.setattr(periodicity, "classify_residues", counted)
+    monkeypatch.setattr(periodicity, "_pattern_columns", counted)
     return calls
+
+
+@pytest.mark.parametrize("name", ["ex4.3", "ex3.5"])
+def test_depth_one_analyze_certifies_no_block_filling(capsys, name):
+    # depth 1 compares no pair of levels: ex4.3 (refuted at depth 2) and ex3.5 (certified there) both read unknown
+    rc, out = run(capsys, ["analyze", name, "--depth", "1", "--format", "json"])
+    assert rc == 0
+    results = json.loads(out)["results"]
+    assert results["block_filling"] == {
+        "kind": "unknown", "level": None, "reason": "no pair of levels compared below depth 2"}
+    assert results["finiteness"]["hs"]["kind"] == results["finiteness"]["fb"]["kind"] == "unknown"
+    rc, out = run(capsys, ["analyze", name, "--depth", "2", "--format", "json"])
+    expected = "refuted" if name == "ex4.3" else "certified-to-depth"
+    assert rc == 0 and json.loads(out)["results"]["block_filling"]["kind"] == expected
 
 
 def test_prime_power_analyze_reads_essentiality_off_class_letters(monkeypatch, capsys):

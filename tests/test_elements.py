@@ -1,3 +1,5 @@
+import pytest
+
 from toeplitz_lab import (
     Alphabet,
     FillingSchedule,
@@ -17,6 +19,8 @@ from toeplitz_lab import (
     phi_prefix,
     proximal_shift_pair,
 )
+from toeplitz_lab.errors import ToeplitzError
+from toeplitz_lab.odometer import OdometerPoint
 
 
 def test_shift_matches_plain_evaluation():
@@ -180,3 +184,29 @@ def test_shift_limit_letter_is_not_withdrawn_deeper():
     rule = ShiftLimit(lambda k: proximal_shift_pair(k)[0], k_start=1, k_stop=8)
     assert evaluate(s57, 26214, 8) is None
     assert eval_element(s57, rule, 0, 8) is None
+
+
+def test_pair_report_refuses_a_reversed_window():
+    s = gallery("ex5.7")
+    with pytest.raises(ToeplitzError, match=r"window \(10, -10\) ends before it starts"):
+        pair_report(s, Shift(1), Shift(5), 3, windows=[(-10, 10), (10, -10)])
+    # lo == hi is a one-position window
+    assert pair_report(s, Shift(1), Shift(5), 3, windows=[(4, 4)]).censuses[0].window == (4, 4)
+
+
+def test_fibers_refuse_a_point_of_depth_zero():
+    s = gallery("ex5.7")
+    with pytest.raises(ToeplitzError, match="depth 0"):
+        fiber_block_contents(s, OdometerPoint((), ()), 2, 5)
+    with pytest.raises(ToeplitzError, match="depth 0"):
+        fiber_prefix_count(s, OdometerPoint((), ()), 2, 5)
+
+
+def test_nonasymptotic_witness_refuses_empty_levels():
+    s57 = gallery("ex5.7")
+    br = branch_point(s57, tuple((4 ** l - 1) // 3 for l in range(1, 5)))
+    with pytest.raises(ToeplitzError, match="no levels"):
+        finite_fiber_nonasymptotic_witness(s57, br, depth=8, levels=[])
+    # any iterable of levels is read once, as a list
+    w = finite_fiber_nonasymptotic_witness(s57, br, depth=8, levels=iter((2, 3, 4)))
+    assert [c for _, c in w.level_censuses] == [4, 8, 16]

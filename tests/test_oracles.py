@@ -427,7 +427,8 @@ def test_hole_class_run_words_match_naive_orbits(seeds, run):
     s = tl.FillingSchedule(tl.BINARY, [tl.parse_seed(w) for w in seeds])
     period = s.period(len(seeds))
     word = naive_fill(seeds, 0, (run + 2) * period)  # a run spans at most run + 1 level periods
-    for l, got in enumerate(tl.words.hole_class_letters(s, len(seeds), len(seeds), run), 1):
+    for l in range(1, len(seeds) + 1):
+        got = tl.words.hole_class_letters(s, l, len(seeds), run)
         p = s.period(l)
         level = naive_fill(seeds[:l], 0, p)
         holes = [j for j in range(p) if level[j] == "?"]
@@ -1216,8 +1217,11 @@ def naive_block_filling(s, depth):
     """``check_oxtoby`` by its definition: each length-p_l block of pattern(l + 1)
     leaves open all of pattern(l)'s holes or none, and at least two leave them open.
 
-    Returns (certified, level, witness block, unfilled blocks of the levels before).
+    Returns (certified, level, witness block, unfilled blocks of the levels before);
+    below depth 2 no pair of levels is compared, so nothing is certified.
     """
+    if depth < 2:
+        return False, None, None, []
     unfilled = []
     for l in range(1, depth):
         lo, hi = s.pattern(l).symbols, s.pattern(l + 1).symbols

@@ -15,6 +15,8 @@ from toeplitz_lab import (
     parse_seed,
     periodic_density,
     schedule_from_text,
+    VerdictKind,
+    periodicity,
     verify_period_structure,
 )
 from toeplitz_lab.errors import DivisibilityViolation, NoHoles, ToeplitzError
@@ -129,6 +131,15 @@ def test_check_oxtoby_verdicts():
     assert not v.certified and v.level == 1
 
 
+def test_check_oxtoby_certifies_nothing_without_a_pair_of_levels():
+    # ex4.3 is refuted at depth 2; depth 1 compares no pair of levels, so it cannot say either way
+    assert check_oxtoby(gallery("ex4.3"), 2).kind is VerdictKind.REFUTED
+    for name in ("ex4.3", "ex3.5", "ex4.4"):
+        v = check_oxtoby(gallery(name), 1)
+        assert (v.kind, v.unfilled_blocks) == (VerdictKind.UNKNOWN, ())
+        assert "no pair of levels" in v.reason
+
+
 def test_oxtoby_hole_growth():
     # blocks of the base scale that still contain deep holes keep them all
     for name in ("ex3.5", "ex5.7"):
@@ -215,3 +226,26 @@ def test_williams_levels_form_a_period_structure():
     w = gallery("williams", ratio=4)
     cert = verify_period_structure(w, [4, 16, 64], 4)
     assert cert.all_pass
+
+
+def count_class_reads(monkeypatch):
+    """The moduli ``_residue_classes`` is called with, collected from now on."""
+    calls, original = [], periodicity._residue_classes
+
+    def counted(p, row, columns):
+        calls.append(p)
+        return original(p, row, columns)
+    monkeypatch.setattr(periodicity, "_residue_classes", counted)
+    return calls
+
+
+def test_schedule_classes_classify_once(monkeypatch):
+    s = gallery("ex4.3")
+    calls = count_class_reads(monkeypatch)
+    for l in range(1, 6):
+        calls.clear()
+        classes = periodicity.schedule_classes(s, 4 ** l, 10)
+        assert calls == [4 ** l] and classes.modulus == 4 ** l
+    calls.clear()
+    cert = verify_period_structure(s, s.scale(11), 12)
+    assert cert.all_pass and calls == list(s.scale(11))

@@ -208,12 +208,21 @@ def test_unknown_character_names_the_first_one():
 
 
 def test_hole_class_letters_maps_each_level_that_has_holes():
-    # level 2 has no holes: no level is listed past it and no seed is read past it
-    assert words.hole_class_letters(schedule_from_text("ab\na?b\nab\n"), 5, 9) == [{1: frozenset("ab")}, {}]
+    # level 2 has no holes: every level from it on maps nothing, and no seed is read past it
+    s = schedule_from_text("ab\na?b\nab\n")
+    assert [words.hole_class_letters(s, l, 9) for l in (1, 2)] == [{1: frozenset("ab")}, {}]
+    assert [words.hole_class_letters(s, l, 9) for l in (3, 4, 5)] == [{}, {}, {}]
     s = gallery("ex4.3")
-    levels = words.hole_class_letters(s, 2, 2)
+    levels = [words.hole_class_letters(s, l, 2) for l in (1, 2)]
     assert [list(level) for level in levels] == [list(s.holes(1)), list(s.holes(2))]
     assert set(levels[1].values()) == {frozenset("?")}
+
+
+def test_hole_class_letters_refuses_a_level_outside_the_resolution():
+    s = gallery("ex4.3")
+    for l in (0, 3):
+        with pytest.raises(ToeplitzError, match="not in 1..2"):
+            words.hole_class_letters(s, l, 2)
 
 
 def test_level_info_refuses_more_holes_than_the_cap(monkeypatch):
