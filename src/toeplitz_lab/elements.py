@@ -148,10 +148,13 @@ def fiber_block_contents(
     so every word a fiber element can show on [0, p_l) appears among
     them; unresolved windows are skipped.  A deeper point pins more: for
     a point on the integer orbit, carried deep enough, a single content
-    remains.  A point of depth 0 pins no residue and is refused.
+    remains.  A point of depth 0 pins no residue and is refused, and so
+    is a ``block_range`` below 1, which reads no window.
     """
     if omega.depth < 1:
         raise ToeplitzError("the point has depth 0; a fiber needs at least one residue")
+    if block_range < 1:
+        raise ToeplitzError("block_range must be at least 1, got %d" % block_range)
     p = schedule.period(l)
     base = omega.residues[-1]
     step = schedule.period(omega.depth)

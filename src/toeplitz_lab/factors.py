@@ -325,29 +325,6 @@ def build_isolating_code(
     return SlidingBlockCode(schedule.alphabet, p2, table, default=other)
 
 
-@dataclass(frozen=True)
-class PullbackReport:
-    level: int
-    checked: tuple[int, ...]
-    uncovered: tuple[int, ...]
-
-    @property
-    def holds(self) -> bool:
-        return not self.uncovered
-
-
-def pullback_reports(code, schedule: FillingSchedule, residues) -> list[PullbackReport]:
-    """Does every factor hole residue sit within the code radius of a source hole?
-
-    One report per level of ``residues``, the factor residues of levels 1, 2, ...
-    """
-    reports = []
-    for l, res in enumerate(residues, 1):
-        reach = set(hole_reach(schedule, l, code.radius))
-        reports.append(PullbackReport(l, res.nonperiodic, tuple(r for r in res.nonperiodic if r not in reach)))
-    return reports
-
-
 def factor_obstruction_check(code, schedule: FillingSchedule, depth: int, l0: int) -> list[tuple[int, int]]:
     """Hole growth of a factor of a certified block-filling word.
 

@@ -160,6 +160,8 @@ def schedule_classes(schedule: FillingSchedule, p: int, depth: int) -> ResidueCl
     period g = gcd(p, p_depth) divides: as g | p_k | p_depth, each class mod g is a union of level-k
     columns, and a level-k hole class shows at ``depth`` exactly its ``hole_class_letters`` set, so each
     hole of an exceptional level-k column stands for those letters."""
+    if p < 1:
+        raise ToeplitzError("period must be positive")
     g, k = _class_level(schedule, p, depth)
     row, columns = _pattern_columns(schedule.pattern(k), p)
     shown: dict[int, set[frozenset[str]]] = {}  # column mod g with holes -> the sets their classes show

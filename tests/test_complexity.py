@@ -8,6 +8,7 @@ from toeplitz_lab import (
     factor_set_window,
     gallery,
     parse_seed,
+    schedule_from_text,
 )
 from toeplitz_lab.errors import NotSingleHole, ToeplitzError, UnresolvedWindow
 
@@ -102,3 +103,17 @@ def test_window_scan_refuses_a_length_below_one(length):
         factor_set_window(gallery("ex5.7"), length, (0, 10), 4)
     with pytest.raises(ToeplitzError, match="length must be positive"):
         complexity_profile(gallery("ex5.7"), [length], "window")
+
+
+def test_exact_counts_read_only_letters_the_word_uses():
+    # the holes close at level 3: the word has period 12 and shows no "c", which seed 4 holds
+    s = schedule_from_text("abc\na?b\na?b\nab\ncc\n")
+    prof = complexity_profile(s, [1, 2, 3, 6], "decomposition")
+    assert [(e.count, e.exact) for e in prof] == [(2, True), (4, True), (6, True), (12, True)]
+    assert factor_set_exact_single_hole(s, 1, 1).words == frozenset("ab")
+
+
+def test_exact_count_refuses_a_level_at_the_last_seed():
+    s = schedule_from_text("abc\na?b\na?b\n")
+    with pytest.raises(ToeplitzError, match="no seed at level 3"):
+        factor_set_exact_single_hole(s, 2, 4)

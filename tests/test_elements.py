@@ -202,6 +202,16 @@ def test_fibers_refuse_a_point_of_depth_zero():
         fiber_prefix_count(s, OdometerPoint((), ()), 2, 5)
 
 
+@pytest.mark.parametrize("block_range", [0, -3])
+def test_fibers_refuse_a_block_range_below_one(block_range):
+    s = gallery("ex5.7")
+    point = branch_point(s, hole_tree(s, 2, 5).branches(limit=1)[0]).truncate(2)
+    with pytest.raises(ToeplitzError, match="block_range"):
+        fiber_block_contents(s, point, 2, 5, block_range=block_range)
+    with pytest.raises(ToeplitzError, match="block_range"):
+        fiber_prefix_count(s, point, 2, 5, block_range=block_range)
+
+
 def test_nonasymptotic_witness_refuses_empty_levels():
     s57 = gallery("ex5.7")
     br = branch_point(s57, tuple((4 ** l - 1) // 3 for l in range(1, 5)))

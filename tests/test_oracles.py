@@ -13,7 +13,7 @@ from itertools import product
 from math import gcd, lcm
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 import toeplitz_lab as tl
 from toeplitz_lab.errors import NotOxtoby, PatternTooLarge
@@ -960,6 +960,43 @@ def test_single_hole_words_of_cycles_match_list_assembly_at_level_2(seeds, perio
     s = tl.FillingSchedule(tl.BINARY, lambda l: tl.parse_seed(seeds[(l - 1) % len(seeds)]))
     length = min(periods * s.period(2) + shift, 8 * s.period(2))
     assert tl.factor_set_exact_single_hole(s, 2, length).words == list_assembly_words(s, 2, length)
+
+
+@st.composite
+def one_hole_literal_cases(draw):
+    """A finite literal schedule over ``ab`` or ``abc`` with at most one hole per seed, a level 1-3 with
+    one hole and a seed after it, and a length 1-11 within 8 of its periods."""
+    letters = draw(st.sampled_from(("ab", "abc")))
+    seeds = []
+    for _ in range(draw(st.integers(2, 6))):
+        w = draw(st.text(alphabet=letters, min_size=1, max_size=5))
+        if len(w) >= 3 and draw(st.integers(0, 3)):
+            i = draw(st.integers(1, len(w) - 2))
+            w = w[:i] + "?" + w[i + 1:]
+        seeds.append(w)
+    s = tl.FillingSchedule(tl.Alphabet(letters), [tl.parse_seed(w, tl.Alphabet(letters)) for w in seeds])
+    levels = [l for l in range(1, min(3, len(seeds) - 1) + 1) if len(s.holes(l)) == 1]
+    assume(levels)
+    l = draw(st.sampled_from(levels))
+    return letters, seeds, l, draw(st.integers(1, min(11, 8 * s.period(l))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(one_hole_literal_cases())
+@example(("abc", ["a?b", "a?b", "ab", "cc"], 1, 3))  # the holes close at level 3; seed 4 is never used
+@example(("ab", ["ab?a", "b?b"], 1, 2))  # a hole stays open at the last seed
+def test_single_hole_counts_match_full_depth_scans(case):
+    # the scan reads the whole word at the last level, with any hole still open there closed by one
+    # letter; an exact set holds for every closing, and a lower bound lies within each
+    letters, seeds, l, length = case
+    alphabet = tl.Alphabet(letters)
+    fs = tl.factor_set_exact_single_hole(tl.FillingSchedule(alphabet, [tl.parse_seed(w, alphabet) for w in seeds]),
+                                         l, length)
+    for x in letters:
+        closed = tl.FillingSchedule(alphabet, [tl.parse_seed(w, alphabet) for w in seeds + [x]])
+        top = closed.max_levels
+        scan = tl.factor_set_window(closed, length, (0, 4 * closed.period(top) + length), top).words
+        assert fs.words == scan if fs.exact else fs.words <= scan
 
 
 @st.composite

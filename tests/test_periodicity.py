@@ -249,3 +249,9 @@ def test_schedule_classes_classify_once(monkeypatch):
     calls.clear()
     cert = verify_period_structure(s, s.scale(11), 12)
     assert cert.all_pass and calls == list(s.scale(11))
+
+
+@pytest.mark.parametrize("p", [0, -4])
+def test_schedule_classes_refuse_a_modulus_below_one(p):
+    with pytest.raises(ToeplitzError, match="period must be positive"):
+        periodicity.schedule_classes(gallery("ex5.7"), p, 3)
