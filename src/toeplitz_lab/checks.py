@@ -126,9 +126,10 @@ def _ex44_mini_bound() -> tuple[bool, dict]:
     ok = True
     for l in (1, 2, 3):
         p = s.period(l)
-        fs = complexity.factor_set_exact_single_hole(s, l, p)
-        rows.append((p, fs.count, fs.exact))
-        ok = ok and fs.exact and fs.count <= p * len(s.alphabet)
+        # decomposition mode reads length p_l at level l, the first whose period reaches it
+        (e,) = complexity.complexity_profile(s, [p], "decomposition")
+        rows.append((p, e.count, e.exact))
+        ok = ok and e.exact and e.count <= p * len(s.alphabet)
     return ok, {"rows": rows}
 
 

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .periodicity import check_oxtoby
 from .words import HOLE, PATTERN_CAP, Alphabet, FillingSchedule, PeriodicPattern, evaluate, fill_holes, resolve_window
-from .words import hole_class_letters, hole_counts
+from .words import hole_class_letters, hole_counts, window_hashes
 
 
 class SlidingBlockCode:
@@ -245,9 +245,10 @@ def unique_residue_search(
     """Do equal length-p_l2 subwords in the window force equal residues mod p_l1?
 
     Exhaustive over all start pairs in the window; the scanned stretch
-    must resolve fully at the chosen depth.  Starts are grouped by the
-    built-in hash of their word, and each pair within a group is
-    confirmed by comparing the words.
+    must resolve fully at the chosen depth.  Equal words have equal
+    ``window_hashes``, so the search holds when each hash meets one
+    residue mod p_l1.  Otherwise starts are grouped by hash, and each
+    pair within a group is confirmed by comparing the words.
     """
     lo, hi = window
     if hi <= lo:
@@ -259,9 +260,12 @@ def unique_residue_search(
         raise UnresolvedWindow(
             "window [%d, %d) not fully resolved at depth %d" % (lo, hi + p2, depth)
         )
+    hashes = window_hashes(text, p2, hi - lo)
+    if len(set(zip(hashes, (j % p1 for j in range(lo, hi))))) == len(set(hashes)):
+        return ResidueSearchCertificate(l1, l2, window, True)
     groups: dict[int, list[int]] = {}
-    for i in range(hi - lo):
-        groups.setdefault(hash(text[i: i + p2]), []).append(lo + i)
+    for j, h in enumerate(hashes, lo):
+        groups.setdefault(h, []).append(j)
     for starts in groups.values():
         if len(starts) < 2:
             continue

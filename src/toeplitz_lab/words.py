@@ -174,6 +174,34 @@ def fill_holes(text: str, letters: str) -> str:
     return "".join(out)
 
 
+_HASH_MODULUS = (1 << 61) - 1
+_HASH_BASE = 1_000_003
+
+
+def window_hashes(text: str, length: int, n: int) -> list[int]:
+    """The hashes of ``text[i: i + length]`` for 0 <= i < n, in O(n + length) steps.
+
+    A word's hash is the polynomial sum of ``ord(w[k]) * B ** (length - 1 - k)`` modulo the
+    prime 2^61 - 1, with B = ``_HASH_BASE``; each window's hash is rolled from the one before.
+    Equal words have equal hashes; words with equal hashes need not be equal, so a caller that
+    counts or groups words compares the words behind a shared hash.
+    """
+    if length < 1 or n < 0 or n + length - 1 > len(text):
+        raise ToeplitzError("no %d windows of length %d in a text of %d letters" % (n, length, len(text)))
+    if not n:
+        return []
+    mod, base, shift = _HASH_MODULUS, _HASH_BASE, pow(_HASH_BASE, length, _HASH_MODULUS)
+    codes = list(map(ord, text[: n + length - 1]))
+    h = 0
+    for c in codes[:length]:
+        h = (h * base + c) % mod
+    out = [h]
+    for a, b in zip(codes, codes[length:]):  # drop letter i, take letter i + length
+        h = (h * base + b - a * shift) % mod
+        out.append(h)
+    return out
+
+
 def compose_fill(outer: PeriodicPattern, inner: SeedWord) -> PeriodicPattern:
     """Insert the periodic extension of ``inner`` into the holes of ``outer``.
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from toeplitz_lab import (
@@ -117,3 +119,26 @@ def test_exact_count_refuses_a_level_at_the_last_seed():
     s = schedule_from_text("abc\na?b\na?b\n")
     with pytest.raises(ToeplitzError, match="no seed at level 3"):
         factor_set_exact_single_hole(s, 2, 4)
+
+
+def test_decomposition_counts_reach_past_the_last_level_with_holes():
+    # the holes close at level 3, so the word has period 18 and every longer length shows 18 words
+    s = schedule_from_text("abc\na?b\na?b\nab\ncc\n")
+    lengths = [12, 13, 20, 100]
+    prof = complexity_profile(s, lengths, "decomposition")
+    assert [(e.count, e.exact) for e in prof] == [(18, True)] * 4
+    assert [e.count for e in complexity_profile(s, lengths, "window")] == [18] * 4
+    assert factor_set_exact_single_hole(s, 3, 20).words == factor_set_window(s, 20, (0, 80), 4).words
+
+
+def test_largest_decomposition_count_builds_no_word_set():
+    # the 8192 words of 4096 letters took 33.5 MB as one set
+    s = gallery("ex4.4-mini")
+    tracemalloc.start()
+    try:
+        (e,) = complexity_profile(s, [4096], "decomposition")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (e.count, e.exact) == (8192, True)
+    assert peak < 4 * 2 ** 20, peak

@@ -16,9 +16,11 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 import toeplitz_lab as tl
-from toeplitz_lab.errors import NotOxtoby, PatternTooLarge
+from toeplitz_lab import complexity, factors
+from toeplitz_lab.errors import NotOxtoby, PatternTooLarge, ToeplitzError
 from toeplitz_lab.gallery import GALLERY_NAMES
 from toeplitz_lab.periodicity import schedule_classes
+from toeplitz_lab.words import _HASH_BASE, window_hashes
 
 
 def naive_fill(seeds, lo, hi, margin=None):
@@ -997,6 +999,149 @@ def test_single_hole_counts_match_full_depth_scans(case):
         top = closed.max_levels
         scan = tl.factor_set_window(closed, length, (0, 4 * closed.period(top) + length), top).words
         assert fs.words == scan if fs.exact else fs.words <= scan
+
+
+# -- window hashes, and the counts and certificates that read them ---------------
+
+# small letters, letters just below, at and above the hash base, and the largest code point
+HASH_LETTERS = "ab?" + chr(_HASH_BASE - 1) + chr(_HASH_BASE) + chr(_HASH_BASE + 1) + chr(0x10FFFF)
+
+
+def direct_window_hash(word):
+    """The polynomial of one word by its definition: the sum of ord(w[k]) * B^(len(w) - 1 - k) mod 2^61 - 1."""
+    mod = 2 ** 61 - 1
+    return sum(ord(c) * pow(_HASH_BASE, len(word) - 1 - k, mod) for k, c in enumerate(word)) % mod
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.text(alphabet=HASH_LETTERS, min_size=1, max_size=40), st.data())
+@example("a" + chr(0x10FFFF) * 3 + "b", None)
+def test_window_hashes_are_the_polynomial_of_each_window(text, data):
+    if data is None:  # the explicit example: every window of length 2
+        length, n = 2, len(text) - 1
+    else:
+        length = data.draw(st.integers(1, len(text)))
+        n = data.draw(st.integers(0, len(text) - length + 1))
+    assert window_hashes(text, length, n) == [direct_window_hash(text[i: i + length]) for i in range(n)]
+
+
+@pytest.mark.parametrize("length, n", [(0, 1), (2, 3), (1, -1), (4, 1)])
+def test_window_hashes_refuse_windows_the_text_lacks(length, n):
+    with pytest.raises(ToeplitzError, match="windows of length"):
+        window_hashes("abc", length, n)
+
+
+def decomposition_level(s, length):
+    """The level decomposition mode reads: the first whose period reaches ``length`` or that has no hole,
+    stopping at a level with more holes, and at level 12 at most."""
+    l = 1
+    while len(s.holes(l)) == 1 and s.period(l) < length and l < s.available_levels(12):
+        l += 1
+    return l
+
+
+def counted_and_collected(s, length, mode):
+    """(count, exact) of ``complexity_profile`` and of the word set it counts, or the error each raised."""
+    def outcome(f):
+        try:
+            return f()
+        except ToeplitzError as e:
+            return type(e), str(e)
+
+    def collected():
+        if mode == "window":
+            fs = tl.factor_set_window(s, length, (0, max(4 * length, 64)), 6)
+        else:
+            fs = tl.factor_set_exact_single_hole(s, decomposition_level(s, length), length)
+        return len(fs.words), fs.exact
+
+    def counted():
+        (e,) = tl.complexity_profile(s, [length], mode)
+        return e.count, e.exact
+
+    return outcome(counted), outcome(collected)
+
+
+@pytest.mark.parametrize("name, mode", [
+    ("ex4.4-mini", "decomposition"), ("ex4.4", "decomposition"),
+    ("ex4.4-mini", "window"), ("ex5.7", "window"), ("ex4.3", "window"), ("ex3.5", "window"),
+])
+def test_counts_equal_the_word_sets_of_gallery_entries(name, mode):
+    # short lengths repeat words, so windows share hashes and their words are compared
+    s = tl.gallery(name)
+    p = s.period(1)
+    for length in sorted({*range(1, 20), p - 1, p, p + 1, 2 * p + 3, 64, 128, 129}):
+        counted, collected = counted_and_collected(s, length, mode)
+        assert counted == collected, length
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(single_hole_cycles(), st.integers(1, 40), st.sampled_from(("decomposition", "window")))
+def test_counts_equal_the_word_sets_of_one_hole_cycles(seeds, length, mode):
+    s = tl.FillingSchedule(tl.BINARY, lambda l: tl.parse_seed(seeds[(l - 1) % len(seeds)]))
+    counted, collected = counted_and_collected(s, length, mode)
+    assert counted == collected
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(one_hole_literal_cases(), st.integers(1, 40), st.sampled_from(("decomposition", "window")))
+@example(("abc", ["a?b", "a?b", "ab", "cc"], 1, 1), 20, "decomposition")  # past the level where the holes close
+def test_counts_equal_the_word_sets_of_literal_schedules(case, length, mode):
+    # these schedules may close their holes, keep one open at the last seed, or have two holes at a level
+    letters, seeds, _, _ = case
+    s = tl.schedule_from_text(letters + "\n" + "\n".join(seeds) + "\n")
+    counted, collected = counted_and_collected(s, length, mode)
+    assert counted == collected
+
+
+@st.composite
+def closing_literal_cases(draw):
+    """A finite literal schedule over ``ab`` or ``abc`` with at most one hole per seed whose holes close,
+    the first level without holes, and a length up to three of its periods."""
+    letters = draw(st.sampled_from(("ab", "abc")))
+    seeds = []
+    for _ in range(draw(st.integers(1, 4))):
+        w = draw(st.text(alphabet=letters, min_size=3, max_size=5))
+        i = draw(st.integers(1, len(w) - 2))
+        seeds.append(w[:i] + "?" + w[i + 1:])
+    seeds.append(draw(st.text(alphabet=letters, min_size=1, max_size=4)))
+    alphabet = tl.Alphabet(letters)
+    s = tl.FillingSchedule(alphabet, [tl.parse_seed(w, alphabet) for w in seeds])
+    return s, len(seeds), draw(st.integers(1, 3 * s.period(len(seeds))))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(closing_literal_cases())
+def test_level_without_holes_counts_match_full_depth_scans(case):
+    s, top, length = case
+    fs = tl.factor_set_exact_single_hole(s, top, length)
+    scan = tl.factor_set_window(s, length, (0, 4 * s.period(top) + length), top)
+    assert fs.exact and fs.words == scan.words
+    (e,) = tl.complexity_profile(s, [length], "decomposition")
+    assert (e.count, e.exact) == (len(fs.words), True)
+
+
+# two poor hashes that are still functions of the word: one value for every window, and the parity of the
+# window's first letter (a hash of the start's index would give one word two hashes, which no count survives)
+@pytest.mark.parametrize("fake", [
+    lambda text, length, n: [0] * n,
+    lambda text, length, n: [ord(c) % 2 for c in text[:n]],
+], ids=["every-window-collides", "first-letter-parity"])
+def test_counts_and_residue_certificates_do_not_rest_on_the_hash(monkeypatch, fake):
+    m, s = tl.gallery("ex4.4-mini"), tl.gallery("ex5.7")
+
+    def answers():
+        return ([(e.count, e.exact) for e in tl.complexity_profile(m, [8, 64, 1024], "decomposition")],
+                [(e.count, e.exact) for e in tl.complexity_profile(s, [1, 4, 16, 64, 128], "window")],
+                [tl.unique_residue_search(s, l1, l2, (0, hi), depth=7)
+                 for l1, l2, hi in ((1, 2, 96), (2, 1, 128), (2, 2, 200))],
+                tl.unique_residue_search(s, 2, 1, (0, 128), depth=6))
+
+    expected = answers()
+    assert expected[3].counterexample == (0, 4)
+    monkeypatch.setattr(complexity, "window_hashes", fake)
+    monkeypatch.setattr(factors, "window_hashes", fake)
+    assert answers() == expected
 
 
 @st.composite
