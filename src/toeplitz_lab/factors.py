@@ -122,7 +122,7 @@ def apply_code(code: SlidingBlockCode, pat: PeriodicPattern) -> PeriodicPattern:
     seen = min(text, HOLE.join(ids), key=len)
     listed = [(u, v) for u, v in code.table.items() if u in seen]
     images = [_chunk_image(code, listed, s, len(s) - 2 * J) for s in ids]
-    return PeriodicPattern("".join([images[i] for i in order]), pat.alphabet)
+    return PeriodicPattern("".join([images[i] for i in order]))
 
 
 def _chunk_image(code: SlidingBlockCode, listed: list[tuple[str, str]], text: str, n: int) -> str:

@@ -34,9 +34,6 @@ class OdometerPoint:
     def depth(self) -> int:
         return len(self.residues)
 
-    def __call__(self, l: int) -> int:
-        return self.residues[l - 1]
-
     def truncate(self, depth: int) -> "OdometerPoint":
         return OdometerPoint(self.scale[:depth], self.residues[:depth])
 
@@ -51,11 +48,10 @@ def rotate(omega: OdometerPoint, n: int) -> OdometerPoint:
     return OdometerPoint(omega.scale, tuple((r + n) % p for r, p in zip(omega.residues, omega.scale)))
 
 
-def branch_point(schedule: FillingSchedule, residues, depth: int | None = None) -> OdometerPoint:
+def branch_point(schedule: FillingSchedule, residues) -> OdometerPoint:
     """Wrap a residue chain (e.g. a hole-tree branch) as an odometer point."""
     residues = tuple(residues)
-    depth = len(residues) if depth is None else depth
-    return OdometerPoint(schedule.scale(depth), residues[:depth])
+    return OdometerPoint(schedule.scale(len(residues)), residues)
 
 
 def phi_prefix(schedule: FillingSchedule, element, depth: int) -> OdometerPoint:

@@ -127,7 +127,6 @@ class PeriodicPattern:
     """One period of a periodically extended word with holes."""
 
     symbols: str
-    alphabet: Alphabet = BINARY
 
     def __post_init__(self):
         if not self.symbols:
@@ -215,7 +214,7 @@ def compose_fill(outer: PeriodicPattern, inner: SeedWord) -> PeriodicPattern:
     p, q, g = outer.period, len(inner), gcd(h, len(inner))
     if p * q // g > PATTERN_CAP:
         raise PatternTooLarge("composed period %d exceeds pattern cap" % (p * q // g))
-    return PeriodicPattern(fill_holes(outer.symbols * (q // g), inner.symbols * (h // g)), outer.alphabet)
+    return PeriodicPattern(fill_holes(outer.symbols * (q // g), inner.symbols * (h // g)))
 
 
 class _LevelInfo(NamedTuple):
@@ -229,13 +228,15 @@ class FillingSchedule:
     """A reproducible sequence of seed words defining a Toeplitz word.
 
     Seeds may be given literally, one level per seed, or through a rule
-    evaluated per level (for at most ``max_levels`` levels); the rule
-    must be deterministic.  ``declarations`` carries structural facts a
-    construction is designed to satisfy; ``boundary.property_verdicts``
-    re-checks ``bounded_holes``, ``boundary_singleton`` and ``oxtoby`` at
-    depth, and the rest are descriptive.  Level 0, the all-hole word of
-    period 1, roots the levels: level l is seed l composed onto level
-    l - 1.  The accessors start at level 1.
+    evaluated per level, which must be deterministic; every seed must be
+    a ``SeedWord``.  ``max_levels`` is the number of literal seeds, or
+    None for a rule, which has no last level.  ``declarations`` carries
+    structural facts a construction is designed to satisfy;
+    ``boundary.property_verdicts`` re-checks ``bounded_holes``,
+    ``boundary_singleton`` and ``oxtoby`` at depth, and the rest are
+    descriptive.  Level 0, the all-hole word of period 1, roots the
+    levels: level l is seed l composed onto level l - 1.  The accessors
+    start at level 1.
 
     Instances are immutable apart from internal caches and are safe for
     concurrent reads.
@@ -245,17 +246,14 @@ class FillingSchedule:
         self,
         alphabet: Alphabet,
         seeds: Sequence[SeedWord] | Callable[[int], SeedWord],
-        max_levels: int | None = None,
         declarations: dict | None = None,
         name: str = "",
     ):
         self.alphabet = alphabet
         if callable(seeds):
             self._seed_fn = seeds
-            self.max_levels = max_levels
+            self.max_levels = None
         else:
-            if max_levels is not None:
-                raise ToeplitzError("literal seeds give one level each; max_levels applies only to a seed rule")
             literal = tuple(seeds)
             if not literal:
                 raise ToeplitzError("schedule needs at least one seed")
@@ -276,12 +274,14 @@ class FillingSchedule:
             raise ToeplitzError("schedule has no seed at level %d" % l)
         if l not in self._seeds:
             w = self._seed_fn(l)
+            if not isinstance(w, SeedWord):
+                raise ToeplitzError("seed %d is a %s, not a SeedWord" % (l, type(w).__name__))
             if w.alphabet != self.alphabet:
                 w = SeedWord(w.symbols, self.alphabet)
             self._seeds[l] = w
         return self._seeds[l]
 
-    def available_levels(self, cap: int = 64) -> int:
+    def available_levels(self, cap: int) -> int:
         return cap if self.max_levels is None else min(cap, self.max_levels)
 
     def check_depth(self, depth: int) -> None:
@@ -316,7 +316,7 @@ class FillingSchedule:
         whole in one assignment, so a concurrent reader sees a finished
         table or none.
         """
-        m, pat = 0, PeriodicPattern(HOLE, self.alphabet)
+        m, pat = 0, PeriodicPattern(HOLE)
         while m < levels and pat.hole_count:
             w = self.seed(m + 1)
             if pat.period * len(w) // gcd(pat.hole_count, len(w)) > _TABLE_CAP:
@@ -398,7 +398,7 @@ class FillingSchedule:
         """One period of level ``l``: seeds m + 1 ... l composed onto the walk table's level m, none kept."""
         self.check_pattern(l)
         m, text, _, _ = self._tables.get(l) or self._table(l)
-        pat = PeriodicPattern(text, self.alphabet)
+        pat = PeriodicPattern(text)
         for k in range(m + 1, l + 1):
             if not self._infos[k - 1].holes:
                 break
@@ -554,21 +554,6 @@ def _run_classes(schedule: FillingSchedule, counts: list[int], m: int, k: int) -
                 classes[(o + t * q) % h] |= v
     classes = schedule._runs[key] = tuple(classes)
     return classes
-
-
-def derived_tail(schedule: FillingSchedule, l: int) -> FillingSchedule:
-    """The schedule generating the subsequence of the word along level-``l`` holes."""
-    if l == 0:
-        return schedule
-    if schedule.max_levels is not None and l >= schedule.max_levels:
-        raise ToeplitzError("no seeds beyond level %d" % l)
-    tail_max = None if schedule.max_levels is None else schedule.max_levels - l
-    return FillingSchedule(
-        schedule.alphabet,
-        lambda k: schedule.seed(k + l),
-        max_levels=tail_max,
-        name="%s[tail %d]" % (schedule.name or "schedule", l),
-    )
 
 
 def schedule_from_text(text: str, name: str = "") -> FillingSchedule:

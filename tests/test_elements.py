@@ -32,9 +32,9 @@ def test_shift_matches_plain_evaluation():
 
 def test_shift_limit_stabilization_contract():
     s = gallery("ex5.7")
-    stable = ShiftLimit(lambda k: 16, k_start=1, k_stop=8)
+    stable = ShiftLimit(lambda k: 16, k_stop=8)
     assert eval_element(s, stable, 0, 4) == evaluate(s, 16, 4)
-    flip = ShiftLimit(lambda k: 0 if k % 2 else 3, k_start=1, k_stop=12)
+    flip = ShiftLimit(lambda k: 0 if k % 2 else 3, k_stop=12)
     assert eval_element(s, flip, 0, 4) is None
 
 
@@ -162,7 +162,7 @@ def test_shift_limit_along_proximal_rule():
     from toeplitz_lab import proximal_shift_pair
 
     s = gallery("ex5.7")
-    rule = ShiftLimit(lambda k: proximal_shift_pair(k)[0], k_start=1, k_stop=8)
+    rule = ShiftLimit(lambda k: proximal_shift_pair(k)[0], k_stop=8)
     # the rule's positions all resolve to the same letter once deep enough
     assert eval_element(s, rule, 0, 10) == "b"
     for l in range(3, 7):
@@ -174,14 +174,14 @@ def test_shift_limit_letter_is_not_withdrawn_deeper():
     # the last three rule values read b, b, then a hole that level 2 resolves to a
     ab = Alphabet("ab")
     s = FillingSchedule(ab, [parse_seed(w, ab) for w in ("b?ab", "a?ab", "bb?b", "aaa")])
-    limit = ShiftLimit(lambda k: (23, 3, 3, 17)[k - 1], k_start=1, k_stop=5)
+    limit = ShiftLimit(lambda k: (23, 3, 3, 17)[k - 1], k_stop=5)
     assert [evaluate(s, n, 1) for n in (23, 3, 17)] == ["b", "b", None]
     assert evaluate(s, 17, 2) == "a"
     for max_level in range(1, 5):
         assert eval_element(s, limit, 0, max_level) is None
     # the proximal rule's 7th value (shift 26214) is still a hole at depth 8
     s57 = gallery("ex5.7")
-    rule = ShiftLimit(lambda k: proximal_shift_pair(k)[0], k_start=1, k_stop=8)
+    rule = ShiftLimit(lambda k: proximal_shift_pair(k)[0], k_stop=8)
     assert evaluate(s57, 26214, 8) is None
     assert eval_element(s57, rule, 0, 8) is None
 

@@ -59,9 +59,9 @@ def test_matching_shift_cross_check():
 
 def test_phi_prefix_shift_limit():
     s = gallery("ex5.7")
-    rule = ShiftLimit(lambda k: 5 if k > 2 else k, k_start=1, k_stop=9)
+    rule = ShiftLimit(lambda k: 5 if k > 2 else k, k_stop=9)
     assert phi_prefix(s, rule, 2).residues == (1, 5)
-    wobble = ShiftLimit(lambda k: k, k_start=1, k_stop=9)
+    wobble = ShiftLimit(lambda k: k, k_stop=9)
     with pytest.raises(UnresolvedElement):
         phi_prefix(s, wobble, 2)
 

@@ -225,10 +225,10 @@ def short_period_cases(draw):
 @given(short_period_cases())
 @example((tl.SlidingBlockCode.from_fn(tl.BINARY, 2, lambda w: "a"), tl.PeriodicPattern("a??b")))
 @example((tl.SlidingBlockCode(ABC, 1, {"abc": "c", "aac": "b", "bcc": "c", "cab": "a"}, default="a"),
-          tl.PeriodicPattern("ab?c??", ABC)))
+          tl.PeriodicPattern("ab?c??")))
 # a full table whose hole windows at 1 and 4 list every completion, under a letter other than the default
 @example((tl.SlidingBlockCode.from_fn(ABC, 1, lambda w: "a" if w[1] == "a" else "b" if w[0] == "b" else "c"),
-          tl.PeriodicPattern("?a?bc", ABC)))
+          tl.PeriodicPattern("?a?bc")))
 def test_apply_code_on_periods_within_the_window_matches_brute_completion(case):
     # a window wider than the period meets copies of the same hole class,
     # which are distinct positions of the word and are completed independently
@@ -273,7 +273,7 @@ def test_exact_complexity_matches_long_window_scan():
 @given(st.text(alphabet="abc?", min_size=1, max_size=24), st.integers(1, 40))
 def test_classification_of_any_pattern_matches_lcm_scan(symbols, p):
     # arbitrary patterns, so p need not divide the period
-    pat = tl.PeriodicPattern(symbols, tl.Alphabet("abc"))
+    pat = tl.PeriodicPattern(symbols)
     assert classes_by_residue(tl.classify_residues(pat, p)) == brute_classify(pat, p)
 
 
@@ -309,7 +309,7 @@ def per_sets_differ(small, large):
 @example("aa", 9, 2)  # equal
 def test_per_sets_differ_matches_lcm_walk(symbols, p, p_l):
     # arbitrary patterns and moduli: p need not divide p_l nor the period
-    pat = tl.PeriodicPattern(symbols, tl.Alphabet("abc"))
+    pat = tl.PeriodicPattern(symbols)
     got = per_sets_differ(tl.classify_residues(pat, p), tl.classify_residues(pat, p_l))
     assert got is lcm_walk_per_sets_differ(pat, p, p_l)
 
@@ -336,7 +336,7 @@ def test_gcd_identity_matches_lcm_walk(symbols):
     # differs from one of them, the rule verify_period_structure applies
     from toeplitz_lab.periodicity import _lifts_differ
 
-    pat = tl.PeriodicPattern(symbols, tl.Alphabet("abc"))
+    pat = tl.PeriodicPattern(symbols)
     divisors = [g for g in range(1, pat.period + 1) if pat.period % g == 0]
     classes = {g: tl.classify_residues(pat, g) for g in divisors}
     for g in divisors:
@@ -735,7 +735,7 @@ def test_compose_fill_matches_per_hole_loop(outer, inner):
 def assert_patterns_follow_the_compose_chain(s, top):
     """``s.pattern(l)``, l = 1 .. top, is seed after seed composed from the root ``?``, stopping where the
     holes die out, and reads as the window of one period."""
-    chain = tl.PeriodicPattern("?", s.alphabet)
+    chain = tl.PeriodicPattern("?")
     for l in range(1, top + 1):
         if chain.hole_count:
             chain = tl.compose_fill(chain, s.seed(l))
@@ -893,6 +893,35 @@ def test_table_code_image_matches_per_window_code_output(case):
         assert image == "".join(brute_apply(code, pat, j) for j in range(pat.period))
 
 
+def derived_tail(schedule, l):
+    """The schedule of the word read along the level-``l`` holes: seeds l + 1 onward."""
+    if l == 0:
+        return schedule
+    if schedule.max_levels is None:
+        return tl.FillingSchedule(schedule.alphabet, lambda k: schedule.seed(k + l))
+    return tl.FillingSchedule(schedule.alphabet, [schedule.seed(k) for k in range(l + 1, schedule.max_levels + 1)])
+
+
+def test_derived_tail_identity_and_coherence():
+    s = tl.gallery("ex5.7")
+    assert derived_tail(s, 0) is s
+    tail = derived_tail(s, 1)
+    holes = [j for j in range(0, 400) if s.pattern(1).at(j) == tl.HOLE]
+    for k, h in enumerate(holes[:60]):
+        assert tl.evaluate(s, h, 6) == tl.evaluate(tail, k, 5)
+    tail2 = derived_tail(s, 2)
+    holes2 = [j for j in range(0, 400) if s.pattern(2).at(j) == tl.HOLE]
+    for k, h in enumerate(holes2[:40]):
+        assert tl.evaluate(s, h, 6) == tl.evaluate(tail2, k, 4)
+
+
+def test_derived_tail_is_seed_shift():
+    s = tl.gallery("ex4.4")
+    tail = derived_tail(s, 1)
+    for k in (1, 2, 3):
+        assert tail.seed(k).symbols == s.seed(k + 1).symbols
+
+
 def list_assembly_words(schedule, l, length):
     """The exact single-hole subword set, each word assembled by list assignment.
 
@@ -901,7 +930,7 @@ def list_assembly_words(schedule, l, length):
     """
     p, (hole,) = schedule.period(l), schedule.holes(l)
     block = tl.resolve_window(schedule, hole + 1, hole + p, l + 3)
-    tail = tl.derived_tail(schedule, l)
+    tail = derived_tail(schedule, l)
 
     @cache  # one recursion per hole count, not per offset
     def fills(m):
@@ -1162,7 +1191,7 @@ def classed_patterns(draw):
             column = draw(st.text(alphabet=alphabet, min_size=copies, max_size=copies))
         columns.append(column)
     symbols = "".join(columns[r][k] for k in range(copies) for r in range(g))
-    return tl.PeriodicPattern(symbols, tl.Alphabet("abc")), g * draw(st.integers(1, 4))
+    return tl.PeriodicPattern(symbols), g * draw(st.integers(1, 4))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -1199,7 +1228,7 @@ def row_route_patterns(draw):
             column = draw(st.text(alphabet=alphabet, min_size=m, max_size=m))
         columns.append(column)
     symbols = "".join(columns[r][k] for k in range(m) for r in range(g))
-    return tl.PeriodicPattern(symbols, tl.Alphabet("abc")), g * draw(st.integers(1, 8))
+    return tl.PeriodicPattern(symbols), g * draw(st.integers(1, 8))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -1231,7 +1260,7 @@ def repeated_row_patterns(draw):
         for i in draw(st.lists(st.integers(0, g - 1), min_size=1, max_size=3)):
             rows[r][i] = draw(st.sampled_from("abc?"))
     symbols = "".join("".join(row) for row in rows)
-    return tl.PeriodicPattern(symbols, tl.Alphabet("abc")), g * draw(st.integers(1, 3))
+    return tl.PeriodicPattern(symbols), g * draw(st.integers(1, 3))
 
 
 _RANDOM_ROWS = "".join(random.Random(7).choices("abc?", k=128 * 150))
@@ -1249,9 +1278,9 @@ def brute_column_symbols(pattern, p, r):
 @example((tl.PeriodicPattern(("abc?" * 32 + "ba" * 64) * 3), 256))  # an all-hole column: undetermined
 @example((tl.PeriodicPattern("ab" * 64 * 149 + "cb" + "ab" * 63), 128))  # 150 rows, one varied: m > 127
 @example((tl.PeriodicPattern("ab?" * 43 + "a?c" * 43), 129 * 3))  # row 0 alone has letters on the holes
-@example((tl.PeriodicPattern(_RANDOM_ROWS, tl.Alphabet("abc")), 128))  # 150 distinct rows, most columns differ
-@example((tl.PeriodicPattern("ab" * 64 + ("abc" * 43)[:128] + "a" * 127 + "b", tl.Alphabet("abc")), 128 * 3))  # m = 3
-@example((tl.PeriodicPattern("a" * 133 + "\u0161" + "a" * 131 + "\U00010061" + "a" * 118, tl.Alphabet("a\u0161\U00010061")),
+@example((tl.PeriodicPattern(_RANDOM_ROWS), 128))  # 150 distinct rows, most columns differ
+@example((tl.PeriodicPattern("ab" * 64 + ("abc" * 43)[:128] + "a" * 127 + "b"), 128 * 3))  # m = 3
+@example((tl.PeriodicPattern("a" * 133 + "\u0161" + "a" * 131 + "\U00010061" + "a" * 118),
           128))  # letters that differ from a only in their second or third byte
 def test_distinct_rows_classification_matches_brute_force(case):
     pat, p = case
@@ -1559,7 +1588,7 @@ def period_structure_cases(draw):
 @example(("abab?b", [2, 4]))  # 4 does not divide the period 6, and gcd(2, 6) = gcd(4, 6)
 def test_period_structure_matches_per_candidate_loop(case):
     symbols, scale = case
-    pat = tl.PeriodicPattern(symbols, tl.Alphabet("abc"))
+    pat = tl.PeriodicPattern(symbols)
     cert = tl.verify_period_structure(pat, scale, 1)
     expected = per_candidate_unresolved(pat, scale)
     assert [e.unresolved_periods for e in cert.essentiality] == expected

@@ -11,7 +11,6 @@ from toeplitz_lab import (
     PeriodicPattern,
     SeedWord,
     compose_fill,
-    derived_tail,
     evaluate,
     gallery,
     parse_seed,
@@ -122,19 +121,6 @@ def test_hole_nesting():
                 assert r % p in lower
 
 
-def test_derived_tail_identity_and_coherence():
-    s = gallery("ex5.7")
-    assert derived_tail(s, 0) is s
-    tail = derived_tail(s, 1)
-    holes = [j for j in range(0, 400) if s.pattern(1).at(j) == HOLE]
-    for k, h in enumerate(holes[:60]):
-        assert evaluate(s, h, 6) == evaluate(tail, k, 5)
-    tail2 = derived_tail(s, 2)
-    holes2 = [j for j in range(0, 400) if s.pattern(2).at(j) == HOLE]
-    for k, h in enumerate(holes2[:40]):
-        assert evaluate(s, h, 6) == evaluate(tail2, k, 4)
-
-
 def test_hole_free_levels_saturate():
     s = FillingSchedule(BINARY, [parse_seed("a?b"), parse_seed("ab"), parse_seed("ba")])
     assert s.period(2) == 6 and s.holes(2) == ()
@@ -162,11 +148,18 @@ def test_literal_schedules_count_their_own_levels():
     assert evaluate(s, 1, 3) is None  # reads the one level there is
     with pytest.raises(ToeplitzError, match="no seed at level 2"):
         s.period(2)
-    # a level count beside literal seeds used to leak IndexError or drop seeds
-    for n in (1, 3):
-        with pytest.raises(ToeplitzError, match="max_levels"):
-            FillingSchedule(BINARY, [parse_seed("a?b"), parse_seed("ab")], max_levels=n)
-    assert FillingSchedule(BINARY, lambda l: parse_seed("a?b"), max_levels=3).max_levels == 3
+    assert FillingSchedule(BINARY, lambda l: parse_seed("a?b")).max_levels is None  # a rule has no last level
+
+
+def test_a_seed_that_is_no_seed_word_is_refused_with_its_level():
+    # a string or None used to leak AttributeError from the alphabet check
+    for value in ("a?b", None):
+        with pytest.raises(ToeplitzError, match="seed 1 is a %s, not a SeedWord" % type(value).__name__):
+            FillingSchedule(BINARY, lambda l: value).period(1)
+    s = FillingSchedule(BINARY, lambda l: parse_seed("a?b") if l < 3 else "a?b")
+    assert s.period(2) == 9
+    with pytest.raises(ToeplitzError, match="seed 3 is a str"):
+        s.period(3)
 
 
 def test_schedule_text_roundtrip(tmp_path):
@@ -193,13 +186,6 @@ def test_negative_positions_follow_periodic_extension():
     for j in range(-300, 0):
         c = pat.at(j)
         assert evaluate(s, j, 4) == (None if c == HOLE else c)
-
-
-def test_derived_tail_is_seed_shift():
-    s = gallery("ex4.4")
-    tail = derived_tail(s, 1)
-    for k in (1, 2, 3):
-        assert tail.seed(k).symbols == s.seed(k + 1).symbols
 
 
 def test_unknown_character_names_the_first_one():
