@@ -14,6 +14,7 @@ holes show at the resolution depth, read by seed arithmetic.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import product
 
@@ -21,13 +22,14 @@ from .boundary import IsolationKind, IsolationVerdict
 from .errors import (
     NotIsolated,
     NotOxtoby,
+    PatternTooLarge,
     ToeplitzError,
     UnknownLetters,
     UnresolvedWindow,
 )
 from .periodicity import check_oxtoby
 from .words import HOLE, PATTERN_CAP, Alphabet, FillingSchedule, PeriodicPattern, evaluate, fill_holes, resolve_window
-from .words import hole_class_letters, hole_counts, window_hashes
+from .words import hole_class_letters, hole_counts, hole_positions, window_hashes
 
 
 class SlidingBlockCode:
@@ -40,9 +42,7 @@ class SlidingBlockCode:
     """
 
     def __init__(self, alphabet: Alphabet, radius: int, table: dict[str, str], default: str | None = None):
-        width = 2 * radius + 1
-        if radius < 0 or width > PATTERN_CAP:
-            raise ToeplitzError("radius %d: the window width 2 * radius + 1 must lie in 1..%d" % (radius, PATTERN_CAP))
+        width = _window_width(radius)
         letters = set(alphabet.letters)
         for k, v in table.items():
             if len(k) != width or not letters.issuperset(k) or v not in alphabet:
@@ -65,9 +65,23 @@ class SlidingBlockCode:
 
     @classmethod
     def from_fn(cls, alphabet: Alphabet, radius: int, fn) -> "SlidingBlockCode":
-        width = 2 * radius + 1
+        """The code mapping each window ``w`` to ``fn(w)``, refused before any window is listed
+        when the |A|^(2J+1) windows, or their width, pass ``PATTERN_CAP``."""
+        width = _window_width(radius)
+        # past the cap's bit length the power passes the cap for two letters or more, so it stays small
+        if len(alphabet) ** min(width, PATTERN_CAP.bit_length()) > PATTERN_CAP:
+            raise PatternTooLarge("radius %d: a table of every window of width 2 * radius + 1 over %d letters "
+                                  "passes %d windows" % (radius, len(alphabet), PATTERN_CAP))
         table = {"".join(w): fn("".join(w)) for w in product(alphabet.letters, repeat=width)}
         return cls(alphabet, radius, table)
+
+
+def _window_width(radius: int) -> int:
+    """The window width 2J+1 of a code of radius J, refused outside 1..``PATTERN_CAP``."""
+    width = 2 * radius + 1
+    if radius < 0 or width > PATTERN_CAP:
+        raise ToeplitzError("radius %d: the window width 2 * radius + 1 must lie in 1..%d" % (radius, PATTERN_CAP))
+    return width
 
 
 def code_output(code: SlidingBlockCode, window: str) -> str:
@@ -76,9 +90,8 @@ def code_output(code: SlidingBlockCode, window: str) -> str:
     Whichever costs less runs: looking up each of the |A|^holes
     completions, at the window's width each, or filtering the listed
     windows by the resolved runs between the holes, one prefix test per
-    listed window and run.  The filter keeps the listed completions; when
-    they are fewer than all completions, some completion is not listed and
-    maps to the default.
+    listed window and run.  The filter keeps the listed completions, and
+    :func:`_window_output` reads the window's output from them.
     """
     if HOLE not in window:
         return code(window)
@@ -89,15 +102,26 @@ def code_output(code: SlidingBlockCode, window: str) -> str:
     # |A|^holes > cost once holes passes the bit length of cost, so the power stays small
     if holes <= cost.bit_length() and len(letters) ** holes * len(window) <= cost:
         outputs = {code(fill_holes(window, fill)) for fill in product(letters, repeat=holes)}
-    else:
-        listed, pos = list(code.table), 0
-        for run in window.split(HOLE):
-            if run:
-                listed = [u for u in listed if u.startswith(run, pos)]
-            pos += len(run) + 1
-        outputs = {code.table[u] for u in listed}
-        if holes > n.bit_length() or len(listed) < len(letters) ** holes:
-            outputs.add(code.default)
+        return outputs.pop() if len(outputs) == 1 else HOLE
+    listed, pos = list(code.table), 0
+    for run in window.split(HOLE):
+        if run:
+            listed = [u for u in listed if u.startswith(run, pos)]
+        pos += len(run) + 1
+    return _window_output(code, [code.table[u] for u in listed], holes)
+
+
+def _window_output(code: SlidingBlockCode, letters: list[str], holes: int) -> str:
+    """The output of a window with ``holes`` holes whose compatible table words map to ``letters``.
+
+    The compatible words are distinct completions of the window; when
+    they are fewer than all |A|^holes of them, some completion is not
+    listed and maps to the default.
+    """
+    outputs = set(letters)
+    # past the table's bit length in holes the words are fewer than the completions, so the power stays small
+    if holes > len(code.table).bit_length() or len(letters) < len(code.alphabet) ** holes:
+        outputs.add(code.default)
     return outputs.pop() if len(outputs) == 1 else HOLE
 
 
@@ -110,8 +134,11 @@ def apply_code(code: SlidingBlockCode, pat: PeriodicPattern) -> PeriodicPattern:
     image.  The chunk length is the least power of two above 2J and at
     least 64 (the whole period if shorter): a Toeplitz pattern repeats
     almost everywhere, and with power-of-two level periods its chunks
-    repeat whole.  Listed words that occur nowhere are not searched for
-    chunk by chunk.
+    repeat whole.  :func:`_chunk_image` images a stretch, with one
+    bit-parallel pass per table word where the table is shorter than the
+    stretch's count of windows that reach a hole, and one
+    :func:`code_output` call per such window otherwise.  Listed words that
+    occur nowhere are not searched for chunk by chunk.
     """
     J, p = code.radius, pat.period
     text = pat.window(-J, p + J)  # the window centred on j starts at j
@@ -129,31 +156,71 @@ def _chunk_image(code: SlidingBlockCode, listed: list[tuple[str, str]], text: st
     """Outputs of the windows starting at 0..n-1 of ``text``, which holds n + 2J letters.
 
     ``listed`` holds the table entries whose word occurs in the pattern.
-    A hole-free window maps to ``table[u]`` exactly where such a word
-    ``u`` occurs, so those are found with ``str.find``; only windows
-    reaching a hole need :func:`code_output`.  Every other window maps
-    to ``default``.
+    The stretch takes one of two routes, by a fixed rule:
+
+    - when the table is shorter than the stretch's count of windows that
+      reach a hole, the bitsets of :func:`_fitting_starts` image every
+      window at once, one pass per table word;
+    - otherwise a window that reaches no hole maps to ``table[u]`` exactly
+      where a listed word ``u`` occurs, found with ``str.find``, and to
+      ``default`` elsewhere, and each window that reaches a hole is read
+      by :func:`code_output`.  A stretch without holes always takes this
+      route.
     """
     width = 2 * code.radius + 1
-    special = {}  # window start -> output, where it may differ from ``default``
-    for u, v in listed:
-        s = text.find(u)
-        while s >= 0:
-            special[s] = v
-            s = text.find(u, s + 1)
-    done = 0  # windows starting below this are settled
-    h = text.find(HOLE)
-    while h >= 0 and done < n:
-        for s in range(max(done, h - width + 1), min(h + 1, n)):
-            special[s] = code_output(code, text[s: s + width])
-        done = max(done, h + 1)
-        h = text.find(HOLE, h + 1)
+    holes = hole_positions(text)
+    reach, done = [], 0  # the starts whose window reaches a hole, as disjoint ranges
+    for h in holes:
+        reach.append(range(max(done, h - width + 1), min(h + 1, n)))
+        done = h + 1
+    if len(code.table) < sum(map(len, reach)):
+        special = _fitting_starts(code, text, holes)
+    else:
+        special = {}  # window start -> output, where it may differ from ``default``
+        for u, v in listed:
+            s = text.find(u)
+            while s >= 0:
+                special[s] = v
+                s = text.find(u, s + 1)
+        for starts in reach:
+            for s in starts:
+                special[s] = code_output(code, text[s: s + width])
     if not special:
         return code.default * n
     out = [code.default] * n
     for s, v in special.items():
         out[s] = v
     return "".join(out)
+
+
+def _fitting_starts(code: SlidingBlockCode, text: str, holes: tuple[int, ...]) -> dict[int, str]:
+    """The output at every window start of ``text`` where some table word is compatible with the window.
+
+    A word is compatible with a window when each of its letters meets
+    that letter or a hole.  Bit j of ``fits[x]`` is set where ``text[j]``
+    is x or a hole, so the starts where the word u is compatible are the
+    bits of the AND of ``fits[u[i]] >> i`` over its letters, a bit-parallel
+    match with wildcards (Baeza-Yates and Gonnet, CACM 1992).  Each start
+    then takes :func:`_window_output` of its compatible words, the rule
+    :func:`code_output` follows.  Starts not returned map to ``default``.
+    """
+    width, chars, rev = 2 * code.radius + 1, set(text), text[::-1]
+    fits = {x: int(rev.translate({ord(c): "1" if c in (x, HOLE) else "0" for c in chars}), 2)
+            for x in code.alphabet.letters}
+    found: dict[int, list[str]] = {}  # start -> the letters of the words compatible there
+    for u, v in code.table.items():
+        d = fits[u[-1]] >> (width - 1)  # its bits lie at the starts with room for u
+        for i in range(width - 2, -1, -1):
+            if not d:
+                break
+            d &= fits[u[i]] >> i
+        bits = format(d, "b")[::-1]  # bit s at index s
+        s = bits.find("1")
+        while s >= 0:
+            found.setdefault(s, []).append(v)
+            s = bits.find("1", s + 1)
+    return {s: _window_output(code, letters, bisect_left(holes, s + width) - bisect_left(holes, s))
+            for s, letters in found.items()}
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,10 @@
 
 ``corpus.json`` beside this file lists, per call, a digest of its output or its error type and
 message.  The calls are drawn by one ``random.Random(SEED)`` over the gallery entries and over
-random literal and seed-rule schedules; the test draws and answers them again and compares, so a
-change that moves any answer names the calls that moved.  A change that moves an answer on
+random literal and seed-rule schedules, and then, by a second ``random.Random(SEED + 1)`` over
+the same schedules, the factor calls (wide codes listing windows of the word, ``factor_residues``
+and ``hole_tree``), so the first draws keep their labels.  The test draws and answers them again
+and compares, so a change that moves any answer names the calls that moved.  A change that moves an answer on
 purpose rewrites the file with
 
     PYTHONPATH=src python tests/test_corpus.py
@@ -152,13 +154,70 @@ def pattern_calls(rng, n):
     return calls
 
 
+def small_levels(s):
+    """The levels from 1 on whose period is at most 4096, up to level 5."""
+    out = []
+    for l in range(1, 6):
+        try:
+            if s.period(l) > 4096:
+                break
+        except ToeplitzError:
+            break
+        out.append(l)
+    return out
+
+
+def window_code(s, l, r, count, radius):
+    """A code of ``radius`` mapping to one letter the windows centred on ``r + m * p_l``, m < ``count``,
+    that resolve at depth l + 2, and every other window to another letter, as ``build_isolating_code``
+    lists its table: at level l those windows reach holes."""
+    letter, *others = s.alphabet.letters
+    p, table = s.period(l), {}
+    for m in range(count):
+        j = r + m * p
+        window = tl.resolve_window(s, j - radius, j + radius + 1, l + 2)
+        if tl.HOLE not in window:
+            table[window] = letter
+    return tl.SlidingBlockCode(s.alphabet, radius, table, default=others[0])
+
+
+def factor_calls(rng, key, s):
+    """Factor images of wide window codes, ``factor_residues`` and ``hole_tree`` on the schedule ``s``."""
+    calls = []
+
+    def add(name, args, fn):
+        calls.append(("%s(%s, %s)" % (name, key, args), answer(fn)))
+
+    levels = small_levels(s)
+    for _ in range(2 if levels else 0):
+        l, radius, count = rng.choice(levels), rng.randint(16, 64), rng.randint(1, 6)
+        r = rng.randrange(s.period(l))
+        add("apply_code", "radius %d, %d windows at %d mod p_%d, level %d" % (radius, count, r, l, l),
+            lambda: tl.apply_code(window_code(s, l, r, count, radius), s.pattern(l)).symbols)
+    for _ in range(2):
+        code = random_code(rng, s.alphabet.letters, rng.randint(0, 1))
+        levels = sorted(rng.sample(range(1, 5), rng.randint(1, 2)))
+        depth = levels[-1] + rng.randint(0, 2)
+        add("factor_residues", "%s, %s, %d" % (code_label(code), levels, depth),
+            lambda: [[f.modulus, f.nonperiodic, f.undetermined] for f in tl.factor_residues(code, s, levels, depth)])
+    depth = rng.randint(1, 5)
+    resolution = depth + rng.randint(0, 3)
+    add("hole_tree", "%d, %d" % (depth, resolution),
+        lambda: [[[r, "".join(sorted(v))] for r, v in sorted(level.items())]
+                 for level in tl.hole_tree(s, depth, resolution).levels])
+    return calls
+
+
 def draw_corpus(seed):
     """The schedules' descriptions and the (label, answer) pairs, in drawing order."""
     rng = random.Random(seed)
     schedules = {name: (name, tl.gallery(name)) for name in GALLERY_NAMES}
     schedules.update(random_schedules(rng, 6))
     calls = [c for key, (_, s) in schedules.items() for c in schedule_calls(rng, key, s)]
-    return {key: text for key, (text, _) in schedules.items()}, calls + pattern_calls(rng, 10)
+    calls += pattern_calls(rng, 10)
+    rng = random.Random(seed + 1)
+    calls += [c for key, (_, s) in schedules.items() for c in factor_calls(rng, key, s)]
+    return {key: text for key, (text, _) in schedules.items()}, calls
 
 
 def corpus_text():

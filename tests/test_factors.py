@@ -3,6 +3,7 @@ import random
 import pytest
 
 from toeplitz_lab import (
+    Alphabet,
     BINARY,
     FillingSchedule,
     HOLE,
@@ -24,6 +25,7 @@ from toeplitz_lab import (
     parse_seed,
     unique_residue_search,
 )
+from toeplitz_lab import factors
 from toeplitz_lab.errors import NotIsolated, ToeplitzError, UnknownLetters
 from toeplitz_lab.factors import code_output, hole_reach
 
@@ -242,6 +244,61 @@ def test_marker_code_rejects_letters_outside_alphabet():
     for text in ("radius 0\na\nb a\n", "radius 0\na ab\nb a\n", "radius 1\naaa\n* b\n"):
         with pytest.raises(ToeplitzError):
             code_from_text(text, BINARY)
+
+
+@pytest.mark.parametrize("alphabet, radius", [
+    (BINARY, 11),  # 2^23 windows, about 8M, past the cap
+    (BINARY, 10 ** 9),  # used to build a product pool of about 2 * 10^9 entries
+    (BINARY, -1),  # used to raise ValueError from the product
+    (Alphabet("abc"), 7),  # 3^15 windows
+    (Alphabet("a"), 10 ** 9),  # one window, but past the cap's width
+])
+def test_from_fn_refuses_a_table_past_the_cap_before_listing_a_window(alphabet, radius):
+    def fn(window):
+        raise AssertionError("fn was called on a window of width %d" % len(window))
+
+    with pytest.raises(ToeplitzError, match="radius %d" % radius):
+        SlidingBlockCode.from_fn(alphabet, radius, fn)
+
+
+def test_from_fn_keeps_a_one_letter_table_up_to_the_cap_width():
+    code = SlidingBlockCode.from_fn(Alphabet("a"), 1000, lambda w: "a")
+    assert (code.table, code.default) == ({}, "a")
+
+
+def count_code_outputs(monkeypatch):
+    """The widths of the windows ``factors.code_output`` reads, collected from now on."""
+    calls, original = [], factors.code_output
+
+    def counted(code, window):
+        calls.append(len(window))
+        return original(code, window)
+    monkeypatch.setattr(factors, "code_output", counted)
+    return calls
+
+
+def test_a_holed_stretch_is_imaged_through_its_fitting_starts(monkeypatch):
+    # 3 table words against 3393 hole windows of width 2049: the stretch's bitsets image them all
+    s = gallery("ex4.3")
+    iso = isolated_value_pair(hole_tree(s, 8, 10), EX43_BRANCH, "a", "b")
+    code = build_isolating_code(s, EX43_BRANCH, "a", l1=5, l2=5, certificate=iso)
+    pat = s.pattern(7)
+    calls = count_code_outputs(monkeypatch)
+    image = apply_code(code, pat)
+    assert calls == [] and len(code.table) == 3
+    assert classify_residues(image, s.period(5)).nonperiodic == (EX43_BRANCH[4],)
+    # the pattern's hole windows lie in two copies of one stretch; reading them one by one took 3393 calls
+    assert len(hole_reach(s, 7, code.radius)) == 2 * 3393
+
+
+def test_a_long_table_keeps_one_code_output_read_per_hole_window(monkeypatch):
+    # 65536 listed windows of width 17 against at most 80 hole windows per stretch
+    code = SlidingBlockCode.from_fn(BINARY, 8, lambda w: "a" if w[8] == w[7] else "b")
+    pat = gallery("ex5.7").pattern(6)
+    calls = count_code_outputs(monkeypatch)
+    image = apply_code(code, pat)
+    assert len(code.table) == 65536 and calls and set(calls) == {17}
+    assert image.symbols == "".join(code_output(code, pat.window(j - 8, j + 9)) for j in range(pat.period))
 
 
 @pytest.mark.parametrize("text", [

@@ -20,7 +20,7 @@ from toeplitz_lab import complexity, factors
 from toeplitz_lab.errors import NotOxtoby, PatternTooLarge, ToeplitzError
 from toeplitz_lab.gallery import GALLERY_NAMES
 from toeplitz_lab.periodicity import schedule_classes
-from toeplitz_lab.words import _HASH_BASE, window_hashes
+from toeplitz_lab.words import _HASH_BASE, fill_holes, hole_positions, window_hashes
 
 
 def naive_fill(seeds, lo, hi, margin=None):
@@ -403,6 +403,51 @@ def test_marker_code_image_fixed_cases():
     # radius 3 on period 8: the window is almost the whole period
     code = tl.SlidingBlockCode(tl.BINARY, 3, dict.fromkeys(["aab?bab".replace("?", c) for c in "ab"], "a"), default="b")
     assert tl.apply_code(code, pat).symbols == per_window_marker_image(code, pat)
+
+
+@st.composite
+def stretch_cases(draw):
+    """A stretch over ``abc`` with up to 8 holes, and a code of radius <= 40 over ``abc`` listing random
+    words, fillings of the stretch's hole windows, and every completion of some of those windows."""
+    radius = draw(st.integers(0, 40))
+    width, n = 2 * radius + 1, draw(st.integers(1, 40))
+    letters = list(draw(st.text(alphabet="abc", min_size=n + width - 1, max_size=n + width - 1)))
+    for h in draw(st.lists(st.integers(0, len(letters) - 1), max_size=8)):
+        letters[h] = "?"
+    text = "".join(letters)
+    words = draw(st.lists(st.text(alphabet="abc", min_size=width, max_size=width), max_size=3))
+    table = {u: draw(st.sampled_from("abc")) for u in words}
+    for start in draw(st.lists(st.integers(0, n - 1), max_size=4)):
+        # a filled hole window is a word met across holes, perhaps nowhere without them
+        window, out = text[start: start + width], draw(st.sampled_from("abc"))
+        fills = list(product("abc", repeat=window.count("?")))
+        if len(fills) > 27 or draw(st.booleans()):
+            fills = [draw(st.sampled_from(fills))]
+        for fill in fills:
+            table[fill_holes(window, fill)] = out
+    return tl.SlidingBlockCode(ABC, radius, table, default=draw(st.sampled_from("abc"))), text, n
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(stretch_cases())
+# an empty table at radius 40
+@example((tl.SlidingBlockCode(ABC, 40, {}, default="b"), "a" * 40 + "??" + "c" * 41, 3))
+# windows with up to 8 holes, against words met only across them
+@example((tl.SlidingBlockCode(ABC, 4, dict.fromkeys(["abcabcabc", "ab" + "c" * 7, "bcccccccc"], "c"), default="a"),
+          "ab" + "?" * 8 + "ca", 4))
+# every completion of the hole window at 0 listed under one letter: 3 words, as many as 3^1 completions
+@example((tl.SlidingBlockCode(ABC, 1, dict.fromkeys(["aab", "abb", "acb"], "c"), default="a"), "a?b?c", 3))
+def test_stretch_image_matches_per_window_code_output(case):
+    code, text, n = case
+    width = 2 * code.radius + 1
+    windows = [text[s: s + width] for s in range(n)]
+    expected = "".join(factors.code_output(code, w) for w in windows)
+    fitting = factors._fitting_starts(code, text, hole_positions(text))
+    assert "".join(fitting.get(s, code.default) for s in range(n)) == expected
+    listed = [(u, v) for u, v in code.table.items() if u in text]
+    assert factors._chunk_image(code, listed, text, n) == expected
+    if code.radius <= 3:
+        assert expected == "".join(brute_output(code, w) for w in windows)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
