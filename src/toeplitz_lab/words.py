@@ -12,14 +12,19 @@ at any period scale.  Both walks take their first levels in one step, a
 table of the deepest level they read whose period is at most
 ``_TABLE_CAP`` (one period of its letters, cached per schedule), and
 then one seed per level below it; ``pattern`` composes onward from the
-same table.  Positions are ordinary Python integers, so nothing overflows.
+same table.  The table and each seed rank their holes by runs (``_hole_runs``),
+so a walk lists no hole one by one however long a seed's runs of holes are.
+Positions are ordinary Python integers, so nothing overflows.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd
+from operator import add, sub
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import (
@@ -78,6 +83,36 @@ def hole_positions(symbols: str) -> tuple[int, ...]:
         out.append(i)
         i = symbols.find(HOLE, i + 1)
     return tuple(out)
+
+
+_LETTER = re.compile("[^%s]" % re.escape(HOLE))
+
+
+def _hole_runs(symbols: str) -> tuple[list[int], list[int], int]:
+    """The runs of holes in ``symbols``: their starts ascending, each run's rank offset (holes before it,
+    minus its start) and the hole count, so the hole at r in the run from ``starts[i]`` has rank
+    ``offs[i] + r``.  One ``find`` per run start and one C-level scan per run end, whatever its length."""
+    starts, offs, count = [], [], 0
+    find, letter = symbols.find, _LETTER.search
+    i = find(HOLE)
+    while i >= 0:
+        end = i + 1
+        if symbols.startswith(HOLE, end):
+            m = letter(symbols, end)
+            end = m.start() if m else len(symbols)
+        starts.append(i)
+        offs.append(count - i)
+        count += end - i
+        i = find(HOLE, end)
+    return starts, offs, count
+
+
+def _run_holes(runs: tuple[list[int], list[int], int]) -> list[int]:
+    """The ascending hole positions of ``_hole_runs``' runs, one ``range`` per run."""
+    starts, offs, count = runs
+    # run i ends where the ranks reach the next run's first rank (or the count): at that rank - offs[i]
+    firsts = list(map(add, offs[1:], starts[1:])) + [count]
+    return list(chain.from_iterable(map(range, starts, map(sub, firsts, offs))))
 
 
 @dataclass(frozen=True)
@@ -263,8 +298,10 @@ class FillingSchedule:
         self.name = name
         self._seeds: dict[int, SeedWord] = {}
         self._infos: dict[int, _LevelInfo] = {0: _LevelInfo(1, (0,))}
-        self._walk: dict[int, tuple[str, int, tuple[int, ...]]] = {}
-        self._tables: dict[int, tuple[int, str, int, tuple[int, ...]]] = {}
+        self._counts: tuple[int, ...] = (1,)
+        self._scales: dict[int, tuple[int, ...]] = {}
+        self._walk: dict[int, tuple[str, int, tuple]] = {}
+        self._tables: dict[int, tuple[int, str, int, tuple]] = {}
         self._runs: dict[tuple[int, int, int], tuple] = {}
 
     # -- seeds -----------------------------------------------------------
@@ -293,19 +330,20 @@ class FillingSchedule:
         if self.max_levels is not None and depth > self.max_levels:
             raise ToeplitzError("schedule has no seed at level %d" % (self.max_levels + 1))
 
-    def _walk_step(self, l: int) -> tuple[str, int, tuple[int, ...]]:
-        """Seed ``l``'s text, its length q and its sorted holes: hole i of the level above
-        receives letter i mod q."""
+    def _walk_step(self, l: int) -> tuple[str, int, tuple]:
+        """Seed ``l``'s text, its length q and its runs of holes (``_hole_runs``): hole i of the
+        level above receives letter i mod q.  ``_run_holes`` lists them for a reader that needs every hole."""
         step = self._walk.get(l)
         if step is None:
             w = self.seed(l).symbols
-            step = (w, len(w), hole_positions(w))
+            step = (w, len(w), _hole_runs(w))
             self._walk[l] = step
         return step
 
-    def _table(self, levels: int) -> tuple[int, str, int, tuple[int, ...]]:
+    def _table(self, levels: int) -> tuple[int, str, int, tuple]:
         """The first step of a walk of ``levels`` levels: (m, level m's letters over one
-        period with holes where it leaves them, p_m, its holes).
+        period with holes where it leaves them, p_m, its runs of holes as ``_walk_step``
+        keeps a seed's).  A negative ``levels`` raises ToeplitzError; 0 is the all-hole root.
 
         m is the deepest level up to ``levels`` whose period is at most
         ``_TABLE_CAP``, composed with ``compose_fill`` from the level-0 root
@@ -316,13 +354,15 @@ class FillingSchedule:
         whole in one assignment, so a concurrent reader sees a finished
         table or none.
         """
+        if levels < 0:
+            raise ToeplitzError("max_level %d is below 0, the all-hole root" % levels)
         m, pat = 0, PeriodicPattern(HOLE)
         while m < levels and pat.hole_count:
             w = self.seed(m + 1)
             if pat.period * len(w) // gcd(pat.hole_count, len(w)) > _TABLE_CAP:
                 break
             m, pat = m + 1, compose_fill(pat, w)
-        table = self._tables.setdefault(m, (m, pat.symbols, pat.period, pat.holes))
+        table = self._tables.setdefault(m, (m, pat.symbols, pat.period, _hole_runs(pat.symbols)))
         self._tables[levels] = table
         return table
 
@@ -361,7 +401,8 @@ class FillingSchedule:
             if not prev_holes:
                 # fully periodic already; deeper levels change nothing, so none is listed
                 return self._infos[k - 1]
-            _, q, seed_holes = self._walk_step(k)
+            _, q, runs = self._walk_step(k)
+            seed_holes = _run_holes(runs)
             h = len(prev_holes)
             n = h * q // gcd(h, q)
             # hole i of the previous level (repeated n // h times) stays a
@@ -380,9 +421,13 @@ class FillingSchedule:
         return self.level_info(l).holes
 
     def scale(self, depth: int) -> tuple[int, ...]:
-        """The level periods p_1, ..., p_depth: the odometer's scale to ``depth``."""
-        self.level_info(depth)  # refuses depth < 1 and lists every level up to it
-        return tuple(self.level_info(l).period for l in range(1, depth + 1))
+        """The level periods p_1, ..., p_depth: the odometer's scale to ``depth``, cached per depth;
+        a depth ``level_info`` refuses is never stored, so its refusal repeats."""
+        scale = self._scales.get(depth)
+        if scale is None:
+            self.level_info(depth)  # refuses depth < 1 and lists every level up to it
+            scale = self._scales[depth] = tuple(self.level_info(l).period for l in range(1, depth + 1))
+        return scale
 
     # -- explicit patterns (desk scale) ------------------------------------
 
@@ -416,10 +461,12 @@ def evaluate(schedule: FillingSchedule, j: int, max_level: int) -> str | None:
     that stage, and the ranks form the positions of the derived tail word.
     The first stage is the schedule's level table (periods up to
     ``_TABLE_CAP``), then one seed per level, so it works at any period
-    scale.
+    scale.  A hole's rank is read off its stage's runs of holes, so a walk
+    into seeds with long runs lists none of their holes.  A ``max_level``
+    below 0 raises ToeplitzError; level 0 is the all-hole root.
     """
     levels = schedule.available_levels(max_level)
-    l, seed, q, seed_holes = schedule._tables.get(levels) or schedule._table(levels)
+    l, seed, q, runs = schedule._tables.get(levels) or schedule._table(levels)
     steps = schedule._walk
     pos = j
     while True:
@@ -428,9 +475,11 @@ def evaluate(schedule: FillingSchedule, j: int, max_level: int) -> str | None:
             return c
         if l >= levels:
             return None
-        pos = (pos // q) * len(seed_holes) + bisect_left(seed_holes, pos % q)
+        starts, offs, count = runs
+        r = pos % q
+        pos = (pos // q) * count + offs[bisect_right(starts, r) - 1] + r
         l += 1
-        seed, q, seed_holes = steps.get(l) or schedule._walk_step(l)
+        seed, q, runs = steps.get(l) or schedule._walk_step(l)
 
 
 def resolve_window(schedule: FillingSchedule, start: int, stop: int, max_level: int) -> str:
@@ -444,15 +493,17 @@ def resolve_window(schedule: FillingSchedule, start: int, stop: int, max_level: 
     ``max_level`` levels, and each level's holes are then filled from
     the window below.  No pattern of the level read is built, so it
     works at any period scale, and its work is the sum of the window
-    lengths it reads.  A window longer than ``PATTERN_CAP`` raises
-    PatternTooLarge.
+    lengths it reads; each level's first hole is ranked by its runs of
+    holes, as ``evaluate`` ranks one.  A window longer than ``PATTERN_CAP``
+    raises PatternTooLarge, and a ``max_level`` below 0 ToeplitzError, also
+    for an empty window.
     """
+    levels = schedule.available_levels(max_level)
+    l, seed, q, runs = schedule._tables.get(levels) or schedule._table(levels)
     if stop <= start:
         return ""
     if stop - start > PATTERN_CAP:
         raise PatternTooLarge("window [%d, %d) is longer than the cap %d" % (start, stop, PATTERN_CAP))
-    levels = schedule.available_levels(max_level)
-    l, seed, q, seed_holes = schedule._tables.get(levels) or schedule._table(levels)
     steps = schedule._walk
     texts = []
     lo, n = start, stop - start
@@ -463,9 +514,11 @@ def resolve_window(schedule: FillingSchedule, start: int, stop: int, max_level: 
         if not n or l >= levels:
             break
         j = lo + text.index(HOLE)
-        lo = (j // q) * len(seed_holes) + bisect_left(seed_holes, j % q)
+        starts, offs, count = runs
+        r = j % q
+        lo = (j // q) * count + offs[bisect_right(starts, r) - 1] + r
         l += 1
-        seed, q, seed_holes = steps.get(l) or schedule._walk_step(l)
+        seed, q, runs = steps.get(l) or schedule._walk_step(l)
     word = HOLE * n
     while texts:
         word = fill_holes(texts.pop(), word)
@@ -497,15 +550,21 @@ def hole_counts(schedule: FillingSchedule, resolution: int) -> list[int]:
 
     Worked out from seed lengths and hole counts alone, listing no hole: seed m + 1 (length q) meets the
     h holes of level m in lcm(h, q) <= p_(m+1) slots, and over ``PATTERN_CAP`` slots raise PatternTooLarge.
+    A ``resolution`` below 0 raises ToeplitzError.  The counts are kept on the schedule, each longer list
+    stored whole, and a refused level never, so its refusal repeats; the caller gets a copy of its prefix.
     """
-    counts = [1]  # level 0, the all-hole root
+    if resolution < 0:
+        raise ToeplitzError("resolution %d is below 0, the all-hole root" % resolution)
+    counts = list(schedule._counts)
     while len(counts) <= resolution and counts[-1]:
         h, w = counts[-1], schedule.seed(len(counts))
         g = gcd(h, len(w))
         if h // g * len(w) > PATTERN_CAP:
             raise PatternTooLarge("level %d has %d hole slots, beyond the cap" % (len(counts) - 1, h // g * len(w)))
         counts.append(h // g * w.hole_count)
-    return counts
+    if len(counts) > len(schedule._counts):
+        schedule._counts = tuple(counts)
+    return counts[: resolution + 1]
 
 
 def _symbols(schedule: FillingSchedule, mask: int) -> frozenset[str]:
@@ -523,7 +582,8 @@ def _run_classes(schedule: FillingSchedule, counts: list[int], m: int, k: int) -
     if m == len(counts) - 1:
         classes = [1 if k == 1 else frozenset([HOLE * k])] * h
     elif k == 1:
-        w, q, seed_holes = schedule._walk_step(m + 1)
+        w, q, runs = schedule._walk_step(m + 1)
+        seed_holes = _run_holes(runs)
         bit, g = {ch: 2 << b for b, ch in enumerate(schedule.alphabet.letters)}, gcd(h, q)
         # class i meets the seed letters at i mod g; the open slots b + s come in level-(m + 1) rank order
         classes = [sum(bit[ch] for ch in set(w[i::g]) - {HOLE}) for i in range(g)] * (h // g)
@@ -531,7 +591,8 @@ def _run_classes(schedule: FillingSchedule, counts: list[int], m: int, k: int) -
         for u, v in zip(slots, _run_classes(schedule, counts, m + 1, 1)):
             classes[u % h] |= v
     else:
-        w, q, seed_holes = schedule._walk_step(m + 1)
+        w, q, runs = schedule._walk_step(m + 1)
+        seed_holes = _run_holes(runs)
         g, c, text = gcd(h, q), len(seed_holes), _periodic_slice(w, 0, q + k - 1)
         hits = sorted({(s - d) % q for s in seed_holes for d in range(k)})  # the windows that meet a seed hole
         holed = {text[o: o + k] for o in hits}

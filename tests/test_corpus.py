@@ -4,7 +4,9 @@
 message.  The calls are drawn by one ``random.Random(SEED)`` over the gallery entries and over
 random literal and seed-rule schedules, and then, by a second ``random.Random(SEED + 1)`` over
 the same schedules, the factor calls (wide codes listing windows of the word, ``factor_residues``
-and ``hole_tree``), so the first draws keep their labels.  The test draws and answers them again
+and ``hole_tree``), and by a third ``random.Random(SEED + 2)`` cold walks down deep hole chains,
+each on a schedule built afresh, with ``hole_counts`` and ``scale`` (refusals past the cap
+included), so the earlier draws keep their labels.  The test draws and answers them again
 and compares, so a change that moves any answer names the calls that moved.  A change that moves an answer on
 purpose rewrites the file with
 
@@ -35,7 +37,8 @@ def random_seed_word(rng, letters):
 
 
 def random_schedules(rng, n):
-    """``n`` schedules over ``ab`` or ``abc``: literal seed lists and seed rules cycling over a few seeds."""
+    """``n`` schedules over ``ab`` or ``abc``, each as its text and a function that builds it afresh:
+    literal seed lists and seed rules cycling over a few seeds."""
     out = {}
     for i in range(n):
         letters = rng.choice(("ab", "abc"))
@@ -43,9 +46,11 @@ def random_schedules(rng, n):
         text, alphabet = " ".join(w.symbols for w in seeds), tl.Alphabet(letters)
         if i % 2:
             rule = lambda l, seeds=seeds: seeds[(l - 1) % len(seeds)]
-            out["rule%d" % i] = ("%s, seeds cycling: %s" % (letters, text), tl.FillingSchedule(alphabet, rule))
+            out["rule%d" % i] = ("%s, seeds cycling: %s" % (letters, text),
+                                 lambda a=alphabet, rule=rule: tl.FillingSchedule(a, rule))
         else:
-            out["literal%d" % i] = ("%s, seeds: %s" % (letters, text), tl.FillingSchedule(alphabet, seeds))
+            out["literal%d" % i] = ("%s, seeds: %s" % (letters, text),
+                                    lambda a=alphabet, seeds=seeds: tl.FillingSchedule(a, seeds))
     return out
 
 
@@ -208,16 +213,71 @@ def factor_calls(rng, key, s):
     return calls
 
 
+def hole_chain(s, levels, x):
+    """The position that seeds 1..``levels`` all leave a hole at, with rank ``x`` among the level's holes."""
+    for l in range(levels, 0, -1):
+        w = s.seed(l)
+        block, k = divmod(x, w.hole_count)
+        x = block * len(w) + w.holes[k]
+    return x
+
+
+def chain_levels(s, top):
+    """How many seeds from seed 1 on, at most ``top``, all hold holes: the depth of the schedule's hole chains."""
+    for l in range(1, top + 1):
+        try:
+            if not s.seed(l).hole_count:
+                return l - 1
+        except ToeplitzError:
+            return l - 1
+    return top
+
+
+#: deepest hole chain walked per schedule: ex3.5's seed l has 4^l + 2^(l + 1) letters
+CHAIN_TOP = {"ex3.5": 8, "ex4.4": 12, "ex4.4-mini": 12}
+
+
+def chain_calls(rng, key, make):
+    """Cold ``evaluate`` and ``resolve_window`` calls around hole chains of the schedule ``make()`` builds,
+    one schedule per call, and its ``hole_counts`` and ``scale``, refusals past the cap included."""
+    calls = []
+
+    def add(name, args, fn):
+        calls.append(("%s(%s, %s)" % (name, key, args), answer(lambda: fn(make()))))
+
+    top = chain_levels(make(), CHAIN_TOP.get(key, 15))
+    for _ in range(3 if top else 0):
+        l = rng.randint(max(1, top - 6), top)
+        j = hole_chain(make(), l, rng.randrange(4 ** l)) + rng.randint(-60, 60)
+        m = l + rng.randint(-1, 2)
+        add("evaluate", "%d, %d" % (j, m), lambda s: tl.evaluate(s, j, m))
+        lo, m = j - rng.randint(0, 60), l + rng.randint(-1, 2)
+        add("resolve_window", "%d, %d, %d" % (lo, lo + 121, m), lambda s: tl.resolve_window(s, lo, lo + 121, m))
+    # past level 20 a gallery entry's seeds run to millions of letters, so only the small seeds of the
+    # random schedules are read that far
+    far = key not in GALLERY_NAMES
+    for r in (rng.randint(0, min(top, 12) + 2),) + ((rng.randint(24, 60),) if far else ()):
+        add("hole_counts", r, lambda s: tl.words.hole_counts(s, r))
+    for d in (rng.randint(0, min(top, 10) + 2),) + ((rng.randint(24, 60),) if far else ()):
+        add("scale", d, lambda s: s.scale(d))
+    return calls
+
+
 def draw_corpus(seed):
     """The schedules' descriptions and the (label, answer) pairs, in drawing order."""
     rng = random.Random(seed)
-    schedules = {name: (name, tl.gallery(name)) for name in GALLERY_NAMES}
-    schedules.update(random_schedules(rng, 6))
+    makers = {name: (name, lambda name=name: tl.gallery(name)) for name in GALLERY_NAMES}
+    makers.update(random_schedules(rng, 6))
+    schedules = {key: (text, make()) for key, (text, make) in makers.items()}
     calls = [c for key, (_, s) in schedules.items() for c in schedule_calls(rng, key, s)]
     calls += pattern_calls(rng, 10)
     rng = random.Random(seed + 1)
     calls += [c for key, (_, s) in schedules.items() for c in factor_calls(rng, key, s)]
-    return {key: text for key, (text, _) in schedules.items()}, calls
+    rng = random.Random(seed + 2)
+    makers["growing"] = ("ab, seed rule: a??b? at every level, 3^l holes per period",
+                         lambda: tl.FillingSchedule(tl.BINARY, lambda l: tl.SeedWord("a??b?")))
+    calls += [c for key, (_, make) in makers.items() for c in chain_calls(rng, key, make)]
+    return {key: text for key, (text, _) in makers.items()}, calls
 
 
 def corpus_text():

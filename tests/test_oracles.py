@@ -8,6 +8,7 @@ positions in order and drops seed letters into holes one by one.
 import dataclasses
 import random
 import time
+from bisect import bisect_right
 from functools import cache
 from itertools import product
 from math import gcd, lcm
@@ -655,6 +656,106 @@ def test_walk_reads_no_seed_past_the_levels_asked_for():
         tl.evaluate(s, 10 ** 12, max_level)
         tl.resolve_window(s, -50, 50, max_level)
         assert read and max(read) <= max_level
+
+
+def hole_chain(schedule, levels, x):
+    """The position that seeds 1..``levels`` all leave a hole at, with rank ``x`` among the level's
+    holes: the seed walk run backwards, rank to position, one seed per level."""
+    for l in range(levels, 0, -1):
+        seed = schedule.seed(l).symbols
+        holes = [i for i, c in enumerate(seed) if c == "?"]
+        block, k = divmod(x, len(holes))
+        x = block * len(seed) + holes[k]
+    return x
+
+
+@pytest.mark.parametrize("name, top", [("ex5.7", 14), ("williams", 14), ("ex3.5", 8)])
+def test_cold_walks_on_deep_hole_chains_match_a_plain_seed_walk(name, top):
+    # every seed of these entries holds all its holes in one run; (4^l - 1) / 3 is a level-l hole of
+    # ex5.7 and williams, and ex3.5's seeds outgrow its periods' powers of 4, so its chain is walked back
+    rng = random.Random(name)
+    for l in range(1, top + 1):
+        chains = [hole_chain(tl.gallery(name), l, rng.randrange(4 ** l))]
+        if name != "ex3.5":
+            chains.append((4 ** l - 1) // 3)
+        for j in chains:
+            assert seed_walk(tl.gallery(name), j, l) is None
+            for max_level in (l, l + 1):
+                assert_reads_match_seed_walk(tl.gallery(name), j - 60, 121, max_level)
+
+
+def mixed_run_seed(rng, letters, longest=64, pieces=5):
+    """A seed of lone holes and runs of 2..``longest`` holes between letters; its first or last run may
+    touch the ends, start at index 1 or end one letter before the last."""
+    parts = [rng.choice(("", "?", letters[0], "?" * rng.randint(2, longest)))]
+    for _ in range(rng.randint(1, pieces)):
+        parts.append("".join(rng.choice(letters) for _ in range(rng.randint(1, 3))))
+        parts.append("?" * rng.choice((1, 1, rng.randint(2, longest))))
+    parts.append(rng.choice(("", letters[-1], "?" * rng.randint(1, longest))))
+    return tl.SeedWord("".join(parts), tl.Alphabet(letters))
+
+
+def test_walks_on_mixed_runs_of_holes_match_a_plain_seed_walk():
+    rng = random.Random(33)
+    starts = 0
+    for _ in range(40):
+        letters = rng.choice(("ab", "abc"))
+        seeds = [mixed_run_seed(rng, letters) for _ in range(rng.randint(2, 5))]
+        for w in seeds:
+            runs = tl.words._hole_runs(w.symbols)
+            assert tl.words._run_holes(runs) == list(w.holes)
+            starts += runs[0][0] == 1
+            assert all(runs[1][bisect_right(runs[0], r) - 1] + r == rank for rank, r in enumerate(w.holes))
+        for levels in range(1, len(seeds) + 1):
+            x = rng.randrange(10 ** rng.randint(1, 9))
+            for max_level in (levels - 1, levels, levels + 2):
+                s = tl.FillingSchedule(tl.Alphabet(letters), seeds)  # cold: no table or walk step yet
+                assert_reads_match_seed_walk(s, hole_chain(s, levels, x) - 60, 121, max_level)
+    assert starts >= 3  # runs from index 1 were drawn
+
+
+def test_hole_counts_match_the_seed_walk_and_keep_nothing_a_caller_changes(monkeypatch):
+    rng = random.Random(5)
+    for _ in range(20):
+        s = tl.FillingSchedule(tl.BINARY, [mixed_run_seed(rng, "ab", 3, 2) for _ in range(3)])  # small periods
+        counts = tl.words.hole_counts(s, 3)
+        for l, h in enumerate(counts[1:], 1):
+            assert sum(seed_walk(s, j, l) is None for j in range(s.period(l))) == h
+        assert counts[-1] == 0 or len(counts) == 4
+        want = list(counts)
+        counts.append(7)
+        counts[0] = 0
+        assert tl.words.hole_counts(s, 3) == want and tl.words.hole_counts(s, 1) == want[:2]
+    monkeypatch.setattr(tl.words, "PATTERN_CAP", 100)
+    s = tl.FillingSchedule(tl.BINARY, lambda l: tl.SeedWord("a???b"))  # 3^l holes in 5 * 3^(l-1) slots
+    for _ in range(2):  # a level past the cap is never stored, so the refusal repeats
+        with pytest.raises(PatternTooLarge, match="level 3 has 135 hole slots"):
+            tl.words.hole_counts(s, 9)
+        assert tl.words.hole_counts(s, 3) == [1, 3, 9, 27]
+
+
+def test_scales_match_the_seed_walk_past_the_last_holes_and_refuse_depth_zero(monkeypatch):
+    closed = tl.FillingSchedule(tl.BINARY, [tl.parse_seed("a??b"), tl.parse_seed("a?b"), tl.parse_seed("ab")])
+    scale = closed.scale(7)  # the holes die out at level 3, so levels 3..7 share its period
+    assert scale == (4, 12, 12, 12, 12, 12, 12)
+    for d in range(1, 8):
+        assert closed.scale(d) == scale[:d]
+        assert all(seed_walk(closed, j, d) == seed_walk(closed, j + scale[d - 1], d) for j in range(-30, 30))
+    s = tl.gallery("ex5.7")
+    assert s.scale(9) == tuple(4 ** l for l in range(1, 10))
+    assert s.scale(4) == s.scale(9)[:4]
+    for _ in range(2):
+        for depth in (0, -1):
+            with pytest.raises(ToeplitzError, match=">= 1"):
+                s.scale(depth)
+    with pytest.raises(ToeplitzError, match="no seed at level 4"):
+        tl.FillingSchedule(tl.BINARY, [tl.parse_seed("a?b")] * 3).scale(4)
+    monkeypatch.setattr(tl.words, "PATTERN_CAP", 100)
+    s = tl.FillingSchedule(tl.BINARY, lambda l: tl.SeedWord("a???b"))
+    for _ in range(2):
+        with pytest.raises(PatternTooLarge, match="level 5 has 243 holes"):
+            s.scale(9)
+        assert s.scale(4) == (5, 25, 125, 625)
 
 
 def per_position_fiber_contents(schedule, omega, l, depth, block_range):

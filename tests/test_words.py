@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 import weakref
 
 import pytest
@@ -80,6 +81,47 @@ def test_evaluate_examples():
     assert evaluate(s57, 10, 3) == "b"
     assert evaluate(s57, 5, 1) is None
     assert evaluate(gallery("ex3.5"), 0, 1) == "b"
+
+
+def test_evaluate_refuses_a_negative_level():
+    s = gallery("ex5.7")
+    for _ in range(2):
+        with pytest.raises(ToeplitzError, match="max_level -3 is below 0"):
+            evaluate(s, 5, -3)
+    assert evaluate(s, 5, 0) is None  # level 0 is the all-hole root
+    assert min(s._tables) == 0  # no walk table is kept for the refused level
+
+
+def test_resolve_window_refuses_a_negative_level():
+    s = gallery("ex5.7")
+    for stop in (6, 0):  # an empty window too
+        with pytest.raises(ToeplitzError, match="max_level -2 is below 0"):
+            resolve_window(s, 0, stop, -2)
+    assert resolve_window(s, 0, 6, 0) == "??????"
+    assert min(s._tables) == 0
+
+
+def test_hole_counts_refuses_a_negative_resolution():
+    s = gallery("ex5.7")
+    for _ in range(2):
+        with pytest.raises(ToeplitzError, match="resolution -2 is below 0"):
+            words.hole_counts(s, -2)
+    assert words.hole_counts(s, 0) == [1]
+
+
+def test_a_cold_deep_walk_keeps_memory_within_its_seed_letters():
+    # (4^18 - 1) / 3 is a level-18 hole of ex5.7, whose seeds 1..19 hold one run of holes each
+    j, letters = (4 ** 18 - 1) // 3, sum(2 ** (l + 1) for l in range(1, 20))
+    tracemalloc.start()
+    try:
+        s = gallery("ex5.7")
+        letter, window = evaluate(s, j, 19), resolve_window(s, j - 5, j + 6, 19)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (letter, window) == ("a", "aaabaaabaab")
+    assert letters == sum(len(s.seed(l)) for l in range(1, 20))
+    assert peak <= 4 * letters, (peak, letters)
 
 
 def test_evaluate_monotone_and_matches_patterns():
@@ -233,9 +275,11 @@ def test_concurrent_reads_of_a_fresh_schedule_match_serial_ones():
     positions = [(-1) ** k * 10 ** 12 + 7919 * k for k in range(300)]
 
     def reads(s):
-        # three depths, so the tables of several depths are built side by side
+        # three depths, so the tables of several depths are built side by side; the hole counts and
+        # scales are asked for at interleaved depths, so their caches are extended side by side
         return ([evaluate(s, j, (3, 6, 12)[k % 3]) for k, j in enumerate(positions)],
-                [resolve_window(s, j, j + 64, (12, 6, 3)[k % 3]) for k, j in enumerate(positions[:60])])
+                [resolve_window(s, j, j + 64, (12, 6, 3)[k % 3]) for k, j in enumerate(positions[:60])],
+                [words.hole_counts(s, r) for r in (2, 9, 5, 12, 1)], [s.scale(d) for d in (3, 8, 1, 10)])
 
     expected = reads(gallery("ex5.7"))
     s = gallery("ex5.7")
