@@ -176,6 +176,7 @@ def cmd_eval(args) -> dict:
 def cmd_analyze(args) -> dict:
     s = load_schedule(args.schedule)
     depth = args.depth
+    s.check_depth(depth)
     densities = {l: periodicity.periodic_density(s, l) for l in range(1, depth + 1)}
     gaps = {}
     for l in range(1, depth + 1):
@@ -247,6 +248,7 @@ def cmd_factor(args) -> dict:
 
 def cmd_pair(args) -> dict:
     s = load_schedule(args.schedule)
+    s.check_depth(args.depth)
     n1, n2 = args.shifts
     half = args.window_half
     rep = elements.pair_report(
@@ -288,14 +290,14 @@ def cmd_gallery(args) -> dict:
         return report("gallery", {}, {"available": list(GALLERY_NAMES)})
     params = parse_params(args.param or ())
     s = named_gallery(args.name, **params)
-    s.level_info(args.levels)  # the deepest level first, so a huge request is refused before any is listed
+    scale = s.scale(args.levels)  # the deepest level first, so a huge request is refused before any seed is written
     return report(
         "gallery",
         {"name": args.name, "levels": args.levels, "params": params},
         {
             "text": words.schedule_to_text(s, args.levels),
             "declarations": s.declarations,
-            "scale": s.scale(args.levels),
+            "scale": scale,
         },
     )
 

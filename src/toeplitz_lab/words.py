@@ -4,15 +4,16 @@ A bi-infinite word is built in stages: a periodic pattern with holes is
 refined by inserting the next seed word, letter by letter, into its hole
 positions.  Levels are represented two ways: as explicit character
 patterns (one period) when the period is small enough, and as pure
-arithmetic (period plus sorted hole positions) up to ``PATTERN_CAP``
-holes per period.  Letters of the limit word are read without a pattern
-of the level read: ``evaluate`` walks the seed stack for one position
-and ``resolve_window`` walks it for a whole window at once, so both work
-at any period scale.  Both walks take their first levels in one step, a
-table of the deepest level they read whose period is at most
-``_TABLE_CAP`` (one period of its letters, cached per schedule), and
+arithmetic: a level table per schedule of each level's period and hole
+count, from seed lengths and hole counts alone and capped there, and the
+sorted hole positions of a level it admits.  Letters of the limit word
+are read without a pattern of the level read: ``evaluate`` and
+``resolve_window`` walk the seed stack for one position or a window, so
+both work at any period scale.  Both walks take their first levels in
+one step, a walk table of the deepest level they read whose period is at
+most ``_TABLE_CAP`` (one period of its letters, cached per schedule), and
 then one seed per level below it; ``pattern`` composes onward from the
-same table.  The table and each seed rank their holes by runs (``_hole_runs``),
+same table.  The walk table and each seed rank their holes by runs (``_hole_runs``),
 so a walk lists no hole one by one however long a seed's runs of holes are.
 Positions are ordinary Python integers, so nothing overflows.
 """
@@ -40,8 +41,8 @@ from .errors import (
 HOLE = "?"
 
 #: Largest period for which an explicit one-period pattern is materialised (``analyze`` reads the level
-#: patterns up to its deepest scale entry, not the depth pattern), the most holes per
-#: period or seed letters ``level_info`` lists for a level, the most hole slots per level
+#: patterns up to its deepest scale entry, not the depth pattern), the most holes per period or seed
+#: letters the level table (``FillingSchedule._rows``) admits for a level, the most hole slots per level
 #: ``hole_class_letters`` fills (so also those behind the factor reader, ``factors.factor_residues``),
 #: and the longest window ``resolve_window`` reads.
 PATTERN_CAP = 1 << 22
@@ -298,8 +299,7 @@ class FillingSchedule:
         self.name = name
         self._seeds: dict[int, SeedWord] = {}
         self._infos: dict[int, _LevelInfo] = {0: _LevelInfo(1, (0,))}
-        self._counts: tuple[int, ...] = (1,)
-        self._scales: dict[int, tuple[int, ...]] = {}
+        self._levels: tuple[tuple[int, ...], tuple[int, ...]] = ((1,), (1,))
         self._walk: dict[int, tuple[str, int, tuple]] = {}
         self._tables: dict[int, tuple[int, str, int, tuple]] = {}
         self._runs: dict[tuple[int, int, int], tuple] = {}
@@ -322,11 +322,8 @@ class FillingSchedule:
         return cap if self.max_levels is None else min(cap, self.max_levels)
 
     def check_depth(self, depth: int) -> None:
-        """Refuse a depth past the schedule's last seed, also where its holes have died out before it.
-
-        ``level_info`` refuses such a level only while holes remain; a reader that keeps one entry per
-        level up to ``depth`` calls this first, so no entry is made for a level the schedule lacks.
-        """
+        """Refuse a depth past the schedule's last seed, also where its holes have died out before it: the level
+        table refuses such a level only while holes remain, so a reader keeping one entry per level calls this first."""
         if self.max_levels is not None and depth > self.max_levels:
             raise ToeplitzError("schedule has no seed at level %d" % (self.max_levels + 1))
 
@@ -368,84 +365,87 @@ class FillingSchedule:
 
     # -- level arithmetic (any scale) -------------------------------------
 
-    def level_info(self, l: int) -> _LevelInfo:
-        """Period and sorted hole positions of level ``l``.
+    def _rows(self, l: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The periods and hole counts of levels 0, 1, ... to at least ``l`` or the first level without holes:
+        seed k (length q) meets level k - 1's h holes in lcm(h, q) slots, so p_k = p_(k-1) * q / gcd(h, q).
+        A level below 1, a seed longer than ``PATTERN_CAP`` or more holes per period is refused; the table
+        is stored whole in one assignment and a refused level never."""
+        if l < 1:
+            raise ToeplitzError("level must be >= 1")
+        rows = self._levels
+        if l < len(rows[0]) or not rows[1][-1]:
+            return rows
+        periods, counts = map(list, rows)
+        while len(periods) <= l and counts[-1]:
+            k, w = len(periods), self.seed(len(periods))
+            if len(w) > PATTERN_CAP:
+                raise PatternTooLarge("seed %d has length %d, beyond the explicit-pattern cap" % (k, len(w)))
+            g = gcd(counts[-1], len(w))
+            h = counts[-1] // g * w.hole_count
+            if h > PATTERN_CAP:
+                raise PatternTooLarge("level %d has %d holes per period, beyond the explicit-pattern cap" % (k, h))
+            periods.append(periods[-1] * (len(w) // g))
+            counts.append(h)
+        rows = self._levels = (tuple(periods), tuple(counts))
+        return rows
 
-        The hole count of every level still to be listed, lcm(h, q)/q
-        times the seed's hole count, is worked out first; a count or a
-        seed length past ``PATTERN_CAP`` raises PatternTooLarge before any
-        hole is listed.
-        """
+    def level_info(self, l: int) -> _LevelInfo:
+        """Period and sorted hole positions of level ``l``, or of the first level without holes if that
+        comes first; the level table is read to ``l`` first, so a refused level lists no hole."""
         if l < 1:
             raise ToeplitzError("level must be >= 1")
         info = self._infos.get(l)
         if info is not None:
             return info
-        # levels are cached from the root upward with no gaps, up to the first
-        # hole-free one, so the first uncached level follows the cached ones
-        first = len(self._infos)
-        h = len(self._infos[first - 1].holes)
-        for k in range(first, l + 1):
-            if not h:
-                break
-            w = self.seed(k)
-            if len(w) > PATTERN_CAP:
-                raise PatternTooLarge("seed %d has length %d, beyond the explicit-pattern cap" % (k, len(w)))
-            h = h // gcd(h, len(w)) * w.hole_count
-            if h > PATTERN_CAP:
-                raise PatternTooLarge(
-                    "level %d has %d holes per period, beyond the explicit-pattern cap" % (k, h)
-                )
-        for k in range(first, l + 1):
+        periods, _ = self._rows(l)
+        last = min(l, len(periods) - 1)
+        # levels are cached from the root upward with no gaps, so the first uncached level follows the cached ones
+        for k in range(len(self._infos), last + 1):
             p, prev_holes = self._infos[k - 1]
-            if not prev_holes:
-                # fully periodic already; deeper levels change nothing, so none is listed
-                return self._infos[k - 1]
             _, q, runs = self._walk_step(k)
             seed_holes = _run_holes(runs)
             h = len(prev_holes)
-            n = h * q // gcd(h, q)
-            # hole i of the previous level (repeated n // h times) stays a
-            # hole when seed letter i mod q is one; positions grow with i,
-            # so they come out sorted
+            # hole i of the previous level (repeated lcm(h, q) / h times) stays a hole when seed
+            # letter i mod q is one; positions grow with i, so they come out sorted
             holes = tuple([
-                ((b + r) // h) * p + prev_holes[(b + r) % h] for b in range(0, n, q) for r in seed_holes
+                ((b + r) // h) * p + prev_holes[(b + r) % h]
+                for b in range(0, h * q // gcd(h, q), q) for r in seed_holes
             ])
-            info = self._infos[k] = _LevelInfo(n // h * p, holes)
-        return info
+            self._infos[k] = _LevelInfo(periods[k], holes)
+        return self._infos[last]
 
     def period(self, l: int) -> int:
-        return self.level_info(l).period
+        periods, _ = self._rows(l)
+        return periods[l] if l < len(periods) else periods[-1]
 
     def holes(self, l: int) -> tuple[int, ...]:
         return self.level_info(l).holes
 
     def scale(self, depth: int) -> tuple[int, ...]:
-        """The level periods p_1, ..., p_depth: the odometer's scale to ``depth``, cached per depth;
-        a depth ``level_info`` refuses is never stored, so its refusal repeats."""
-        scale = self._scales.get(depth)
-        if scale is None:
-            self.level_info(depth)  # refuses depth < 1 and lists every level up to it
-            scale = self._scales[depth] = tuple(self.level_info(l).period for l in range(1, depth + 1))
-        return scale
+        """The level periods p_1, ..., p_depth: the odometer's scale to ``depth``, read off the level table,
+        listing no hole; past the first level without holes every period is that level's."""
+        periods = self._levels[0]
+        if 0 < depth < len(periods):
+            return periods[1: depth + 1]
+        periods, _ = self._rows(depth)
+        return periods[1: depth + 1] + periods[-1:] * (depth + 1 - len(periods))
 
     # -- explicit patterns (desk scale) ------------------------------------
 
     def check_pattern(self, l: int) -> None:
         """Refuse level ``l`` if its period is past ``PATTERN_CAP``, before any pattern is composed."""
-        info = self.level_info(l)
-        if info.period > PATTERN_CAP:
-            raise PatternTooLarge(
-                "level %d has period %d, beyond the explicit-pattern cap" % (l, info.period)
-            )
+        p = self.period(l)
+        if p > PATTERN_CAP:
+            raise PatternTooLarge("level %d has period %d, beyond the explicit-pattern cap" % (l, p))
 
     def pattern(self, l: int) -> PeriodicPattern:
         """One period of level ``l``: seeds m + 1 ... l composed onto the walk table's level m, none kept."""
         self.check_pattern(l)
+        _, counts = self._rows(l)
         m, text, _, _ = self._tables.get(l) or self._table(l)
         pat = PeriodicPattern(text)
         for k in range(m + 1, l + 1):
-            if not self._infos[k - 1].holes:
+            if not counts[k - 1]:
                 break
             pat = compose_fill(pat, self.seed(k))
         return pat
@@ -548,23 +548,20 @@ def hole_class_letters(schedule: FillingSchedule, l: int, resolution: int, run: 
 def hole_counts(schedule: FillingSchedule, resolution: int) -> list[int]:
     """Hole counts per period of levels 0, 1, ... up to ``resolution`` or the first level without holes.
 
-    Worked out from seed lengths and hole counts alone, listing no hole: seed m + 1 (length q) meets the
-    h holes of level m in lcm(h, q) <= p_(m+1) slots, and over ``PATTERN_CAP`` slots raise PatternTooLarge.
-    A ``resolution`` below 0 raises ToeplitzError.  The counts are kept on the schedule, each longer list
-    stored whole, and a refused level never, so its refusal repeats; the caller gets a copy of its prefix.
+    Read off the schedule's level table, listing no hole: seed m + 1 (length q) meets the h holes of
+    level m in lcm(h, q) <= p_(m+1) slots, and over ``PATTERN_CAP`` slots raise PatternTooLarge before
+    the table reads level m + 1.  A ``resolution`` below 0 raises ToeplitzError.
     """
     if resolution < 0:
         raise ToeplitzError("resolution %d is below 0, the all-hole root" % resolution)
-    counts = list(schedule._counts)
-    while len(counts) <= resolution and counts[-1]:
-        h, w = counts[-1], schedule.seed(len(counts))
-        g = gcd(h, len(w))
-        if h // g * len(w) > PATTERN_CAP:
-            raise PatternTooLarge("level %d has %d hole slots, beyond the cap" % (len(counts) - 1, h // g * len(w)))
-        counts.append(h // g * w.hole_count)
-    if len(counts) > len(schedule._counts):
-        schedule._counts = tuple(counts)
-    return counts[: resolution + 1]
+    counts, m = schedule._levels[1], 0
+    while m < resolution and counts[m]:
+        q = len(schedule.seed(m + 1))
+        slots = counts[m] // gcd(counts[m], q) * q
+        if slots > PATTERN_CAP:
+            raise PatternTooLarge("level %d has %d hole slots, beyond the cap" % (m, slots))
+        m, counts = m + 1, schedule._rows(m + 1)[1]
+    return list(counts[: m + 1])
 
 
 def _symbols(schedule: FillingSchedule, mask: int) -> frozenset[str]:

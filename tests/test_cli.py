@@ -195,6 +195,12 @@ def test_over_cap_factor_request_lists_no_hole(monkeypatch, capsys):
     ("ab\na?b\na?b\n", ["factor", "{path}", "--code", "ex5.7", "--depth", "1000000000"]),
     ("ab\nab\na?b\nab\n", ["factor", "{path}", "--code", "ex5.7", "--depth", "1000000000"]),
     ("ab\na?b\nab\n", ["boundary", "{path}", "--depth", "3"]),
+    # analyses and pair reports past the last seed, with holes open and after they have died out
+    ("ab\na?b\na?b\n", ["analyze", "{path}", "--depth", "1000000000"]),
+    ("ab\nab\na?b\nab\n", ["analyze", "{path}", "--depth", "1000000000"]),
+    ("ab\na?b\na?b\n", ["pair", "{path}", "--shifts", "1", "2", "--depth", "1000000000"]),
+    ("ab\nab\na?b\nab\n", ["pair", "{path}", "--shifts", "1", "2", "--depth", "1000000000"]),
+    ("ab\nab\na?b\nab\n", ["pair", "{path}", "--shifts", "1", "2", "--depth", "5"]),
 ])
 def test_bad_input_file_is_an_error(text, argv, tmp_path, capsys):
     path = tmp_path / "input.txt"

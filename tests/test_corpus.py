@@ -4,9 +4,11 @@
 message.  The calls are drawn by one ``random.Random(SEED)`` over the gallery entries and over
 random literal and seed-rule schedules, and then, by a second ``random.Random(SEED + 1)`` over
 the same schedules, the factor calls (wide codes listing windows of the word, ``factor_residues``
-and ``hole_tree``), and by a third ``random.Random(SEED + 2)`` cold walks down deep hole chains,
+and ``hole_tree``), by a third ``random.Random(SEED + 2)`` cold walks down deep hole chains,
 each on a schedule built afresh, with ``hole_counts`` and ``scale`` (refusals past the cap
-included), so the earlier draws keep their labels.  The test draws and answers them again
+included), and by a fourth ``random.Random(SEED + 3)`` cold level reads (``period``, ``level_info``,
+``check_pattern``, ``pattern``) and ``complexity_profile`` in both modes at lengths around multiples
+of a period, so the earlier draws keep their labels.  The test draws and answers them again
 and compares, so a change that moves any answer names the calls that moved.  A change that moves an answer on
 purpose rewrites the file with
 
@@ -263,6 +265,33 @@ def chain_calls(rng, key, make):
     return calls
 
 
+def level_calls(rng, key, make):
+    """Level reads of the schedule ``make()`` builds, one schedule per call: ``period``, ``level_info`` (its period
+    and a digest of its holes), ``check_pattern`` and ``pattern``, refusals past the cap included, and
+    ``complexity_profile`` in both modes at lengths k p_l - 1, k p_l and k p_l + 1."""
+    calls = []
+
+    def add(name, args, fn):
+        calls.append(("%s(%s, %s)" % (name, key, args), answer(lambda: fn(make()))))
+
+    # level 13 of the growing rule lists 3^13 holes, and deep gallery levels build seeds of millions of letters
+    levels = [rng.randint(0, 9) for _ in range(2)] + ([rng.randint(14, 60)] if key not in GALLERY_NAMES else [])
+    for l in levels:
+        add("period", l, lambda s: s.period(l))
+        add("level_info", l, lambda s: [s.level_info(l).period, digest(s.level_info(l).holes)])
+        add("check_pattern", l, lambda s: s.check_pattern(l))
+        add("pattern", l, lambda s: digest(s.pattern(l).symbols))
+    s = make()
+    periods = [s.period(l) for l in small_levels(s) if s.period(l) <= 256]  # words of up to 513 letters
+    k, m = rng.randint(1, 2), rng.randint(3, 8)
+    for p in rng.sample(periods, min(1, len(periods))):
+        lengths = [k * p - 1, k * p, k * p + 1]
+        for mode in ("window", "decomposition"):
+            add("complexity_profile", "%s, %s, max_level %d" % (lengths, mode, m),
+                lambda s: [[e.length, e.count, e.exact] for e in tl.complexity_profile(s, lengths, mode, m)])
+    return calls
+
+
 def draw_corpus(seed):
     """The schedules' descriptions and the (label, answer) pairs, in drawing order."""
     rng = random.Random(seed)
@@ -277,6 +306,8 @@ def draw_corpus(seed):
     makers["growing"] = ("ab, seed rule: a??b? at every level, 3^l holes per period",
                          lambda: tl.FillingSchedule(tl.BINARY, lambda l: tl.SeedWord("a??b?")))
     calls += [c for key, (_, make) in makers.items() for c in chain_calls(rng, key, make)]
+    rng = random.Random(seed + 3)
+    calls += [c for key, (_, make) in makers.items() for c in level_calls(rng, key, make)]
     return {key: text for key, (text, _) in makers.items()}, calls
 
 

@@ -172,6 +172,18 @@ def test_hole_free_levels_saturate():
     assert s.level_info(10 ** 9) is s.level_info(2) and s.pattern(10 ** 9) == s.pattern(2)
 
 
+def test_deep_periods_and_scales_list_no_hole(monkeypatch):
+    # sec2.2's level 41 has 2^21 holes in a period of 4^41; its periods follow from the seeds alone
+    listed, run_holes = [], words._run_holes
+    monkeypatch.setattr(words, "_run_holes", lambda runs: listed.append(runs) or run_holes(runs))
+    s = gallery("sec2.2")
+    assert s.scale(41) == tuple(4 ** l for l in range(1, 42))
+    assert s.period(41) == 4 ** 41
+    with pytest.raises(PatternTooLarge, match="level 12 has period 16777216"):
+        s.check_pattern(12)
+    assert listed == []
+
+
 def test_a_schedule_keeps_no_level_pattern():
     s = gallery("ex4.3")
     assert s.period(7) > words._TABLE_CAP
