@@ -154,10 +154,9 @@ def parse_at_least(lower: int):
 def cmd_build(args) -> dict:
     s = load_schedule(args.schedule)
     lo, hi = args.window or (0, min(4 * s.period(args.level), 512))
-    lvl = s.level_info(args.level)
     results = {
-        "period": lvl.period,
-        "holes_per_period": len(lvl.holes),
+        "period": s.period(args.level),
+        "holes_per_period": s.hole_count(args.level),
         "window": words.resolve_window(s, lo, hi, args.level),
     }
     return report("build", {"schedule": args.schedule, "level": args.level, "window": [lo, hi]}, results)

@@ -249,7 +249,8 @@ def factor_residues(code, schedule: FillingSchedule, levels, depth: int) -> list
     (``words.hole_class_letters``) and coded: two letters make its class
     nonperiodic, one letter and no hole periodic, anything else undetermined,
     as ``classify_residues`` reads them off the code's image of the depth
-    pattern; no pattern or image is built.  A ``depth`` below a requested
+    pattern; no pattern or image is built.  Each distinct window, read or
+    filled, is coded once per call.  A ``depth`` below a requested
     level is refused; over ``PATTERN_CAP`` hole slots per level up to ``depth`` raise
     PatternTooLarge, worked out before any hole is listed, and a level past the schedule's
     last seed is refused before the next one is listed.
@@ -264,6 +265,13 @@ def factor_residues(code, schedule: FillingSchedule, levels, depth: int) -> list
         raise ToeplitzError("resolution depth %d is below level %d" % (depth, max(levels)))
     depth, J = schedule.available_levels(depth), code.radius
     out, coded = [], {}  # (window, its run's words) -> their images; windows repeat along the word
+    outputs: dict[str, str] = {}  # window -> its code_output, reach and filled windows alike
+
+    def output(w: str) -> str:
+        if w not in outputs:
+            outputs[w] = code_output(code, w)
+        return outputs[w]
+
     for l in levels:
         p, reach = schedule.period(l), hole_reach(schedule, l, J)
         # one read of the level's period serves every window when that costs less than a read per
@@ -273,14 +281,14 @@ def factor_residues(code, schedule: FillingSchedule, levels, depth: int) -> list
         runs, nonper, undet = {}, [], []  # runs: run length -> level-l hole -> the words that run shows
         for r in reach:
             w = level.window(r - J, r + J + 1) if level else resolve_window(schedule, r - J, r + J + 1, l)
-            if code_output(code, w) != HOLE:
+            if output(w) != HOLE:
                 continue
             k = w.count(HOLE)
             if k not in runs:
                 runs[k] = hole_class_letters(schedule, l, depth, k)
             key = (w, runs[k][(r - J + w.index(HOLE)) % p])
             if key not in coded:
-                coded[key] = {code_output(code, fill_holes(w, word)) for word in key[1]}
+                coded[key] = {output(fill_holes(w, word)) for word in key[1]}
             if len(coded[key] - {HOLE}) > 1:
                 nonper.append(r)
             elif HOLE in coded[key]:

@@ -149,10 +149,27 @@ def _residue_classes(p: int, row: list[str], columns) -> ResidueClasses:
     )
 
 
-def _class_level(schedule: FillingSchedule, p: int, depth: int) -> tuple[int, int]:
-    """g = gcd(p, p_depth) and the first level k whose period g divides."""
+def _filled_classes(p: int, pat: PeriodicPattern, shown) -> ResidueClasses:
+    """The classes mod ``p`` of ``pat`` read by ``_pattern_columns``, where each hole h of ``pat`` stands for
+    the symbols of the (h, symbols) pairs ``shown`` gives for it, ``HOLE`` among them where a class stays open."""
+    row, columns = _pattern_columns(pat, p)
+    sets: dict[int, set[frozenset[str]]] = {}  # column mod len(row) with holes -> the sets its holes stand for
+    for h, v in shown:
+        sets.setdefault(h % len(row), set()).add(v)
+    return _residue_classes(p, row, [(c, seen.difference(HOLE).union(*sets.get(c, ()))) for c, seen in columns])
+
+
+def _coarser_classes(classes: ResidueClasses, p: int) -> ResidueClasses:
+    """The classes mod a divisor ``p`` of ``classes.modulus``, read off ``classes`` alone: by the Chinese
+    remainder theorem each class mod p is a union of classes mod the modulus, so its symbols are the letters
+    of its periodic lifts and the symbols ``classes.columns`` keeps for its exceptional lifts."""
+    return _filled_classes(p, PeriodicPattern(classes.letters[:classes.width]), classes.columns)
+
+
+def _class_level(schedule: FillingSchedule, p: int, depth: int) -> int:
+    """The first level k whose period g = gcd(p, p_depth) divides."""
     g = gcd(p, schedule.period(depth))
-    return g, next(l for l in range(1, depth + 1) if schedule.period(l) % g == 0)
+    return next(l for l in range(1, depth + 1) if schedule.period(l) % g == 0)
 
 
 def schedule_classes(schedule: FillingSchedule, p: int, depth: int) -> ResidueClasses:
@@ -162,12 +179,8 @@ def schedule_classes(schedule: FillingSchedule, p: int, depth: int) -> ResidueCl
     hole of an exceptional level-k column stands for those letters."""
     if p < 1:
         raise ToeplitzError("period must be positive")
-    g, k = _class_level(schedule, p, depth)
-    row, columns = _pattern_columns(schedule.pattern(k), p)
-    shown: dict[int, set[frozenset[str]]] = {}  # column mod g with holes -> the sets their classes show
-    for h, v in hole_class_letters(schedule, k, depth).items():
-        shown.setdefault(h % g, set()).add(v)
-    return _residue_classes(p, row, [(c, seen.difference(HOLE).union(*shown.get(c, ()))) for c, seen in columns])
+    k = _class_level(schedule, p, depth)
+    return _filled_classes(p, schedule.pattern(k), hole_class_letters(schedule, k, depth).items())
 
 
 def aperiodic_residues(schedule: FillingSchedule, l: int, depth: int) -> tuple[int, ...]:
@@ -297,7 +310,11 @@ def verify_period_structure(
     and ``resolve_window``, so no depth pattern is built; when the level the
     last scale entry's classes are read off has a period past ``PATTERN_CAP``,
     the schedule is refused before any class is read.  A coverage window
-    with hi < lo is refused.  Essentiality of an entry ``p_l`` scans all
+    with hi < lo is refused.  Only the last entry is classified from the
+    source; going down the scale, each smaller entry's classes are read off
+    the next larger entry's, since p_l divides p_(l+1) and so each class
+    mod p_l is a union of classes mod p_(l+1) (Chinese remainder theorem).
+    Essentiality of an entry ``p_l`` scans all
     smaller candidate periods; when every entry of the scale is a power
     of one prime q, only powers of q can yield an equal Per set (every
     resolved position has a q-power minimal period), so the scan is
@@ -329,15 +346,17 @@ def verify_period_structure(
     else:
         depth = source.available_levels(depth)
         # each scale entry's g divides the last one's, so the last entry reads the deepest level
-        source.check_pattern(_class_level(source, scale[-1], depth)[1])
+        source.check_pattern(_class_level(source, scale[-1], depth))
         period, classes = source.period(depth), partial(schedule_classes, source, depth=depth)
         window = partial(resolve_window, source, max_level=depth)
     q = _prime_power_scale(scale)
+    entries = [classes(scale[-1])]  # the classes mod each scale entry, last entry first
+    for p_l in reversed(scale[:-1]):
+        entries.append(_coarser_classes(entries[-1], p_l))
 
     nonempty = []
     reports = []
-    for p_l in scale:
-        large = classes(p_l)
+    for p_l, large in zip(scale, reversed(entries)):
         nonempty.append(len(large.nonperiodic) + len(large.undetermined) < p_l)
         if q is None:
             candidates = range(1, p_l)

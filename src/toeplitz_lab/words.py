@@ -418,6 +418,11 @@ class FillingSchedule:
         periods, _ = self._rows(l)
         return periods[l] if l < len(periods) else periods[-1]
 
+    def hole_count(self, l: int) -> int:
+        """Holes per period of level ``l``, read off the level table as ``period`` is, listing no hole."""
+        _, counts = self._rows(l)
+        return counts[l] if l < len(counts) else counts[-1]
+
     def holes(self, l: int) -> tuple[int, ...]:
         return self.level_info(l).holes
 

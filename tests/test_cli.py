@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import toeplitz_lab
-from toeplitz_lab import BINARY, checks, code_from_text, schedule_from_text
+from toeplitz_lab import BINARY, checks, code_from_text, schedule_from_text, words
 from toeplitz_lab.cli import main, to_jsonable
 from toeplitz_lab.errors import ToeplitzError
 from toeplitz_lab.gallery import GALLERY_NAMES
@@ -35,6 +35,16 @@ def test_build_reproduces_composition(capsys):
     rc, out = run(capsys, ["build", "ex4.3", "--level", "2", "--window", "0:16", "--format", "json"])
     rep = json.loads(out)
     assert rep["results"]["window"] == "aaaba?aba?bbabbb"
+
+
+def test_a_deep_build_lists_no_hole(monkeypatch, capsys):
+    # sec2.2's level 41 has 2^21 holes in a period of 4^41; both counts come off the level table
+    listed, run_holes = [], words._run_holes
+    monkeypatch.setattr(words, "_run_holes", lambda runs: listed.append(runs) or run_holes(runs))
+    rc, out = run(capsys, ["build", "sec2.2", "--level", "41", "--window", "0:8", "--format", "json"])
+    results = json.loads(out)["results"]
+    assert rc == 0 and listed == []
+    assert results["period"] == 4 ** 41 and results["holes_per_period"] == 2097152
 
 
 def test_window_with_a_negative_start_takes_either_spelling(capsys):
@@ -456,7 +466,7 @@ def test_mixed_scale_analyze_classifies_only_the_scale_entries(monkeypatch, caps
     calls = count_classifications(monkeypatch)
     rc, out = run(capsys, ["analyze", "ex3.5", "--depth", "4", "--format", "json"])
     scale = [8, 48, 480, 8640]
-    assert rc == 0 and calls == scale
+    assert rc == 0 and calls == scale[::-1]
     results = json.loads(out)["results"]
     assert results["period_structure"] == {
         "scale": scale, "depth": 5, "divisible": True, "nonempty": [True] * 4,

@@ -8,9 +8,11 @@ and ``hole_tree``), by a third ``random.Random(SEED + 2)`` cold walks down deep 
 each on a schedule built afresh, with ``hole_counts`` and ``scale`` (refusals past the cap
 included), and by a fourth ``random.Random(SEED + 3)`` cold level reads (``period``, ``level_info``,
 ``check_pattern``, ``pattern``) and ``complexity_profile`` in both modes at lengths around multiples
-of a period, so the earlier draws keep their labels.  The test draws and answers them again
-and compares, so a change that moves any answer names the calls that moved.  A change that moves an answer on
-purpose rewrites the file with
+of a period, and by a fifth ``random.Random(SEED + 4)`` ``classify_residues`` and
+``verify_period_structure`` on level patterns, their code images and the schedules themselves, over
+prime-power and mixed divisor chains (refusals included), so the earlier draws keep their labels.
+The test draws and answers them again and compares, so a change that moves any answer names the
+calls that moved.  A change that moves an answer on purpose rewrites the file with
 
     PYTHONPATH=src python tests/test_corpus.py
 
@@ -27,6 +29,7 @@ from pathlib import Path
 import toeplitz_lab as tl
 from toeplitz_lab.errors import ToeplitzError
 from toeplitz_lab.gallery import GALLERY_NAMES
+from toeplitz_lab.periodicity import prime_exponents
 
 SEED = 20241
 CORPUS = Path(__file__).with_name("corpus.json")
@@ -292,6 +295,70 @@ def level_calls(rng, key, make):
     return calls
 
 
+def divisor_chain(rng, n, prime=None):
+    """Divisors of ``n``, each dividing the next, from a random cut of its prime factors in random order;
+    with ``prime``, powers of that prime alone."""
+    factors = [q for q, e in prime_exponents(n).items() if prime in (None, q) for _ in range(e)]
+    rng.shuffle(factors)
+    chain, d = [], 1
+    for q in factors:
+        d *= q
+        if rng.random() < 0.6:
+            chain.append(d)
+    return chain or [d]
+
+
+def classes_answer(classes):
+    return [classes.modulus, classes.letters, classes.nonperiodic, classes.undetermined, classes.width,
+            [[c, "".join(sorted(seen))] for c, seen in classes.columns]]
+
+
+def certificate_answer(cert):
+    return [cert.all_pass, cert.scale, cert.depth, cert.nonempty, cert.covered, cert.coverage_window,
+            [[e.scale_entry, e.certified, e.unresolved_periods] for e in cert.essentiality]]
+
+
+def structure_calls(rng, key, s):
+    """``classify_residues`` and ``verify_period_structure`` on the schedule ``s``: on its small levels and their
+    images under random codes, and on ``s`` itself, over prime-power and mixed divisor chains of a level period,
+    with a non-dividing scale and a reversed coverage window among the refusals."""
+    calls = []
+
+    def add(name, args, fn):
+        calls.append(("%s(%s, %s)" % (name, key, args), answer(fn)))
+
+    levels = [l for l in small_levels(s) if s.period(l) <= 1024]
+    for l in rng.sample(levels, min(2, len(levels))):
+        code = random_code(rng, s.alphabet.letters, rng.randint(0, 2))
+        for label, pat in (("level %d" % l, s.pattern(l)), ("%s of level %d" % (code_label(code), l),
+                                                             tl.apply_code(code, s.pattern(l)))):
+            p = pat.period
+            for m in (rng.choice(divisor_chain(rng, p)), p * rng.randint(2, 3), rng.randint(1, 3 * p)):
+                add("classify_residues", "%s, %d" % (label, m), lambda: classes_answer(tl.classify_residues(pat, m)))
+            scale, lo = divisor_chain(rng, p * rng.choice((1, 2, 3))), rng.randint(-p, p)
+            window = (lo, lo + rng.randint(-3, 2 * p))
+            add("verify_period_structure", "%s, %s, window %s" % (label, scale, window),
+                lambda: certificate_answer(tl.verify_period_structure(pat, scale, l, window)))
+    for one_prime in (False, True):
+        l = rng.randint(1, 4)
+        try:
+            p = s.period(l)
+        except ToeplitzError:
+            continue
+        depth, prime = l + rng.randint(0, 2), rng.choice(list(prime_exponents(p)) or [None]) if one_prime else None
+        scale = divisor_chain(rng, p, prime)
+        add("verify_period_structure", "schedule, %s, %d" % (scale, depth),
+            lambda: certificate_answer(tl.verify_period_structure(s, scale, depth)))
+    d = rng.randint(1, 3)
+    add("verify_period_structure", "schedule, scale(%d), %d" % (d, d + 1),
+        lambda: certificate_answer(tl.verify_period_structure(s, s.scale(d), d + 1)))
+    p = s.period(1)
+    for scale, window in (([2 * p, 3 * p], None), ([p, 2 * p], (3, -3))):
+        add("verify_period_structure", "schedule, %s, window %s" % (scale, window),
+            lambda: certificate_answer(tl.verify_period_structure(s, scale, 2, window)))
+    return calls
+
+
 def draw_corpus(seed):
     """The schedules' descriptions and the (label, answer) pairs, in drawing order."""
     rng = random.Random(seed)
@@ -308,6 +375,8 @@ def draw_corpus(seed):
     calls += [c for key, (_, make) in makers.items() for c in chain_calls(rng, key, make)]
     rng = random.Random(seed + 3)
     calls += [c for key, (_, make) in makers.items() for c in level_calls(rng, key, make)]
+    rng = random.Random(seed + 4)
+    calls += [c for key, (_, make) in makers.items() for c in structure_calls(rng, key, make())]
     return {key: text for key, (text, _) in makers.items()}, calls
 
 

@@ -1918,3 +1918,87 @@ def class_reader_cases(draw):
 def test_schedule_classes_match_the_depth_pattern(case):
     s, depth, p = case
     assert schedule_classes(s, p, depth) == tl.classify_residues(s.pattern(depth), p)
+
+
+# -- classes read down a divisor chain, and factor windows coded once ----------
+
+
+@cache
+def isolating_image(name):
+    """The factor image whose period structure the ``<name>-isolating-factor`` check certifies, with that
+    check's scale: the ex4.3 code on the depth-7 pattern, the ex4.4 code on the depth-4 pattern (2^21 letters)."""
+    from toeplitz_lab.checks import EX43_BRANCH
+
+    s = tl.gallery(name)
+    if name == "ex4.3":
+        iso = tl.isolated_value_pair(tl.hole_tree(s, 8, 10), EX43_BRANCH, "a", "b")
+        code = tl.build_isolating_code(s, EX43_BRANCH, "a", l1=5, l2=5, certificate=iso)
+        return tl.apply_code(code, s.pattern(7)), tuple(4 ** l for l in range(1, 6))
+    chain = tuple(s.holes(l)[0] for l in range(1, 6))
+    iso = tl.isolated_value_pair(tl.hole_tree(s, 2, 3), chain[:2], "a", "b")
+    code = tl.build_isolating_code(s, chain, "a", l1=1, l2=1, certificate=iso)
+    return tl.apply_code(code, s.pattern(4)), s.scale(3)
+
+
+def assert_read_down(pat, chain, direct):
+    """Classes read off each next finer entry of ``chain`` (descending, each entry dividing the one before),
+    starting from ``classify_residues`` of its first entry, equal ``direct(p)`` field by field."""
+    from toeplitz_lab.periodicity import _coarser_classes
+
+    classes = tl.classify_residues(pat, chain[0])
+    for p in chain[1:]:
+        classes = _coarser_classes(classes, p)
+        want = direct(p)
+        assert (classes.modulus, classes.letters, classes.nonperiodic, classes.undetermined, classes.width,
+                classes.columns) == (want.modulus, want.letters, want.nonperiodic, want.undetermined, want.width,
+                                     want.columns), (pat.symbols[:40], chain, p)
+        assert classes_by_residue(classes) == brute_classify(pat, p), (pat.symbols[:40], chain, p)
+
+
+def divisor_chains(n):
+    """Every chain n = d_0, d_1, ..., d_k with each entry a proper divisor of the one before."""
+    yield (n,)
+    for d in range(1, n):
+        if n % d == 0:
+            for rest in divisor_chains(d):
+                yield (n,) + rest
+
+
+def test_classes_read_down_every_divisor_chain_match_the_direct_read():
+    rng = random.Random(35)
+    for _ in range(40):
+        letters = rng.choice(("ab", "abc"))
+        period = rng.choice((6, 10, 12, 15, 20, 30))
+        block = [rng.choice(letters) for _ in range(rng.choice([d for d in (1, 2, 3, 5, 6) if period % d == 0]))]
+        cells = [c for _ in range(period // len(block)) for c in block]  # near-periodic, so every kind of class occurs
+        for i in rng.sample(range(period), rng.randint(0, 3)):
+            cells[i] = rng.choice(letters + "??")
+        pat = tl.PeriodicPattern("".join(cells))
+        top = period * rng.choice((1, 2, 3, 5)) if rng.random() < 0.7 else rng.choice((30, 60, 90))
+        direct = cache(lambda p: tl.classify_residues(pat, p))
+        for chain in divisor_chains(top):
+            assert_read_down(pat, chain, direct)
+
+
+@pytest.mark.parametrize("name", ["ex4.3", "ex4.4"])
+def test_classes_read_down_the_isolating_scale_match_the_direct_read(name):
+    pat, scale = isolating_image(name)
+    assert_read_down(pat, scale[::-1], lambda p: tl.classify_residues(pat, p))
+
+
+def test_factor_residues_code_each_distinct_window_once_per_call(monkeypatch):
+    # the 20 codes of the ex5.7-factor-hole-bound check, drawn as it draws them
+    s = tl.gallery("ex5.7")
+    rng = random.Random(20250808)
+    windows, original = [], factors.code_output
+
+    def counted(code, window):
+        windows.append(window)
+        return original(code, window)
+    monkeypatch.setattr(factors, "code_output", counted)
+    for _ in range(20):
+        radius = rng.choice((0, 1, 2))
+        code = tl.SlidingBlockCode.from_fn(s.alphabet, radius, lambda w: rng.choice(s.alphabet.letters))
+        windows.clear()
+        tl.factor_residues(code, s, range(1, 5), 6)
+        assert windows and len(windows) == len(set(windows)), radius

@@ -248,7 +248,23 @@ def test_schedule_classes_classify_once(monkeypatch):
         assert calls == [4 ** l] and classes.modulus == 4 ** l
     calls.clear()
     cert = verify_period_structure(s, s.scale(11), 12)
-    assert cert.all_pass and calls == list(s.scale(11))
+    assert cert.all_pass and calls == list(s.scale(11))[::-1]
+
+
+def test_pattern_source_is_read_once_for_the_whole_scale(monkeypatch):
+    # the ex4.4 factor image of 2^21 letters: the classes mod 32768 are read off it, and those mod 1024
+    # and 64 off the classes of the next larger entry
+    from test_oracles import isolating_image
+
+    pat, scale = isolating_image("ex4.4")
+    reads, original = [], periodicity._pattern_columns
+
+    def counted(source, p):
+        reads.append((source is pat, p))
+        return original(source, p)
+    monkeypatch.setattr(periodicity, "_pattern_columns", counted)
+    cert = verify_period_structure(pat, scale, 4, coverage_window=(-64, 64))
+    assert cert.all_pass and reads == [(True, 32768), (False, 1024), (False, 64)]
 
 
 @pytest.mark.parametrize("p", [0, -4])
